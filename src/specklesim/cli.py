@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 usage/configuration error, 2 domain error
 (for example a non-embeddable splitter setting).  Error text goes to
 stderr; data goes to files in the output directory or, for
 ``probabilities``, to stdout.  Identical ``(argv, config, seed)`` always
-produce identical outputs; ``--threads`` may only affect speed.
+produce identical outputs.  ``--threads`` is accepted and checked, but
+all work runs on one thread today.
 """
 
 from __future__ import annotations
@@ -18,52 +19,36 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
+from . import experiments
 from .config import ConfigError, parse_angle, parse_config
-from .experiments import (
-    ScenarioConfig,
-    build_medium,
-    build_source,
-    emit_scenario,
-    program_circuit,
-    reference_delay,
-    run_alpha_scan,
-    run_enhancement_study,
-)
-from .medium import save_matrix
-from .shaping import (
-    DegenerateFitError,
-    circuit_csv,
-    classical_scan,
-    fit_sine,
-    ideal_circuit,
-    mode_templates,
-    optimize_pattern,
-    pattern_csv,
-)
+from .experiments import ScenarioConfig, build_medium, emit_medium, emit_scenario
+from .shaping import DegenerateFitError
 from .twophoton import (
+    OUTCOME_LABELS,
     EmbeddabilityError,
     UndefinedVisibilityError,
-    hom_scan,
     outcome_csv,
     outcome_probabilities,
-    visibility,
 )
 
-SUBCOMMANDS = (
-    "gen-medium",
-    "optimize",
-    "program",
-    "classical-scan",
-    "hom-scan",
-    "alpha-scan",
-    "enhancement-study",
-    "probabilities",
-    "selftest",
-)
+# subcommand -> (runner in ``experiments``, summary line from (result, config)).
+# Runners are looked up by name at call time, so wrappers installed on the
+# ``experiments`` module see every call.
+_SCENARIOS = {
+    "optimize": ("run_optimize", lambda r, c: f"optimized {c.segments} segments onto output {c.output_m}"),
+    "program": ("run_program", lambda r, c: f"programmed alpha = {c.alpha:.17g}: "
+                f"alpha_fit = {r.alpha_fit:.17g}, t_fit = {r.t_fit:.17g}"),
+    "classical-scan": ("run_classical_scan", lambda r, c: "classical scan done; "
+                       f"sine phases m = {r.fit_m[2]:.4f}, n = {r.fit_n[2]:.4f} rad"),
+    "hom-scan": ("run_hom_scan", lambda r, c: "hom scan done; "
+                 f"visibility at zero delay = {r.visibility.v:.6f}"),
+    "alpha-scan": ("run_alpha_scan", lambda r, c: "alpha scan done; "
+                   f"v0_fit = {r.v0_fit:.6f} +- {r.v0_std_err:.2g}"),
+    "enhancement-study": ("run_enhancement_study", lambda r, c: "enhancement study done; " + ", ".join(
+        f"N={x.n_segments}: {x.mean_enhancement:.1f} (law {x.predicted:.1f})" for x in r)),
+}
 
-_OUTCOME_NAMES = ("P(2m,0n)", "P(0m,2n)", "P(1m,1n)", "P(1m,0n)", "P(0m,1n)", "P(0m,0n)")
+SUBCOMMANDS = ("gen-medium", *_SCENARIOS, "probabilities", "selftest")
 
 
 class _UsageError(Exception):
@@ -84,7 +69,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0, help="64-bit master seed (default 0)")
         p.add_argument("--out", type=str, default=None, help="output directory (default: config out_dir)")
         p.add_argument("--force", action="store_true", help="overwrite an existing manifest")
-        p.add_argument("--threads", type=int, default=1, help="worker count; affects speed, never results")
+        p.add_argument(
+            "--threads", type=int, default=1, help="worker count (>= 1); accepted, but all work runs on one thread"
+        )
         p.add_argument("--quiet", action="store_true", help="suppress the one-line summary")
         if name == "probabilities":
             p.add_argument("--t", type=float, required=True, help="splitter amplitude")
@@ -131,8 +118,8 @@ def _run(argv: list[str]) -> int:
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
         dist = outcome_probabilities(args.t, alpha)
-        for name, value in zip(_OUTCOME_NAMES, dist.as_array()):
-            print(f"{name} = {value:.17g}")
+        for label, value in zip(OUTCOME_LABELS, dist.as_array()):
+            print(f"P({label[:2]},{label[2:]}) = {value:.17g}")
         if args.out is not None:
             emit_scenario(out_dir, "probabilities", seed, {"outcomes.csv": outcome_csv(dist)}, config, args.force)
         _summary(args, f"embeddable splitter t = {args.t:.17g}; probabilities sum to 1")
@@ -143,118 +130,19 @@ def _run(argv: list[str]) -> int:
 
         return 0 if run_selftest(quiet=args.quiet) else 1
 
-    handler = {
-        "gen-medium": _cmd_gen_medium,
-        "optimize": _cmd_optimize,
-        "program": _cmd_program,
-        "classical-scan": _cmd_classical_scan,
-        "hom-scan": _cmd_hom_scan,
-        "alpha-scan": _cmd_alpha_scan,
-        "enhancement-study": _cmd_enhancement_study,
-    }[args.subcommand]
-    handler(args, config, seed, out_dir)
+    if args.subcommand == "gen-medium":
+        medium = build_medium(config, seed)
+        path = emit_medium(out_dir, seed, medium, config, args.force)
+        _summary(args, f"wrote {path} ({medium.kind.value} {medium.n_out}x{medium.n_in})")
+        return 0
+
+    runner, summary = _SCENARIOS[args.subcommand]
+    result, files = getattr(experiments, runner)(config, seed)
+    emit_scenario(out_dir, args.subcommand, seed, files, config, args.force)
+    _summary(args, summary(result, config))
     return 0
 
 
 def _summary(args, text: str) -> None:
     if not args.quiet:
         print(text)
-
-
-def _cmd_gen_medium(args, config: ScenarioConfig, seed: int, out_dir: Path) -> None:
-    medium = build_medium(config, seed)
-    emit_scenario(out_dir, "gen-medium", seed, {}, config, args.force)
-    path = out_dir / f"gen-medium_seed{seed}.medium.tmat"
-    save_matrix(medium, path)
-    _summary(args, f"wrote {path} ({medium.kind.value} {medium.n_out}x{medium.n_in})")
-
-
-def _shaped(config: ScenarioConfig, seed: int):
-    medium = build_medium(config, seed)
-    return medium, program_circuit(
-        medium, config.segments, config.output_m, config.output_n,
-        config.alpha, config.method, config.steps,
-    )
-
-
-def _cmd_optimize(args, config: ScenarioConfig, seed: int, out_dir: Path) -> None:
-    medium = build_medium(config, seed)
-    template = mode_templates(config.segments)[0]
-    pattern = optimize_pattern(medium, template, config.output_m, config.method, config.steps)
-    emit_scenario(out_dir, "optimize", seed, {"pattern_k.csv": pattern_csv(pattern)}, config, args.force)
-    _summary(args, f"optimized {config.segments} segments onto output {config.output_m}")
-
-
-def _cmd_program(args, config: ScenarioConfig, seed: int, out_dir: Path) -> None:
-    _, (pattern_k, pattern_l, circuit) = _shaped(config, seed)
-    emit_scenario(
-        out_dir, "program", seed,
-        {
-            "pattern_k.csv": pattern_csv(pattern_k),
-            "pattern_l.csv": pattern_csv(pattern_l),
-            "circuit.csv": circuit_csv(circuit),
-        },
-        config, args.force,
-    )
-    _summary(
-        args,
-        f"programmed alpha = {config.alpha:.17g}: alpha_fit = {circuit.alpha_fit:.17g}, "
-        f"t_fit = {circuit.t_fit:.17g}",
-    )
-
-
-def _cmd_classical_scan(args, config: ScenarioConfig, seed: int, out_dir: Path) -> None:
-    medium, (pattern_k, pattern_l, circuit) = _shaped(config, seed)
-    scan = classical_scan(
-        medium, pattern_k, pattern_l, config.output_m, config.output_n, config.delta_theta_grid
-    )
-    rows = ["delta_theta_rad,intensity_m,intensity_n"]
-    for i in range(scan.delta_theta.size):
-        rows.append(
-            f"{scan.delta_theta[i]:.17g},{scan.intensity_m[i]:.17g},{scan.intensity_n[i]:.17g}"
-        )
-    fit_m = fit_sine(scan.delta_theta, scan.intensity_m)
-    fit_n = fit_sine(scan.delta_theta, scan.intensity_n)
-    fits = ["output,offset,amplitude,phase_rad"]
-    fits.append("m," + ",".join(f"{v:.17g}" for v in fit_m))
-    fits.append("n," + ",".join(f"{v:.17g}" for v in fit_n))
-    emit_scenario(
-        out_dir, "classical-scan", seed,
-        {"scan.csv": "\n".join(rows) + "\n", "fits.csv": "\n".join(fits) + "\n"},
-        config, args.force,
-    )
-    _summary(args, f"classical scan done; sine phases m = {fit_m[2]:.4f}, n = {fit_n[2]:.4f} rad")
-
-
-def _cmd_hom_scan(args, config: ScenarioConfig, seed: int, out_dir: Path) -> None:
-    if config.circuit == "shaped":
-        _, (_, _, circuit) = _shaped(config, seed)
-    else:
-        circuit = ideal_circuit(config.t, config.alpha)
-    source = build_source(config)
-    scan = hom_scan(circuit, source, config.delay_grid)
-    baseline = hom_scan(circuit, source, [reference_delay(source)]).coincidence_rate[0]
-    vis = visibility(scan.coincidence_rate[int(np.argmin(np.abs(scan.delays)))], baseline)
-    rows = ["delay_s,coincidence,singles_m,singles_n"]
-    for i in range(scan.delays.size):
-        rows.append(
-            f"{scan.delays[i]:.17g},{scan.coincidence_rate[i]:.17g},"
-            f"{scan.singles_m[i]:.17g},{scan.singles_n[i]:.17g}"
-        )
-    emit_scenario(
-        out_dir, "hom-scan", seed,
-        {"scan.csv": "\n".join(rows) + "\n", "summary.csv": f"visibility\n{vis.v:.17g}\n"},
-        config, args.force,
-    )
-    _summary(args, f"hom scan done; visibility at zero delay = {vis.v:.6f}")
-
-
-def _cmd_alpha_scan(args, config: ScenarioConfig, seed: int, out_dir: Path) -> None:
-    result = run_alpha_scan(config, seed, out_dir, args.force)
-    _summary(args, f"alpha scan done; v0_fit = {result.v0_fit:.6f} +- {result.v0_std_err:.2g}")
-
-
-def _cmd_enhancement_study(args, config: ScenarioConfig, seed: int, out_dir: Path) -> None:
-    rows = run_enhancement_study(config, seed, out_dir, args.force)
-    parts = ", ".join(f"N={r.n_segments}: {r.mean_enhancement:.1f} (law {r.predicted:.1f})" for r in rows)
-    _summary(args, f"enhancement study done; {parts}")

@@ -1,33 +1,42 @@
 """End-to-end scenario runners wiring medium, shaping and statistics.
 
-Each runner reproduces one reference curve at desk scale and emits
-plot-ready CSV files plus a ``key = value`` manifest into its output
-directory.  Everything is deterministic in the master seed: replicate
-media draw child seeds along fixed integer paths, Monte Carlo points use
-per-point substreams, and emitted files are byte-identical across runs
-and worker counts.
+Each ``run_<scenario>(config, master_seed)`` reproduces one reference
+curve at desk scale and returns ``(result, files)``: the computed
+result and its plot-ready CSV texts keyed by file name.
+:func:`emit_scenario` writes the files plus a ``key = value`` manifest
+into an output directory.  Everything is deterministic in the master
+seed: replicate media draw child seeds along fixed integer paths, Monte
+Carlo points use per-point substreams, and emitted files are
+byte-identical across runs and worker counts.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .medium import TransmissionMatrix, gaussian_transmission_matrix, haar_unitary
+from .medium import TransmissionMatrix, gaussian_transmission_matrix, haar_unitary, save_matrix
 from .rng import child_seed
 from .shaping import (
+    ClassicalScan,
     DegenerateFitError,
     PhasePattern,
     ProgrammedCircuit,
+    circuit_csv,
+    classical_scan,
     effective_circuit,
     combine_patterns,
+    fit_sine,
     ideal_circuit,
     mode_templates,
     optimize_pattern,
+    pattern_csv,
     shaped_input,
     target_intensity,
 )
@@ -52,11 +61,19 @@ __all__ = [
     "analytic_visibility",
     "montecarlo_visibility",
     "fit_visibility_cosine",
+    "ClassicalScanResult",
+    "HomScanResult",
+    "run_optimize",
+    "run_program",
+    "run_classical_scan",
+    "run_hom_scan",
     "run_alpha_scan",
     "run_hom_reproduction",
+    "focusing_enhancement",
     "run_enhancement_study",
     "dip_half_width",
     "emit_scenario",
+    "emit_medium",
 ]
 
 # child-seed derivation tags (part of the determinism contract)
@@ -146,6 +163,10 @@ class ScenarioConfig:
             raise ValueError("output_m and output_n must differ")
         if self.output_m < 0 or self.output_n < 0:
             raise ValueError("output modes must be nonnegative channel indices")
+        if max(self.output_m, self.output_n) >= self.n_out:
+            raise ValueError(f"output_m and output_n must be < n_out = {self.n_out}")
+        if self.bandwidth_fwhm_nm is not None and not self.bandwidth_fwhm_nm > 0:
+            raise ValueError(f"bandwidth_fwhm_nm must be positive, got {self.bandwidth_fwhm_nm!r}")
         if self.resolved_n_in < 2 * self.segments:
             raise ValueError(
                 f"n_in = {self.resolved_n_in} cannot host two disjoint modes of {self.segments} segments"
@@ -300,12 +321,81 @@ class AlphaScanResult:
             raise ValueError(f"v0_fit = {self.v0_fit} is not a physical visibility amplitude")
 
 
-def run_alpha_scan(
-    config: ScenarioConfig,
-    master_seed: int = 0,
-    out_dir: str | Path | None = None,
-    force: bool = False,
-) -> AlphaScanResult:
+def _program(config: ScenarioConfig, medium: TransmissionMatrix, alpha: float):
+    c = config
+    return program_circuit(medium, c.segments, c.output_m, c.output_n, alpha, c.method, c.steps)
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text; numbers get 17 significant digits so they round-trip."""
+    lines = [header]
+    lines.extend(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def run_optimize(config: ScenarioConfig, master_seed: int = 0) -> tuple[PhasePattern, dict[str, str]]:
+    """Focus input mode ``k`` onto output ``output_m`` of the configured medium."""
+    medium = build_medium(config, master_seed)
+    template = mode_templates(config.segments)[0]
+    pattern = optimize_pattern(medium, template, config.output_m, config.method, config.steps)
+    return pattern, {"pattern_k.csv": pattern_csv(pattern)}
+
+
+def run_program(config: ScenarioConfig, master_seed: int = 0) -> tuple[ProgrammedCircuit, dict[str, str]]:
+    """Program the splitter at ``config.alpha`` and read back its circuit."""
+    pattern_k, pattern_l, circuit = _program(config, build_medium(config, master_seed), config.alpha)
+    return circuit, {
+        "pattern_k.csv": pattern_csv(pattern_k),
+        "pattern_l.csv": pattern_csv(pattern_l),
+        "circuit.csv": circuit_csv(circuit),
+    }
+
+
+class ClassicalScanResult(NamedTuple):
+    scan: ClassicalScan
+    fit_m: tuple[float, float, float]  # (offset, amplitude, phase) from fit_sine
+    fit_n: tuple[float, float, float]
+
+
+def run_classical_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[ClassicalScanResult, dict]:
+    """Two-beam intensity scan of the programmed circuit, with sine fits per output."""
+    medium = build_medium(config, master_seed)
+    pattern_k, pattern_l, _ = _program(config, medium, config.alpha)
+    c = config
+    scan = classical_scan(medium, pattern_k, pattern_l, c.output_m, c.output_n, c.delta_theta_grid)
+    fit_m = fit_sine(scan.delta_theta, scan.intensity_m)
+    fit_n = fit_sine(scan.delta_theta, scan.intensity_n)
+    rows = zip(scan.delta_theta, scan.intensity_m, scan.intensity_n)
+    return ClassicalScanResult(scan, fit_m, fit_n), {
+        "scan.csv": _csv("delta_theta_rad,intensity_m,intensity_n", rows),
+        "fits.csv": _csv("output,offset,amplitude,phase_rad", [("m", *fit_m), ("n", *fit_n)]),
+    }
+
+
+class HomScanResult(NamedTuple):
+    scan: CoincidenceScan
+    visibility: VisibilityResult  # at the delay nearest zero, against the far-delay baseline
+
+
+def _hom_scan(circuit: ProgrammedCircuit, source: PhotonPairSource, delays) -> tuple[HomScanResult, str]:
+    scan = hom_scan(circuit, source, delays)
+    baseline = hom_scan(circuit, source, [reference_delay(source)]).coincidence_rate[0]
+    vis = visibility(scan.coincidence_rate[int(np.argmin(np.abs(scan.delays)))], baseline)
+    rows = zip(scan.delays, scan.coincidence_rate, scan.singles_m, scan.singles_n)
+    return HomScanResult(scan, vis), _csv("delay_s,coincidence,singles_m,singles_n", rows)
+
+
+def run_hom_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[HomScanResult, dict[str, str]]:
+    """Delay scan of the configured circuit (ideal, or shaped at ``config.alpha``)."""
+    if config.circuit == "shaped":
+        _, _, circuit = _program(config, build_medium(config, master_seed), config.alpha)
+    else:
+        circuit = ideal_circuit(config.t, config.alpha)
+    result, scan_csv = _hom_scan(circuit, build_source(config), config.delay_grid)
+    return result, {"scan.csv": scan_csv, "summary.csv": _csv("visibility", [(result.visibility.v,)])}
+
+
+def run_alpha_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[AlphaScanResult, dict[str, str]]:
     """Scan the programmed phase and fit the visibility cosine law.
 
     For every ``alpha`` on the grid the circuit is programmed (ideally or
@@ -322,10 +412,7 @@ def run_alpha_scan(
         if medium is None:
             circuit = ideal_circuit(config.t, float(alpha))
         else:
-            _, _, circuit = program_circuit(
-                medium, config.segments, config.output_m, config.output_n,
-                float(alpha), config.method, config.steps,
-            )
+            _, _, circuit = _program(config, medium, float(alpha))
         if config.counting == "analytic":
             result = analytic_visibility(circuit, source)
         else:
@@ -341,30 +428,16 @@ def run_alpha_scan(
         v0_fit=v0,
         v0_std_err=v0_err,
     )
-    if out_dir is not None:
-        rows = ["alpha_rad,visibility,std_err"]
-        for a, v, e in zip(scan.alphas, scan.visibilities, scan.std_errs):
-            rows.append(f"{a:.17g},{v:.17g},{e:.17g}")
-        emit_scenario(
-            out_dir,
-            "alpha-scan",
-            master_seed,
-            files={
-                "visibility.csv": "\n".join(rows) + "\n",
-                "fit.csv": f"v0_fit,v0_std_err\n{v0:.17g},{v0_err:.17g}\n",
-            },
-            config=config,
-            force=force,
-        )
-    return scan
+    rows = zip(scan.alphas, scan.visibilities, scan.std_errs)
+    return scan, {
+        "visibility.csv": _csv("alpha_rad,visibility,std_err", rows),
+        "fit.csv": _csv("v0_fit,v0_std_err", [(v0, v0_err)]),
+    }
 
 
 def run_hom_reproduction(
-    config: ScenarioConfig,
-    master_seed: int = 0,
-    out_dir: str | Path | None = None,
-    force: bool = False,
-) -> dict[str, CoincidenceScan]:
+    config: ScenarioConfig, master_seed: int = 0
+) -> tuple[dict[str, CoincidenceScan], dict[str, str]]:
     """Delay scans of an ideal 50:50 circuit for two source presets.
 
     The broadband and filtered presets differ in overlap and bandwidth;
@@ -373,26 +446,15 @@ def run_hom_reproduction(
     """
     circuit = ideal_circuit(1.0 / math.sqrt(2.0), math.pi)
     scans: dict[str, CoincidenceScan] = {}
-    summary = ["preset,visibility,half_width_s"]
+    summary = []
     files: dict[str, str] = {}
     for name in ("broadband", "filtered"):
         source = source_preset(name, mean_pairs_per_pulse=config.mean_pairs_per_pulse)
-        scan = hom_scan(circuit, source, config.delay_grid)
-        scans[name] = scan
-        baseline = hom_scan(circuit, source, [reference_delay(source)]).coincidence_rate[0]
-        vis = visibility(scan.coincidence_rate[np.argmin(np.abs(scan.delays))], baseline)
-        summary.append(f"{name},{vis.v:.17g},{dip_half_width(scan):.17g}")
-        rows = ["delay_s,coincidence,singles_m,singles_n"]
-        for i in range(scan.delays.size):
-            rows.append(
-                f"{scan.delays[i]:.17g},{scan.coincidence_rate[i]:.17g},"
-                f"{scan.singles_m[i]:.17g},{scan.singles_n[i]:.17g}"
-            )
-        files[f"hom_{name}.csv"] = "\n".join(rows) + "\n"
-    files["summary.csv"] = "\n".join(summary) + "\n"
-    if out_dir is not None:
-        emit_scenario(out_dir, "hom-reproduction", master_seed, files, config, force)
-    return scans
+        result, files[f"hom_{name}.csv"] = _hom_scan(circuit, source, config.delay_grid)
+        scans[name] = result.scan
+        summary.append((name, result.visibility.v, dip_half_width(result.scan)))
+    files["summary.csv"] = _csv("preset,visibility,half_width_s", summary)
+    return scans, files
 
 
 def dip_half_width(scan: CoincidenceScan) -> float:
@@ -435,19 +497,28 @@ class EnhancementRow:
     predicted: float
 
 
+def focusing_enhancement(
+    medium: TransmissionMatrix, target: int, method: str = "analytic", steps: int = 8
+) -> float:
+    """Enhancement of one output when every input channel is one segment.
+
+    The optimized target intensity divided by the mean unshaped speckle
+    intensity over all outputs.
+    """
+    template = mode_templates(medium.n_in)[0]
+    pattern = optimize_pattern(medium, template, target, method, steps)
+    background = float(np.mean(np.abs(medium.entries @ shaped_input(template, medium.n_in)) ** 2))
+    return target_intensity(medium, pattern, target) / background
+
+
 def run_enhancement_study(
-    config: ScenarioConfig,
-    master_seed: int = 0,
-    out_dir: str | Path | None = None,
-    force: bool = False,
-) -> list[EnhancementRow]:
+    config: ScenarioConfig, master_seed: int = 0
+) -> tuple[list[EnhancementRow], dict[str, str]]:
     """Measure the focusing enhancement against the phase-only law.
 
-    For each segment count, ``config.seeds`` fresh media are drawn, one
-    input mode is optimized onto one output channel, and the optimized
-    target intensity is divided by the medium's mean unshaped speckle
-    intensity.  The prediction for ``N`` phase-only segments is
-    ``1 + (pi/4) (N - 1)``.
+    For each segment count, ``config.seeds`` fresh media are drawn and
+    their :func:`focusing_enhancement` at ``output_m`` is averaged.  The
+    prediction for ``N`` phase-only segments is ``1 + (pi/4) (N - 1)``.
     """
     rows: list[EnhancementRow] = []
     for idx, n_seg in enumerate(config.segment_counts):
@@ -455,11 +526,7 @@ def run_enhancement_study(
         for replicate in range(config.seeds):
             seed = child_seed(master_seed, _TAG_STUDY, idx, replicate)
             medium = gaussian_transmission_matrix(config.n_out, n_seg, seed)
-            template = PhasePattern(np.zeros(n_seg), "k", np.arange(n_seg, dtype=np.int64))
-            pattern = optimize_pattern(medium, template, config.output_m, config.method, config.steps)
-            flat = shaped_input(template, medium.n_in)
-            background = float(np.mean(np.abs(medium.entries @ flat) ** 2))
-            ratios.append(target_intensity(medium, pattern, config.output_m) / background)
+            ratios.append(focusing_enhancement(medium, config.output_m, config.method, config.steps))
         rows.append(
             EnhancementRow(
                 n_segments=int(n_seg),
@@ -468,18 +535,8 @@ def run_enhancement_study(
                 predicted=1.0 + (math.pi / 4.0) * (n_seg - 1),
             )
         )
-    if out_dir is not None:
-        lines = ["n_segments,mean_enhancement,std_enhancement,predicted"]
-        for row in rows:
-            lines.append(
-                f"{row.n_segments},{row.mean_enhancement:.17g},"
-                f"{row.std_enhancement:.17g},{row.predicted:.17g}"
-            )
-        emit_scenario(
-            out_dir, "enhancement-study", master_seed,
-            {"enhancement.csv": "\n".join(lines) + "\n"}, config, force,
-        )
-    return rows
+    table = [(r.n_segments, r.mean_enhancement, r.std_enhancement, r.predicted) for r in rows]
+    return rows, {"enhancement.csv": _csv("n_segments,mean_enhancement,std_enhancement,predicted", table)}
 
 
 # ---------------------------------------------------------------------------
@@ -495,20 +552,40 @@ def emit_scenario(
     config: ScenarioConfig | None,
     force: bool = False,
 ) -> Path:
-    """Write a manifest plus data files with deterministic names.
+    """Write data files with deterministic names, then their manifest.
 
     Every file is named ``<scenario>_seed<seed>.<name>``.  An existing
-    manifest is never overwritten unless ``force`` is set.
+    manifest is never overwritten unless ``force`` is set.  Each file is
+    written under a temporary name and renamed into place, and the
+    manifest comes last, so a failed write leaves no manifest behind.
     Returns the manifest path.
     """
+    writers = {
+        name: (lambda path, text=text: path.write_text(text, newline="\n")) for name, text in files.items()
+    }
+    return _emit(out_dir, scenario, master_seed, writers, config, force)
+
+
+def emit_medium(
+    out_dir: str | Path,
+    master_seed: int,
+    medium: TransmissionMatrix,
+    config: ScenarioConfig | None,
+    force: bool = False,
+) -> Path:
+    """Save a medium's container, then its gen-medium manifest; returns the container path."""
+    writers = {"medium.tmat": lambda path: save_matrix(medium, path)}
+    manifest = _emit(out_dir, "gen-medium", master_seed, writers, config, force)
+    return manifest.with_name(f"gen-medium_seed{master_seed}.medium.tmat")
+
+
+def _emit(out_dir, scenario: str, master_seed: int, writers, config, force: bool) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     prefix = f"{scenario}_seed{master_seed}"
     manifest_path = out / f"{prefix}.manifest.txt"
     if manifest_path.exists() and not force:
-        raise FileExistsError(
-            f"{manifest_path} already exists; pass force/--force to overwrite"
-        )
+        raise FileExistsError(f"{manifest_path} already exists; pass force/--force to overwrite")
     entries = {
         "scenario": scenario,
         "artifact_version": __version__,
@@ -517,10 +594,23 @@ def emit_scenario(
     if config is not None:
         entries.update(config.echo())
     text = "".join(f"{key} = {value}\n" for key, value in entries.items())
-    manifest_path.write_text(text, newline="\n")
-    for name, content in files.items():
-        (out / f"{prefix}.{name}").write_text(content, newline="\n")
+    # a manifest vouches for a complete run; the old one goes before any data changes
+    manifest_path.unlink(missing_ok=True)
+    for name, write in writers.items():
+        _write_replacing(out / f"{prefix}.{name}", write)
+    _write_replacing(manifest_path, lambda path: path.write_text(text, newline="\n"))
     return manifest_path
+
+
+def _write_replacing(path: Path, write) -> None:
+    """Let ``write`` fill a temporary file beside ``path``, then rename it into place."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _fmt(value: float) -> str:

@@ -13,10 +13,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import ScenarioConfig, analytic_visibility, program_circuit, run_alpha_scan
+from .experiments import (
+    ScenarioConfig,
+    analytic_visibility,
+    focusing_enhancement,
+    program_circuit,
+    run_alpha_scan,
+)
 from .medium import gaussian_transmission_matrix, haar_unitary, load_matrix, save_matrix, transmit
 from .rng import rng_for
-from .shaping import ideal_circuit, mode_templates, optimize_pattern, phase_distance
+from .shaping import ideal_circuit, phase_distance
 from .twophoton import (
     EmbeddabilityError,
     embeddability_bound,
@@ -173,16 +179,8 @@ def _check_programmed_phase() -> None:
 
 
 def _check_enhancement() -> None:
-    ratios = []
-    for seed in range(10):
-        medium = gaussian_transmission_matrix(256, 64, 3000 + seed)
-        template = mode_templates(64)[0]
-        pattern = optimize_pattern(medium, template, 0)
-        from .shaping import shaped_input, target_intensity
-
-        flat = shaped_input(template, medium.n_in)
-        background = float(np.mean(np.abs(medium.entries @ flat) ** 2))
-        ratios.append(target_intensity(medium, pattern, 0) / background)
+    media = [gaussian_transmission_matrix(256, 64, 3000 + seed) for seed in range(10)]
+    ratios = [focusing_enhancement(medium, 0) for medium in media]
     law = 1.0 + (math.pi / 4.0) * 63
     _require(abs(np.mean(ratios) / law - 1.0) < 0.2, f"enhancement {np.mean(ratios)} vs law {law}")
 
@@ -197,5 +195,5 @@ def _check_mc_determinism() -> None:
 
 def _check_alpha_scan() -> None:
     config = ScenarioConfig(circuit="ideal", counting="analytic", overlap=1.0)
-    result = run_alpha_scan(config, master_seed=0, out_dir=None)
+    result, _ = run_alpha_scan(config, master_seed=0)
     _require(abs(result.v0_fit - 1.0) < 1e-6, f"v0_fit {result.v0_fit} != 1")

@@ -86,8 +86,8 @@ def test_criterion_02_normalization_on_grid():
 
 def test_criterion_03_cosine_law():
     start = time.perf_counter()
-    unit = run_alpha_scan(ScenarioConfig(circuit="ideal", counting="analytic", overlap=1.0))
-    preset = run_alpha_scan(ScenarioConfig(circuit="ideal", counting="analytic", source="filtered"))
+    unit, _ = run_alpha_scan(ScenarioConfig(circuit="ideal", counting="analytic", overlap=1.0))
+    preset, _ = run_alpha_scan(ScenarioConfig(circuit="ideal", counting="analytic", source="filtered"))
     midpoint = int(np.argmin(np.abs(unit.alphas - math.pi / 2.0)))
     v_mid = abs(float(unit.visibilities[midpoint]))
     elapsed = time.perf_counter() - start
@@ -168,7 +168,7 @@ def test_criterion_05_programmed_phase_fidelity():
 def test_criterion_06_enhancement_law():
     start = time.perf_counter()
     config = ScenarioConfig(n_out=4000, seeds=20, segment_counts=(64, 256, 960))
-    rows = run_enhancement_study(config, master_seed=606)
+    rows, _ = run_enhancement_study(config, master_seed=606)
     worst = max(abs(row.mean_enhancement / row.predicted - 1.0) for row in rows)
     elapsed = time.perf_counter() - start
     detail = ", ".join(
@@ -183,7 +183,7 @@ def test_criterion_06_enhancement_law():
 
 
 def test_criterion_07_source_presets():
-    scans = run_hom_reproduction(ScenarioConfig())
+    scans, _ = run_hom_reproduction(ScenarioConfig())
     circuit = ideal_circuit(1.0 / math.sqrt(2.0), math.pi)
     widths = {}
     worst_vis = 0.0

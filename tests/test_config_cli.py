@@ -279,5 +279,19 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "expected positive integer" in capsys.readouterr().err
 
 
+def test_zero_bandwidth_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bw.cfg"
+    cfg.write_text("bandwidth_fwhm_nm = 0\n")
+    assert main(["hom-scan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "bandwidth_fwhm_nm" in capsys.readouterr().err
+
+
+def test_output_channel_beyond_n_out_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "ch.cfg"
+    cfg.write_text("n_out = 100\noutput_m = 5000\n")
+    assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "output_m" in capsys.readouterr().err
+
+
 def test_selftest_cli(capsys):
     assert main(["selftest", "--quiet"]) == 0

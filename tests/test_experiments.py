@@ -12,14 +12,19 @@ from specklesim.experiments import (
     emit_scenario,
     fit_visibility_cosine,
     montecarlo_visibility,
+    program_circuit,
     reference_delay,
     run_alpha_scan,
+    run_classical_scan,
     run_enhancement_study,
     run_hom_reproduction,
+    run_hom_scan,
+    run_optimize,
+    run_program,
 )
 from specklesim.rng import rng_for
 from specklesim.shaping import DegenerateFitError, ideal_circuit
-from specklesim.twophoton import hom_scan, source_preset
+from specklesim.twophoton import hom_scan, overlap_from_delay, source_preset
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +76,7 @@ def test_alpha_scan_result_validation():
 
 def test_alpha_scan_noiseless_unit_overlap():
     config = ScenarioConfig(circuit="ideal", counting="analytic", overlap=1.0)
-    result = run_alpha_scan(config, master_seed=0)
+    result, _ = run_alpha_scan(config, master_seed=0)
     assert abs(result.v0_fit - 1.0) < 1e-6
     midpoint = np.argmin(np.abs(result.alphas - math.pi / 2.0))
     assert abs(result.visibilities[midpoint]) < 1e-9
@@ -80,7 +85,7 @@ def test_alpha_scan_noiseless_unit_overlap():
 
 def test_alpha_scan_noiseless_preset_overlap():
     config = ScenarioConfig(circuit="ideal", counting="analytic", source="filtered")
-    result = run_alpha_scan(config, master_seed=0)
+    result, _ = run_alpha_scan(config, master_seed=0)
     assert abs(result.v0_fit - 0.86) < 1e-9
 
 
@@ -96,7 +101,7 @@ def test_visibility_cosine_law_pointwise():
 
 def test_alpha_scan_residuals_have_no_second_harmonic():
     config = ScenarioConfig(circuit="ideal", counting="analytic", overlap=1.0)
-    result = run_alpha_scan(config, master_seed=0)
+    result, _ = run_alpha_scan(config, master_seed=0)
     residuals = result.visibilities - result.v0_fit * np.cos(result.alphas)
     second = np.cos(2.0 * result.alphas)
     c2 = float(np.sum(residuals * second) / np.sum(second * second))
@@ -113,7 +118,7 @@ def test_alpha_scan_montecarlo_zero_at_half_pi():
         pulses_per_point=150_000,
         alpha_grid=np.array([0.0, math.pi / 2.0, math.pi]),
     )
-    result = run_alpha_scan(config, master_seed=7)
+    result, _ = run_alpha_scan(config, master_seed=7)
     mid = result.visibilities[1]
     assert abs(mid) < 3.0 * result.std_errs[1]
     assert result.visibilities[0] > 0.5
@@ -129,7 +134,7 @@ def test_alpha_scan_shaped_pipeline_tracks_overlap():
         segments=480,
         alpha_grid=np.linspace(0.0, math.pi, 5),
     )
-    result = run_alpha_scan(config, master_seed=11)
+    result, _ = run_alpha_scan(config, master_seed=11)
     assert abs(result.v0_fit - 1.0) < 0.1
 
 
@@ -140,7 +145,7 @@ def test_alpha_scan_shaped_pipeline_tracks_overlap():
 
 def test_hom_reproduction_preset_visibilities_and_widths():
     config = ScenarioConfig()
-    scans = run_hom_reproduction(config, master_seed=0)
+    scans, _ = run_hom_reproduction(config, master_seed=0)
     widths = {}
     for name, expected in (("broadband", 0.64), ("filtered", 0.86)):
         scan = scans[name]
@@ -156,6 +161,27 @@ def test_hom_reproduction_preset_visibilities_and_widths():
         "filtered"
     ).rms_angular_bandwidth
     assert abs(widths["filtered"] / widths["broadband"] - bandwidth_ratio) < 0.05 * bandwidth_ratio
+
+
+def test_shaped_hom_scan_matches_read_back_closed_form():
+    config = ScenarioConfig(
+        n_out=64, segments=16, output_m=2, output_n=5, circuit="shaped", alpha=math.pi / 3.0,
+        source="broadband", delay_grid=np.linspace(-2e-12, 2e-12, 41),
+    )
+    result, files = run_hom_scan(config, master_seed=8)
+    _, _, circuit = program_circuit(build_medium(config, 8), 16, 2, 5, config.alpha)
+    source = build_source(config)
+    x0 = overlap_from_delay(source, 0.0)
+    x_ref = overlap_from_delay(source, reference_delay(source))
+    sub = circuit.sub_matrix
+    direct = sub[0, 0] * sub[1, 1]
+    crossed = sub[0, 1] * sub[1, 0]
+    distinguishable = abs(direct) ** 2 + abs(crossed) ** 2
+    interference = 2.0 * (direct * np.conj(crossed)).real
+    expected = (distinguishable + x0 * interference) / (distinguishable + x_ref * interference) - 1.0
+    assert abs(result.visibility.v - expected) < 1e-9
+    assert list(files) == ["scan.csv", "summary.csv"]
+    assert float(files["summary.csv"].splitlines()[1]) == result.visibility.v
 
 
 def test_dip_half_width_against_closed_form():
@@ -183,7 +209,7 @@ def test_dip_width_grows_monotonically_as_bandwidth_shrinks():
 
 def test_enhancement_study_matches_law():
     config = ScenarioConfig(n_out=512, seeds=20, segment_counts=(64, 256))
-    rows = run_enhancement_study(config, master_seed=5)
+    rows, _ = run_enhancement_study(config, master_seed=5)
     for row in rows:
         assert row.predicted == pytest.approx(1.0 + (math.pi / 4.0) * (row.n_segments - 1))
         assert abs(row.mean_enhancement / row.predicted - 1.0) < 0.10
@@ -191,7 +217,7 @@ def test_enhancement_study_matches_law():
 
 def test_enhancement_study_small_segment_count():
     config = ScenarioConfig(n_out=128, seeds=150, segment_counts=(2,))
-    rows = run_enhancement_study(config, master_seed=2)
+    rows, _ = run_enhancement_study(config, master_seed=2)
     assert abs(rows[0].mean_enhancement / (1.0 + math.pi / 4.0) - 1.0) < 0.15
 
 
@@ -199,7 +225,7 @@ def test_enhancement_study_one_segment_is_uncontrolled():
     # a single phase segment cannot enhance; per-seed ratios scatter like
     # plain speckle around one
     config = ScenarioConfig(n_out=64, seeds=200, segment_counts=(1,))
-    rows = run_enhancement_study(config, master_seed=3)
+    rows, _ = run_enhancement_study(config, master_seed=3)
     assert rows[0].predicted == 1.0
     assert abs(rows[0].mean_enhancement - 1.0) < 0.25
 
@@ -224,6 +250,33 @@ def test_multi_pair_emission_reduces_visibility():
 # ---------------------------------------------------------------------------
 
 
+def test_shaped_runners_return_their_files():
+    config = ScenarioConfig(
+        n_out=64, segments=16, output_m=2, output_n=5, circuit="shaped",
+        delta_theta_grid=np.linspace(0.0, 2.0 * math.pi, 13),
+    )
+    pattern, files = run_optimize(config, master_seed=4)
+    assert list(files) == ["pattern_k.csv"]
+    assert files["pattern_k.csv"].splitlines()[0] == "segment,channel,phase_rad"
+    assert len(files["pattern_k.csv"].splitlines()) == 1 + pattern.n_segments
+
+    circuit, files = run_program(config, master_seed=4)
+    assert list(files) == ["pattern_k.csv", "pattern_l.csv", "circuit.csv"]
+    assert files["pattern_l.csv"].splitlines()[0] == "segment,channel,phase_rad"
+    assert files["circuit.csv"].splitlines()[0].endswith(",alpha_set,alpha_fit,t_fit,sigma_max")
+    assert float(files["circuit.csv"].splitlines()[1].split(",")[9]) == circuit.alpha_fit
+
+    result, files = run_classical_scan(config, master_seed=4)
+    assert list(files) == ["scan.csv", "fits.csv"]
+    assert files["scan.csv"].splitlines()[0] == "delta_theta_rad,intensity_m,intensity_n"
+    assert len(files["scan.csv"].splitlines()) == 14
+    fits = files["fits.csv"].splitlines()
+    assert fits[0] == "output,offset,amplitude,phase_rad"
+    assert [line.split(",")[0] for line in fits[1:]] == ["m", "n"]
+    assert float(fits[2].split(",")[3]) == result.fit_n[2]
+
+
+
 def test_emit_scenario_refuses_overwrite(tmp_path):
     config = ScenarioConfig()
     emit_scenario(tmp_path, "alpha-scan", 0, {"x.csv": "a\n"}, config)
@@ -233,19 +286,37 @@ def test_emit_scenario_refuses_overwrite(tmp_path):
     assert (tmp_path / "alpha-scan_seed0.x.csv").read_text() == "b\n"
 
 
+@pytest.mark.parametrize("rerun", [False, True])
+def test_failed_emission_leaves_no_manifest_and_no_temporary_file(tmp_path, rerun):
+    config = ScenarioConfig()
+    files = {"visibility.csv": "a\n", "fit.csv": "b\n"}
+    if rerun:
+        emit_scenario(tmp_path, "alpha-scan", 0, files, config)
+        (tmp_path / "alpha-scan_seed0.fit.csv").unlink()
+    (tmp_path / "alpha-scan_seed0.fit.csv").mkdir()  # blocks one data path
+    with pytest.raises(OSError):
+        emit_scenario(tmp_path, "alpha-scan", 0, files, config, force=rerun)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "alpha-scan_seed0.fit.csv",
+        "alpha-scan_seed0.visibility.csv",
+    ]
+
+
 def test_emitted_files_are_deterministic(tmp_path):
     config = ScenarioConfig(circuit="ideal", alpha_grid=np.linspace(0.0, math.pi, 5))
     first = tmp_path / "a"
     second = tmp_path / "b"
-    run_alpha_scan(config, master_seed=3, out_dir=first)
-    run_alpha_scan(config, master_seed=3, out_dir=second)
+    for out_dir in (first, second):
+        _, files = run_alpha_scan(config, master_seed=3)
+        emit_scenario(out_dir, "alpha-scan", 3, files, config)
     for name in ("alpha-scan_seed3.manifest.txt", "alpha-scan_seed3.visibility.csv", "alpha-scan_seed3.fit.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 def test_manifest_contents(tmp_path):
     config = ScenarioConfig()
-    run_alpha_scan(config, master_seed=9, out_dir=tmp_path)
+    _, files = run_alpha_scan(config, master_seed=9)
+    emit_scenario(tmp_path, "alpha-scan", 9, files, config)
     manifest = (tmp_path / "alpha-scan_seed9.manifest.txt").read_text()
     assert "scenario = alpha-scan\n" in manifest
     assert "master_seed = 9\n" in manifest
