@@ -165,16 +165,18 @@ def optimize_pattern(
         scanned over ``steps`` equally spaced phases against the
         otherwise unmodified template pattern, the intensity response is
         sinusoid-fitted, and all fitted maximizers are applied together
-        at the end.  With noiseless intensities it reproduces the
-        analytic pattern up to the finite strength of the unshaped
-        reference field.
+        at the end.  The result is then rotated as a whole onto the
+        channel-0 origin the analytic method uses, which leaves the
+        target intensity unchanged.  With noiseless intensities it
+        reproduces the analytic pattern up to the finite strength of the
+        unshaped reference field.
     steps:
         Phase steps per segment for ``"stepped"``; at least 3, or the
         sinusoid is under-determined.
 
-    The optimized field at the target is real-positive up to the global
-    reference phase, and the target intensity never drops below its
-    template value.
+    Both methods share the phase origin, so the optimized field at the
+    target carries the medium's channel-0 phase there, and the target
+    intensity never drops below its template value.
     """
     _check_target(matrix, target_output)
     channels = template.segment_to_channel
@@ -202,6 +204,9 @@ def optimize_pattern(
         _, fit_amplitude, fit_phase = fit_sine(scan_phases, response)
         if fit_amplitude > 0.0:
             phases[s] = float(_wrap_phase(np.asarray(math.pi / 2.0 - fit_phase)))
+    # rotate onto the shared origin: the target field takes the channel-0 phase
+    achieved = np.sum(amplitude * row[channels] * np.exp(1j * phases))
+    phases = _wrap_phase(phases + np.angle(row[REFERENCE_CHANNEL]) - np.angle(achieved))
     return PhasePattern(phases, template.input_mode_id, channels.copy())
 
 

@@ -150,6 +150,17 @@ def test_stepped_matches_analytic():
     assert np.median(rms) < 0.1
 
 
+def test_stepped_shares_the_analytic_phase_origin():
+    # no offset is removed: stepped patterns carry the channel-0 origin
+    for seed in range(5):
+        medium = gaussian_transmission_matrix(4, 960, seed=900 + seed)
+        template = PhasePattern(np.zeros(960), "k", np.arange(960))
+        analytic = optimize_pattern(medium, template, 0, method="analytic")
+        stepped = optimize_pattern(medium, template, 0, method="stepped", steps=8)
+        offset = np.angle(np.mean(np.exp(1j * (stepped.phases - analytic.phases))))
+        assert abs(offset) < 0.01
+
+
 def test_stepped_step_count_insensitive_when_noiseless():
     medium = gaussian_transmission_matrix(4, 128, seed=31)
     template = PhasePattern(np.zeros(128), "k", np.arange(128))
