@@ -322,8 +322,9 @@ class AlphaScanResult:
 
 
 def _program(config: ScenarioConfig, medium: TransmissionMatrix, alpha: float):
-    c = config
-    return program_circuit(medium, c.segments, c.output_m, c.output_n, alpha, c.method, c.steps)
+    return program_circuit(
+        medium, config.segments, config.output_m, config.output_n, alpha, config.method, config.steps
+    )
 
 
 def _csv(header: str, rows) -> str:
@@ -361,8 +362,9 @@ def run_classical_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[Cl
     """Two-beam intensity scan of the programmed circuit, with sine fits per output."""
     medium = build_medium(config, master_seed)
     pattern_k, pattern_l, _ = _program(config, medium, config.alpha)
-    c = config
-    scan = classical_scan(medium, pattern_k, pattern_l, c.output_m, c.output_n, c.delta_theta_grid)
+    scan = classical_scan(
+        medium, pattern_k, pattern_l, config.output_m, config.output_n, config.delta_theta_grid
+    )
     fit_m = fit_sine(scan.delta_theta, scan.intensity_m)
     fit_n = fit_sine(scan.delta_theta, scan.intensity_n)
     rows = zip(scan.delta_theta, scan.intensity_m, scan.intensity_n)
