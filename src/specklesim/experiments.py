@@ -57,6 +57,8 @@ __all__ = [
     "build_medium",
     "build_source",
     "program_circuit",
+    "optimize_single_targets",
+    "realize_circuit",
     "reference_delay",
     "analytic_visibility",
     "montecarlo_visibility",
@@ -230,12 +232,41 @@ def program_circuit(
     steps: int = 8,
 ) -> tuple[PhasePattern, PhasePattern, ProgrammedCircuit]:
     """Optimize four patterns, combine them with ``alpha``, read the circuit."""
+    single_targets = optimize_single_targets(medium, segments, m, n, method, steps)
+    return realize_circuit(medium, single_targets, m, n, alpha)
+
+
+def optimize_single_targets(
+    medium: TransmissionMatrix,
+    segments: int,
+    m: int,
+    n: int,
+    method: str = "analytic",
+    steps: int = 8,
+) -> tuple[PhasePattern, PhasePattern, PhasePattern, PhasePattern]:
+    """The four single-target patterns ``(k->m, k->n, l->m, l->n)``.
+
+    None of them depends on the programmed phase, so a scan over
+    ``alpha`` optimizes them once and calls :func:`realize_circuit` per
+    point.
+    """
     template_k, template_l = mode_templates(segments)
     p_km = optimize_pattern(medium, template_k, m, method, steps)
     p_kn = optimize_pattern(medium, template_k, n, method, steps)
     p_lm = optimize_pattern(medium, template_l, m, method, steps)
     p_ln = optimize_pattern(medium, template_l, n, method, steps)
-    pattern_k, pattern_l = combine_patterns(p_km, p_kn, p_lm, p_ln, alpha)
+    return p_km, p_kn, p_lm, p_ln
+
+
+def realize_circuit(
+    medium: TransmissionMatrix,
+    single_targets: tuple[PhasePattern, PhasePattern, PhasePattern, PhasePattern],
+    m: int,
+    n: int,
+    alpha: float,
+) -> tuple[PhasePattern, PhasePattern, ProgrammedCircuit]:
+    """Combine the four single-target patterns with ``alpha`` and read the circuit."""
+    pattern_k, pattern_l = combine_patterns(*single_targets, alpha)
     circuit = effective_circuit(medium, pattern_k, pattern_l, m, n, alpha)
     return pattern_k, pattern_l, circuit
 
@@ -404,17 +435,21 @@ def run_alpha_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[AlphaS
     by shaping the configured medium), its coincidence rate is measured
     at zero delay and at the far reference delay, and the visibility is
     recorded.  The scan is then summarized by the one-parameter cosine
-    fit.
+    fit.  A shaped scan optimizes its four single-target patterns once;
+    only their combination depends on ``alpha``.
     """
     source = build_source(config)
-    medium = build_medium(config, master_seed) if config.circuit == "shaped" else None
+    if config.circuit == "shaped":
+        medium = build_medium(config, master_seed)
+        m, n = config.output_m, config.output_n
+        single_targets = optimize_single_targets(medium, config.segments, m, n, config.method, config.steps)
     visibilities = []
     std_errs = []
     for index, alpha in enumerate(config.alpha_grid):
-        if medium is None:
-            circuit = ideal_circuit(config.t, float(alpha))
+        if config.circuit == "shaped":
+            _, _, circuit = realize_circuit(medium, single_targets, m, n, float(alpha))
         else:
-            _, _, circuit = _program(config, medium, float(alpha))
+            circuit = ideal_circuit(config.t, float(alpha))
         if config.counting == "analytic":
             result = analytic_visibility(circuit, source)
         else:

@@ -109,8 +109,7 @@ def gaussian_transmission_matrix(n_out: int, n_in: int, seed: int) -> Transmissi
     """
     _check_dims(n_out, n_in)
     rng = rng_for(check_seed(seed), _STREAM_GAUSSIAN)
-    z = rng.standard_normal((n_out, n_in, 2))
-    entries = (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5 / n_in)
+    entries = _complex_normal(rng, n_out, n_in, np.sqrt(0.5 / n_in))
     return TransmissionMatrix(entries=entries, kind=MatrixKind.GAUSSIAN, seed=seed)
 
 
@@ -125,8 +124,7 @@ def haar_unitary(n: int, seed: int) -> TransmissionMatrix:
     """
     _check_dims(n, n)
     rng = rng_for(check_seed(seed), _STREAM_UNITARY)
-    z = rng.standard_normal((n, n, 2))
-    ginibre = (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
+    ginibre = _complex_normal(rng, n, n, np.sqrt(0.5))
     q, r = np.linalg.qr(ginibre)
     diag = np.diagonal(r)
     # diag entries vanish only on a measure-zero set; guard anyway
@@ -148,6 +146,19 @@ def transmit(matrix: TransmissionMatrix, field: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(field.view(np.float64))):
         raise ValueError("input field must be finite")
     return matrix.entries @ field
+
+
+def _complex_normal(rng: np.random.Generator, n_out: int, n_in: int, scale: float) -> np.ndarray:
+    """``n_out x n_in`` complex normals ``scale * (x + i y)``, drawn in place.
+
+    The draws come in row-major (real, imaginary) pairs, the layout of a
+    complex128 array, so one float buffer is scaled and viewed as complex
+    with no temporary copy.  The stream is the one ``(n_out, n_in, 2)``
+    normals give, and the bytes equal those of ``(x + 1j * y) * scale``.
+    """
+    z = rng.standard_normal((n_out, 2 * n_in))
+    z *= scale
+    return z.view(np.complex128)
 
 
 def _check_dims(n_out: int, n_in: int) -> None:
