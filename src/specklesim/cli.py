@@ -5,7 +5,7 @@ One subcommand per invocation::
     specklesim <subcommand> [--config PATH] [--seed U64] [--out DIR]
                [--force] [--threads N] [--quiet] [extras]
 
-Exit codes: 0 success, 1 usage/configuration error, 2 domain error
+Exit codes: 0 success, 1 usage, configuration or I/O error, 2 domain error
 (for example a non-embeddable splitter setting).  Error text goes to
 stderr; data goes to files in the output directory or, for
 ``probabilities``, to stdout.  Identical ``(argv, config, seed)`` always
@@ -83,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; returns the process exit code."""
     try:
         return _run(argv if argv is not None else sys.argv[1:])
-    except (_UsageError, ConfigError, FileExistsError, FileNotFoundError) as exc:
+    except (_UsageError, ConfigError, OSError) as exc:
         print(f"specklesim: error: {exc}", file=sys.stderr)
         return 1
     except (EmbeddabilityError, DegenerateFitError, UndefinedVisibilityError, ValueError) as exc:

@@ -237,38 +237,24 @@ def program_circuit(
 
 
 def optimize_single_targets(
-    medium: TransmissionMatrix,
-    segments: int,
-    m: int,
-    n: int,
-    method: str = "analytic",
-    steps: int = 8,
-) -> tuple[PhasePattern, PhasePattern, PhasePattern, PhasePattern]:
+    medium: TransmissionMatrix, segments: int, m: int, n: int, method: str = "analytic", steps: int = 8
+) -> tuple[PhasePattern, ...]:
     """The four single-target patterns ``(k->m, k->n, l->m, l->n)``.
 
     None of them depends on the programmed phase, so a scan over
     ``alpha`` optimizes them once and calls :func:`realize_circuit` per
     point.
     """
-    template_k, template_l = mode_templates(segments)
-    p_km = optimize_pattern(medium, template_k, m, method, steps)
-    p_kn = optimize_pattern(medium, template_k, n, method, steps)
-    p_lm = optimize_pattern(medium, template_l, m, method, steps)
-    p_ln = optimize_pattern(medium, template_l, n, method, steps)
-    return p_km, p_kn, p_lm, p_ln
+    templates = mode_templates(segments)
+    return tuple(optimize_pattern(medium, t, target, method, steps) for t in templates for target in (m, n))
 
 
 def realize_circuit(
-    medium: TransmissionMatrix,
-    single_targets: tuple[PhasePattern, PhasePattern, PhasePattern, PhasePattern],
-    m: int,
-    n: int,
-    alpha: float,
+    medium: TransmissionMatrix, single_targets: tuple[PhasePattern, ...], m: int, n: int, alpha: float
 ) -> tuple[PhasePattern, PhasePattern, ProgrammedCircuit]:
     """Combine the four single-target patterns with ``alpha`` and read the circuit."""
     pattern_k, pattern_l = combine_patterns(*single_targets, alpha)
-    circuit = effective_circuit(medium, pattern_k, pattern_l, m, n, alpha)
-    return pattern_k, pattern_l, circuit
+    return pattern_k, pattern_l, effective_circuit(medium, pattern_k, pattern_l, m, n, alpha)
 
 
 def reference_delay(source: PhotonPairSource) -> float:
@@ -439,17 +425,17 @@ def run_alpha_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[AlphaS
     only their combination depends on ``alpha``.
     """
     source = build_source(config)
+    alphas = [float(alpha) for alpha in config.alpha_grid]
     if config.circuit == "shaped":
         medium = build_medium(config, master_seed)
         m, n = config.output_m, config.output_n
         single_targets = optimize_single_targets(medium, config.segments, m, n, config.method, config.steps)
+        circuits = (realize_circuit(medium, single_targets, m, n, alpha)[2] for alpha in alphas)
+    else:
+        circuits = (ideal_circuit(config.t, alpha) for alpha in alphas)
     visibilities = []
     std_errs = []
-    for index, alpha in enumerate(config.alpha_grid):
-        if config.circuit == "shaped":
-            _, _, circuit = realize_circuit(medium, single_targets, m, n, float(alpha))
-        else:
-            circuit = ideal_circuit(config.t, float(alpha))
+    for index, circuit in enumerate(circuits):
         if config.counting == "analytic":
             result = analytic_visibility(circuit, source)
         else:

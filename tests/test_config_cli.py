@@ -185,6 +185,17 @@ def test_gen_medium_round_trip(tmp_path, capsys):
     assert stored.entries.tobytes() == regenerated.entries.tobytes()
 
 
+def test_write_failure_is_an_io_error_exit(tmp_path, capsys):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("n_out = 24\nn_in = 12\nsegments = 6\n")
+    out = tmp_path / "out"
+    (out / "gen-medium_seed5.medium.tmat").mkdir(parents=True)  # blocks the container path
+    rc = main(["gen-medium", "--config", str(cfg), "--seed", "5", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("specklesim: error: ")
+    assert [p.name for p in out.iterdir()] == ["gen-medium_seed5.medium.tmat"]
+
+
 def test_manifest_refusal_and_force(tmp_path, capsys):
     out = str(tmp_path / "out")
     cfg = tmp_path / "c.cfg"

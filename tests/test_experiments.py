@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from specklesim import experiments
 from specklesim.experiments import (
     AlphaScanResult,
     ScenarioConfig,
+    analytic_visibility,
     build_medium,
     build_source,
     dip_half_width,
@@ -136,6 +138,35 @@ def test_alpha_scan_shaped_pipeline_tracks_overlap():
     )
     result, _ = run_alpha_scan(config, master_seed=11)
     assert abs(result.v0_fit - 1.0) < 0.1
+
+
+@pytest.mark.parametrize("method", ["analytic", "stepped"])
+def test_shaped_alpha_scan_optimizes_once_and_matches_per_point_programming(monkeypatch, method):
+    config = ScenarioConfig(
+        n_out=64, segments=16, output_m=2, output_n=5, circuit="shaped", method=method,
+        alpha_grid=np.linspace(0.0, math.pi, 5),
+    )
+    calls = []
+    original = experiments.optimize_pattern
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "optimize_pattern", counting)
+    _, files = run_alpha_scan(config, master_seed=6)
+    assert calls == [2, 5, 2, 5]
+
+    medium = build_medium(config, 6)
+    source = build_source(config)
+    visibilities = []
+    for alpha in config.alpha_grid:
+        _, _, circuit = program_circuit(medium, 16, 2, 5, float(alpha), method, config.steps)
+        visibilities.append(analytic_visibility(circuit, source))
+    v0, v0_err = fit_visibility_cosine(config.alpha_grid, [r.v for r in visibilities])
+    rows = [f"{a:.17g},{r.v:.17g},{r.std_err:.17g}" for a, r in zip(config.alpha_grid, visibilities)]
+    assert files["visibility.csv"] == "\n".join(["alpha_rad,visibility,std_err", *rows]) + "\n"
+    assert files["fit.csv"] == f"v0_fit,v0_std_err\n{v0:.17g},{v0_err:.17g}\n"
 
 
 # ---------------------------------------------------------------------------
