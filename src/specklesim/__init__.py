@@ -3,12 +3,12 @@ multiple-scattering media.
 
 A random transmission matrix stands in for the medium, phase-only
 wavefront shaping programs a 2x2 splitter with a chosen relative phase
-into it, and the two-photon output statistics (closed form, permanent
-oracle, delay scans, Monte Carlo counting) reproduce the interference
-laws of that circuit.
+into it, and the two-photon output statistics (a closed form behind the
+delay scans and Monte Carlo counting, with unitary completion and
+permanents as its oracle) reproduce the interference laws of that circuit.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .medium import (
     MatrixKind,

@@ -169,6 +169,8 @@ class ScenarioConfig:
             raise ValueError(f"output_m and output_n must be < n_out = {self.n_out}")
         if self.bandwidth_fwhm_nm is not None and not self.bandwidth_fwhm_nm > 0:
             raise ValueError(f"bandwidth_fwhm_nm must be positive, got {self.bandwidth_fwhm_nm!r}")
+        if self.medium_kind == "unitary" and self.n_out != self.resolved_n_in:
+            raise ValueError(f"unitary media must be square, got n_out = {self.n_out}, n_in = {self.resolved_n_in}")
         if self.resolved_n_in < 2 * self.segments:
             raise ValueError(
                 f"n_in = {self.resolved_n_in} cannot host two disjoint modes of {self.segments} segments"
@@ -206,8 +208,6 @@ def build_medium(config: ScenarioConfig, master_seed: int) -> TransmissionMatrix
     """Generate the medium described by a config."""
     seed = config.resolved_medium_seed(master_seed)
     if config.medium_kind == "unitary":
-        if config.n_out != config.resolved_n_in:
-            raise ValueError("unitary media must be square: set n_out = n_in")
         return haar_unitary(config.n_out, seed)
     return gaussian_transmission_matrix(config.n_out, config.resolved_n_in, seed)
 

@@ -278,10 +278,6 @@ class ProgrammedCircuit:
         if self.t_fit < 0 or self.largest_singular_value < 0:
             raise ValueError("t_fit and largest_singular_value must be nonnegative")
 
-    @property
-    def is_embeddable(self) -> bool:
-        return self.largest_singular_value <= 1.0 + 1e-9
-
 
 def ideal_circuit(t: float, alpha: float, output_modes: tuple[int, int] = (0, 1)) -> ProgrammedCircuit:
     """Exactly programmed splitter ``t * [[1, 1], [1, exp(i*alpha)]]``."""

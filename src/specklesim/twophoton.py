@@ -10,10 +10,11 @@ its largest singular value stays at or below one.
 For one photon in each input, this module provides:
 
 - the closed-form six-outcome distribution over
-  ``(2m,0n), (0m,2n), (1m,1n), (1m,0n), (0m,1n), (0m,0n)``;
-- an independent brute-force route: embed the 2x2 block in a unitary
-  completion, propagate the pair with matrix permanents, and aggregate
-  the absorbing loss channels;
+  ``(2m,0n), (0m,2n), (1m,1n), (1m,0n), (0m,1n), (0m,0n)``, which delay
+  scans and counting use;
+- the brute-force oracle behind the tests and ``selftest``: embed the 2x2
+  block in a unitary completion, propagate the pair with matrix
+  permanents, and aggregate the absorbing loss channels;
 - partial distinguishability as a scalar overlap ``x`` in [0, 1] that
   weights the two-photon interference cross term (exact for pure photons
   with identical Gaussian envelopes and a relative delay);
@@ -24,7 +25,7 @@ For one photon in each input, this module provides:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -94,7 +95,7 @@ class OutcomeDistribution:
     p00: float
 
     def __post_init__(self) -> None:
-        for name, value in self.as_dict().items():
+        for name, value in asdict(self).items():
             if not -1e-12 <= value <= 1 + 1e-12:
                 raise ValueError(f"{name} = {value} outside [0, 1]")
             # IEEE residue at the embeddability boundary may dip a hair
@@ -106,16 +107,6 @@ class OutcomeDistribution:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p20, self.p02, self.p11, self.p10, self.p01, self.p00])
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "p20": self.p20,
-            "p02": self.p02,
-            "p11": self.p11,
-            "p10": self.p10,
-            "p01": self.p01,
-            "p00": self.p00,
-        }
 
 
 def embeddability_bound(alpha: float) -> float:
@@ -255,18 +246,49 @@ def unitary_completion(block: np.ndarray) -> np.ndarray:
 
 
 def pair_outcome_components(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Brute-force six-outcome probabilities for one photon per input.
+    """Closed-form six-outcome probabilities for one photon per input.
 
-    Propagates the pair through the unitary completion of ``block`` and
-    aggregates everything outside the two monitored outputs as loss.
-    Returns ``(indistinguishable, distinguishable)`` six-vectors ordered
-    as :data:`OUTCOME_LABELS`; a distribution at overlap ``x`` is their
-    convex mix ``x*ind + (1-x)*dist``.
-
-    The indistinguishable amplitudes are permanents of 2x2 sub-blocks,
-    ``|perm|^2`` divided by the bunching factorial; the distinguishable
-    baseline is classical path counting over the same completion.
+    Returns ``(indistinguishable, distinguishable)`` six-vectors ordered as
+    :data:`OUTCOME_LABELS`, mixed as ``x*ind + (1-x)*dist`` at overlap ``x``.
+    For ``block = [[a, b], [c, d]]`` (rows m, n; columns k, l), ``(p20, p02,
+    p11)`` is ``(2|ab|^2, 2|cd|^2, |ad + bc|^2)`` for indistinguishable and
+    ``(|ab|^2, |cd|^2, |ad|^2 + |bc|^2)`` for distinguishable photons.  The
+    mean photon number at m, ``|a|^2 + |b|^2 = 2 p20 + p11 + p10``, does not
+    depend on distinguishability and fixes ``p10`` (likewise ``p01``);
+    ``p00`` completes the sum.  A largest singular value above ``1 + 1e-9``
+    raises :class:`EmbeddabilityError`.
     """
+    m = np.asarray(block, dtype=np.complex128)
+    if m.shape != (2, 2):
+        raise ValueError(f"block must be 2x2, got shape {m.shape}")
+    sigma = float(np.linalg.svd(m, compute_uv=False)[0])
+    if sigma > 1.0 + _SIGMA_TOL:
+        raise EmbeddabilityError(f"largest singular value {sigma:.17g} exceeds 1: block is not embeddable")
+    (a, b), (c, d) = m
+    bunch_m = abs(a * b) ** 2
+    bunch_n = abs(c * d) ** 2
+    power_m = abs(a) ** 2 + abs(b) ** 2
+    power_n = abs(c) ** 2 + abs(d) ** 2
+
+    def outcomes(p20: float, p02: float, p11: float) -> np.ndarray:
+        p10 = power_m - 2.0 * p20 - p11
+        p01 = power_n - 2.0 * p02 - p11
+        return np.array([p20, p02, p11, p10, p01, 1.0 - (p20 + p02 + p11 + p10 + p01)])
+
+    ind = outcomes(2.0 * bunch_m, 2.0 * bunch_n, abs(a * d + b * c) ** 2)
+    dist = outcomes(bunch_m, bunch_n, abs(a * d) ** 2 + abs(b * c) ** 2)
+    return ind, dist
+
+
+def outcome_distribution(block: np.ndarray, overlap: float) -> OutcomeDistribution:
+    """Brute-force oracle for :func:`pair_outcome_components`, mixed at ``overlap``.
+
+    Propagates the pair through the unitary completion of ``block`` with
+    permanents (``|perm|^2`` over the bunching factorial) and classical path
+    counting, and aggregates the loss channels.
+    """
+    if not 0.0 <= overlap <= 1.0:
+        raise ValueError(f"overlap must be in [0, 1], got {overlap}")
     u = unitary_completion(block)
     size = u.shape[0]
     ind = np.zeros(6)
@@ -283,7 +305,8 @@ def pair_outcome_components(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             slot = _outcome_slot(i, j)
             ind[slot] += p_ind
             dist[slot] += p_dist
-    return ind, dist
+    p = overlap * ind + (1.0 - overlap) * dist
+    return OutcomeDistribution(*p)
 
 
 def _outcome_slot(i: int, j: int) -> int:
@@ -299,15 +322,6 @@ def _outcome_slot(i: int, j: int) -> int:
     if i == 1:
         return 4
     return 5
-
-
-def outcome_distribution(block: np.ndarray, overlap: float) -> OutcomeDistribution:
-    """Six-outcome distribution of a 2x2 block at a given overlap."""
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError(f"overlap must be in [0, 1], got {overlap}")
-    ind, dist = pair_outcome_components(block)
-    p = overlap * ind + (1.0 - overlap) * dist
-    return OutcomeDistribution(*p)
 
 
 def two_photon_coincidence(matrix, inputs: tuple[int, int], outputs: tuple[int, int], overlap: float) -> float:
@@ -523,7 +537,6 @@ def hom_scan(circuit: "ProgrammedCircuit", source: PhotonPairSource, delays) -> 
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 1 or delays.size == 0:
         raise ValueError("delays must be a non-empty 1-d array")
-    _require_embeddable(circuit)
     ind, dist = pair_outcome_components(circuit.sub_matrix)
     x = overlap_from_delay(source, delays)[:, None]
     probs = x * ind[None, :] + (1.0 - x) * dist[None, :]
@@ -564,7 +577,6 @@ def montecarlo_counts(
     if not 0.0 < detector_efficiency <= 1.0:
         raise ValueError(f"detector_efficiency must be in (0, 1], got {detector_efficiency}")
     check_seed(seed)
-    _require_embeddable(circuit)
     mu = source.mean_pairs_per_pulse
     x = overlap_from_delay(source, delay_s)
     ind, dist = pair_outcome_components(circuit.sub_matrix)
@@ -618,10 +630,3 @@ def _cumulative(probs: np.ndarray) -> np.ndarray:
     cum = np.cumsum(probs / probs.sum())
     cum[-1] = 1.0
     return cum
-
-
-def _require_embeddable(circuit: "ProgrammedCircuit") -> None:
-    if circuit.largest_singular_value > 1.0 + _SIGMA_TOL:
-        raise EmbeddabilityError(
-            f"circuit largest singular value {circuit.largest_singular_value:.17g} exceeds 1"
-        )

@@ -304,5 +304,15 @@ def test_output_channel_beyond_n_out_is_a_config_error(tmp_path, capsys):
     assert "output_m" in capsys.readouterr().err
 
 
+def test_non_square_unitary_medium_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "u.cfg"
+    cfg.write_text("medium_kind = unitary\nn_out = 32\nn_in = 16\nsegments = 8\n")
+    out = tmp_path / "out"
+    assert main(["gen-medium", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "n_out" in err and "n_in" in err
+    assert not out.exists()  # no manifest, no data
+
+
 def test_selftest_cli(capsys):
     assert main(["selftest", "--quiet"]) == 0

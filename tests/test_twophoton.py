@@ -3,6 +3,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from specklesim.medium import haar_unitary
 from specklesim.rng import rng_for
@@ -151,6 +153,41 @@ def test_outcomes_match_brute_force_oracle():
         closed = outcome_probabilities(t, alpha).as_array()
         brute = outcome_distribution(splitter_block(t, alpha), 1.0).as_array()
         assert np.max(np.abs(closed - brute)) < 1e-12
+
+
+@st.composite
+def contractions(draw, sigma=st.one_of(st.just(1.0), st.floats(0.0, 1.0))):
+    """Random 2x2 blocks, lossy or rank-1, scaled to a drawn largest singular value."""
+    parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)))
+    block = (parts[:4] + 1j * parts[4:]).reshape(2, 2)
+    if draw(st.booleans()):
+        block = np.outer(block[:, 0], block[:, 1])
+    largest = np.linalg.svd(block, compute_uv=False)[0]
+    assume(largest > 1e-6)
+    return block * (draw(sigma) / largest)
+
+
+@settings(derandomize=True, deadline=None)
+@given(contractions(), st.floats(0.0, 1.0))
+def test_closed_form_components_match_oracle_on_random_contractions(block, x):
+    ind, dist = pair_outcome_components(block)
+    oracle = outcome_distribution(block, x).as_array()
+    assert np.max(np.abs(x * ind + (1.0 - x) * dist - oracle)) < 1e-12
+
+
+@settings(derandomize=True, deadline=None)
+@given(contractions(sigma=st.floats(1.0 + 2e-9, 2.0)))
+def test_both_routes_reject_blocks_beyond_the_embeddability_bound(block):
+    assert np.linalg.svd(block, compute_uv=False)[0] > 1.0 + 1e-9
+    with pytest.raises(EmbeddabilityError):
+        pair_outcome_components(block)
+    with pytest.raises(EmbeddabilityError):
+        outcome_distribution(block, 1.0)
+
+
+def test_closed_form_components_require_a_2x2_block():
+    with pytest.raises(ValueError, match="2x2"):
+        pair_outcome_components(0.5 * np.eye(3))
 
 
 def test_outcomes_normalization_grid():
