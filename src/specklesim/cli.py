@@ -20,8 +20,8 @@ import sys
 from pathlib import Path
 
 from . import experiments
-from .config import ConfigError, parse_angle, parse_config
-from .experiments import ScenarioConfig, build_medium, emit_medium, emit_scenario
+from .config import ConfigError, ScenarioConfig, parse_angle, parse_config
+from .experiments import build_medium, emit_medium, emit_scenario
 from .shaping import DegenerateFitError
 from .twophoton import (
     OUTCOME_LABELS,

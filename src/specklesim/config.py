@@ -1,4 +1,4 @@
-"""Plain-text scenario configuration.
+"""Scenario settings and their plain-text form, both ways.
 
 Format: UTF-8 ``key = value`` lines, ``#`` starts a comment, optional
 ``[section]`` headers group keys cosmetically (key names are global).
@@ -6,26 +6,170 @@ Unknown keys and sections are hard errors so that typos never silently
 fall back to defaults.
 
 Angles accept literal radians or ``pi`` expressions (``pi``, ``-pi/2``,
-``3pi/4``, ``2pi``).  Grids use ``start:stop:count`` and include both
-endpoints; ``segment_counts`` is a comma-separated integer list.
+``3pi/4``, ``2pi``).  Grids are either ``start:stop:count``, which
+includes both endpoints, or a comma-separated list of angles;
+``segment_counts`` is a comma-separated integer list.
+
+:func:`parse_config` only turns text into typed values; every range and
+choice rule lives in :class:`ScenarioConfig`, so library callers get the
+same checks as config files.  :func:`format_config` is the inverse of
+:func:`parse_config`: the text it writes parses back to the same
+settings.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import os
 import re
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
-from .experiments import ScenarioConfig
 from .twophoton import SOURCE_PRESETS
 
-__all__ = ["ConfigError", "parse_config", "parse_angle", "parse_grid"]
+__all__ = ["ConfigError", "ScenarioConfig", "parse_config", "format_config", "parse_angle", "parse_grid"]
 
 
 class ConfigError(ValueError):
     """Malformed or unknown configuration input."""
+
+
+def _default_alpha_grid() -> np.ndarray:
+    return np.linspace(0.0, math.pi, 9)
+
+
+def _default_delay_grid() -> np.ndarray:
+    return np.linspace(-3e-12, 3e-12, 241)
+
+
+def _default_theta_grid() -> np.ndarray:
+    return np.linspace(0.0, 2.0 * math.pi, 25)
+
+
+_CHOICES = {
+    "medium_kind": ("gaussian", "unitary"),
+    "circuit": ("ideal", "shaped"),
+    "method": ("analytic", "stepped"),
+    "source": tuple(sorted(SOURCE_PRESETS)),
+    "counting": ("analytic", "montecarlo"),
+}
+# field -> (lowest, bound above, what the field must be)
+_INTEGERS = {
+    **dict.fromkeys(("n_out", "n_in", "segments", "steps", "pulses_per_point", "seeds"), (1, math.inf, "positive integer")),
+    **dict.fromkeys(("output_m", "output_n"), (0, math.inf, "nonnegative integer")),
+    "medium_seed": (0, 2**64, "unsigned 64-bit integer"),
+}
+# field -> (what the field must be, test of its float value)
+_NUMBERS: dict[str, tuple[str, Callable[[float], bool]]] = {
+    "t": ("nonnegative number", lambda x: 0.0 <= x < math.inf),
+    "alpha": ("finite angle", math.isfinite),
+    "overlap": ("number in [0, 1]", lambda x: 0.0 <= x <= 1.0),
+    "bandwidth_fwhm_nm": ("positive number", lambda x: 0.0 < x < math.inf),
+    "mean_pairs_per_pulse": ("nonnegative number", lambda x: 0.0 <= x < math.inf),
+}
+_GRIDS = ("alpha_grid", "delta_theta_grid", "delay_grid")
+_OPTIONAL = ("n_in", "medium_seed", "overlap", "bandwidth_fwhm_nm", "mean_pairs_per_pulse")
+
+
+def _is_integer(value, low: float = 1, high: float = math.inf) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value and low <= value < high
+
+
+def _require(ok: bool, name: str, expected: str, value) -> None:
+    if not ok:
+        raise ValueError(f"{name}: expected {expected}, got {value!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class ScenarioConfig:
+    """Knobs shared by all scenario runners.
+
+    ``circuit`` selects how the 2x2 circuit is realized: ``"ideal"`` uses
+    the exact programmed-splitter form with amplitude ``t`` (no medium),
+    ``"shaped"`` programs it into a random medium by wavefront shaping.
+    ``counting`` selects noiseless analytic rates or Monte Carlo pulse
+    counting with ``pulses_per_point`` pulses per measurement.
+
+    Construction checks every range and choice rule and raises
+    ``ValueError`` naming the offending field.
+    """
+
+    medium_kind: str = "gaussian"
+    n_out: int = 4000
+    n_in: int | None = None  # defaults to 2 * segments
+    medium_seed: int | None = None  # defaults to the master seed
+    segments: int = 960
+    output_m: int = 0
+    output_n: int = 1
+    circuit: str = "ideal"
+    t: float = 0.45
+    alpha: float = math.pi
+    method: str = "analytic"
+    steps: int = 8
+    alpha_grid: np.ndarray = field(default_factory=_default_alpha_grid)
+    delta_theta_grid: np.ndarray = field(default_factory=_default_theta_grid)
+    delay_grid: np.ndarray = field(default_factory=_default_delay_grid)
+    source: str = "filtered"
+    overlap: float | None = None
+    bandwidth_fwhm_nm: float | None = None
+    mean_pairs_per_pulse: float | None = None
+    counting: str = "analytic"
+    pulses_per_point: int = 200_000
+    seeds: int = 20
+    segment_counts: tuple[int, ...] = (64, 256, 960)
+    out_dir: str = "out"
+
+    def __post_init__(self) -> None:
+        for name, (low, high, expected) in _INTEGERS.items():
+            value = getattr(self, name)
+            if value is not None or name not in _OPTIONAL:
+                _require(_is_integer(value, low, high), name, expected, value)
+                object.__setattr__(self, name, int(value))
+        for name, (expected, test) in _NUMBERS.items():
+            value = getattr(self, name)
+            if value is not None or name not in _OPTIONAL:
+                _require(isinstance(value, numbers.Real) and test(float(value)), name, expected, value)
+                object.__setattr__(self, name, float(value))
+        for name, choices in _CHOICES.items():
+            _require(getattr(self, name) in choices, name, f"one of {', '.join(choices)}", getattr(self, name))
+        for name in _GRIDS:
+            grid = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            _require(grid.ndim == 1 and grid.size > 0 and bool(np.isfinite(grid).all()), name,
+                     "a non-empty list of finite values", getattr(self, name))
+            object.__setattr__(self, name, grid)
+        counts = tuple(self.segment_counts)
+        _require(len(counts) > 0 and all(_is_integer(c) for c in counts), "segment_counts",
+                 "a non-empty list of positive integers", self.segment_counts)
+        object.__setattr__(self, "segment_counts", tuple(int(c) for c in counts))
+        out_dir = os.fspath(self.out_dir)
+        # the text form strips the value, ends it at '#' and at a line break
+        _require("#" not in out_dir and out_dir == out_dir.strip() and len(out_dir.splitlines()) <= 1,
+                 "out_dir", "a path without '#', line breaks or surrounding spaces", out_dir)
+        object.__setattr__(self, "out_dir", out_dir)
+
+        if self.output_m == self.output_n:
+            raise ValueError("output_m and output_n must differ")
+        for name in ("output_m", "output_n"):
+            value = getattr(self, name)
+            _require(value < self.n_out, name, f"a channel index below n_out = {self.n_out}", value)
+        _require(self.method != "stepped" or self.steps >= 3, "steps", "an integer >= 3 with method = stepped",
+                 self.steps)
+        if self.medium_kind == "unitary" and self.n_out != self.resolved_n_in:
+            raise ValueError(f"unitary media must be square, got n_out = {self.n_out}, n_in = {self.resolved_n_in}")
+        if self.resolved_n_in < 2 * self.segments:
+            raise ValueError(
+                f"n_in = {self.resolved_n_in} cannot host two disjoint modes of {self.segments} segments"
+            )
+
+    @property
+    def resolved_n_in(self) -> int:
+        return self.n_in if self.n_in is not None else 2 * self.segments
+
+    def resolved_medium_seed(self, master_seed: int) -> int:
+        return self.medium_seed if self.medium_seed is not None else int(master_seed)
 
 
 _ANGLE_RE = re.compile(r"([+-]?)([0-9]*\.?[0-9]*(?:e[+-]?[0-9]+)?)?pi(?:/([0-9]+\.?[0-9]*))?")
@@ -50,99 +194,45 @@ def parse_angle(text: str) -> float:
 
 
 def parse_grid(text: str) -> np.ndarray:
-    """Uniform grid from ``start:stop:count`` (endpoints included)."""
+    """Grid from ``start:stop:count`` (endpoints included) or a comma list of angles."""
+    if ":" not in text:
+        return np.array([parse_angle(item) for item in text.split(",")])
     parts = text.strip().split(":")
     if len(parts) != 3:
         raise ValueError(f"expected grid syntax start:stop:count, got {text!r}")
-    start = parse_angle(parts[0])
-    stop = parse_angle(parts[1])
-    count = _parse_positive_int(parts[2])
-    return np.linspace(start, stop, count)
+    count = _parse_int(parts[2])
+    if count < 1:  # start:stop:count names at least one point
+        raise ValueError(f"expected a grid count of at least 1, got {parts[2]!r}")
+    with np.errstate(all="ignore"):  # a non-finite end is reported by ScenarioConfig, naming the key
+        return np.linspace(parse_angle(parts[0]), parse_angle(parts[1]), count)
 
 
-def _parse_positive_int(text: str) -> int:
+def _parse_int(text: str) -> int:
     try:
-        value = int(text.strip())
+        return int(text)
     except ValueError:
-        value = -1
-    if value < 1:
-        raise ValueError(f"expected positive integer, got {text!r}")
-    return value
+        raise ValueError(f"expected integer, got {text!r}") from None
 
 
-def _parse_nonneg_int(text: str) -> int:
+def _parse_float(text: str) -> float:
     try:
-        value = int(text.strip())
+        return float(text)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise ValueError(f"expected nonnegative integer, got {text!r}")
-    return value
-
-
-def _parse_seed(text: str) -> int:
-    try:
-        value = int(text.strip())
-    except ValueError:
-        value = -1
-    if not 0 <= value < 2**64:
-        raise ValueError(f"expected unsigned 64-bit integer, got {text!r}")
-    return value
-
-
-def _parse_nonneg_float(text: str) -> float:
-    try:
-        value = float(text.strip())
-    except ValueError as exc:
-        raise ValueError(f"expected nonnegative number, got {text!r}") from exc
-    if not math.isfinite(value) or value < 0:
-        raise ValueError(f"expected nonnegative number, got {text!r}")
-    return value
-
-
-def _parse_choice(*choices: str) -> Callable[[str], str]:
-    def parse(text: str) -> str:
-        value = text.strip().lower()
-        if value not in choices:
-            raise ValueError(f"expected one of {', '.join(choices)}, got {text!r}")
-        return value
-
-    return parse
+        raise ValueError(f"expected number, got {text!r}") from None
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(_parse_positive_int(item) for item in text.split(","))
-
-
-def _parse_string(text: str) -> str:
-    return text.strip()
+    return tuple(_parse_int(item) for item in text.split(","))
 
 
 _KEY_PARSERS: dict[str, Callable[[str], object]] = {
-    "medium_kind": _parse_choice("gaussian", "unitary"),
-    "n_out": _parse_positive_int,
-    "n_in": _parse_positive_int,
-    "medium_seed": _parse_seed,
-    "segments": _parse_positive_int,
-    "output_m": _parse_nonneg_int,
-    "output_n": _parse_nonneg_int,
-    "circuit": _parse_choice("ideal", "shaped"),
-    "t": _parse_nonneg_float,
+    **dict.fromkeys(_INTEGERS, _parse_int),
+    **dict.fromkeys(_NUMBERS, _parse_float),
     "alpha": parse_angle,
-    "method": _parse_choice("analytic", "stepped"),
-    "steps": _parse_positive_int,
-    "alpha_grid": parse_grid,
-    "delta_theta_grid": parse_grid,
-    "delay_grid": parse_grid,
-    "source": _parse_choice(*sorted(SOURCE_PRESETS)),
-    "overlap": _parse_nonneg_float,
-    "bandwidth_fwhm_nm": _parse_nonneg_float,
-    "mean_pairs_per_pulse": _parse_nonneg_float,
-    "counting": _parse_choice("analytic", "montecarlo"),
-    "pulses_per_point": _parse_positive_int,
-    "seeds": _parse_positive_int,
+    **dict.fromkeys(_CHOICES, str.lower),
+    **dict.fromkeys(_GRIDS, parse_grid),
     "segment_counts": _parse_int_list,
-    "out_dir": _parse_string,
+    "out_dir": str,
 }
 
 _KNOWN_SECTIONS = {
@@ -155,7 +245,8 @@ def parse_config(text: str) -> ScenarioConfig:
 
     Omitted keys take their defaults; unknown keys, unknown sections,
     duplicate keys and type errors raise :class:`ConfigError` with the
-    offending line number.
+    offending line number, and a value that breaks a rule of
+    :class:`ScenarioConfig` raises it naming the key.
     """
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -186,3 +277,24 @@ def parse_config(text: str) -> ScenarioConfig:
         return ScenarioConfig(**values)
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
+
+
+def format_config(config: ScenarioConfig) -> str:
+    """Config text that :func:`parse_config` reads back to ``config``.
+
+    Every field that is not ``None`` is written in field order; floats
+    carry 17 significant digits and grids are comma lists, so values
+    survive the round trip exactly.
+    """
+    lines = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if value is not None:
+            lines.append(f"{f.name} = {_format_value(value)}\n")
+    return "".join(lines)
+
+
+def _format_value(value) -> str:
+    if isinstance(value, (np.ndarray, tuple)):
+        return ",".join(_format_value(item) for item in value)
+    return f"{value:.17g}" if isinstance(value, float) else str(value)

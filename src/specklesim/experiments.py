@@ -3,8 +3,9 @@
 Each ``run_<scenario>(config, master_seed)`` reproduces one reference
 curve at desk scale and returns ``(result, files)``: the computed
 result and its plot-ready CSV texts keyed by file name.
-:func:`emit_scenario` writes the files plus a ``key = value`` manifest
-into an output directory.  Everything is deterministic in the master
+:func:`emit_scenario` writes the files plus a manifest into an output
+directory; the manifest is a config file that re-runs the scenario
+with the recorded master seed.  Everything is deterministic in the master
 seed: replicate media draw child seeds along fixed integer paths, Monte
 Carlo points use per-point substreams, and emitted files are
 byte-identical across runs and worker counts.
@@ -14,13 +15,14 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
+from .config import ScenarioConfig, format_config
 from .medium import TransmissionMatrix, gaussian_transmission_matrix, haar_unitary, save_matrix
 from .rng import child_seed
 from .shaping import (
@@ -81,127 +83,6 @@ __all__ = [
 # child-seed derivation tags (part of the determinism contract)
 _TAG_ALPHA_POINT = 1
 _TAG_STUDY = 2
-
-
-def _default_alpha_grid() -> np.ndarray:
-    return np.linspace(0.0, math.pi, 9)
-
-
-def _default_delay_grid() -> np.ndarray:
-    return np.linspace(-3e-12, 3e-12, 241)
-
-
-def _default_theta_grid() -> np.ndarray:
-    return np.linspace(0.0, 2.0 * math.pi, 25)
-
-
-@dataclass(frozen=True, eq=False)
-class ScenarioConfig:
-    """Knobs shared by all scenario runners.
-
-    ``circuit`` selects how the 2x2 circuit is realized: ``"ideal"`` uses
-    the exact programmed-splitter form with amplitude ``t`` (no medium),
-    ``"shaped"`` programs it into a random medium by wavefront shaping.
-    ``counting`` selects noiseless analytic rates or Monte Carlo pulse
-    counting with ``pulses_per_point`` pulses per measurement.
-    """
-
-    medium_kind: str = "gaussian"
-    n_out: int = 4000
-    n_in: int | None = None  # defaults to 2 * segments
-    medium_seed: int | None = None  # defaults to the master seed
-    segments: int = 960
-    output_m: int = 0
-    output_n: int = 1
-    circuit: str = "ideal"
-    t: float = 0.45
-    alpha: float = math.pi
-    method: str = "analytic"
-    steps: int = 8
-    alpha_grid: np.ndarray = field(default_factory=_default_alpha_grid)
-    delta_theta_grid: np.ndarray = field(default_factory=_default_theta_grid)
-    delay_grid: np.ndarray = field(default_factory=_default_delay_grid)
-    source: str = "filtered"
-    overlap: float | None = None
-    bandwidth_fwhm_nm: float | None = None
-    mean_pairs_per_pulse: float | None = None
-    counting: str = "analytic"
-    pulses_per_point: int = 200_000
-    seeds: int = 20
-    segment_counts: tuple[int, ...] = (64, 256, 960)
-    out_dir: str = "out"
-
-    def __post_init__(self) -> None:
-        for name in ("alpha_grid", "delta_theta_grid", "delay_grid"):
-            grid = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            if grid.size == 0:
-                raise ValueError(f"{name} must be non-empty")
-            object.__setattr__(self, name, grid)
-        object.__setattr__(self, "segment_counts", tuple(int(c) for c in self.segment_counts))
-        for name, value in (
-            ("n_out", self.n_out),
-            ("segments", self.segments),
-            ("steps", self.steps),
-            ("pulses_per_point", self.pulses_per_point),
-            ("seeds", self.seeds),
-        ):
-            if int(value) != value or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if any(c < 1 for c in self.segment_counts):
-            raise ValueError("segment_counts must be positive integers")
-        if self.medium_kind not in ("gaussian", "unitary"):
-            raise ValueError(f"medium_kind must be 'gaussian' or 'unitary', got {self.medium_kind!r}")
-        if self.circuit not in ("ideal", "shaped"):
-            raise ValueError(f"circuit must be 'ideal' or 'shaped', got {self.circuit!r}")
-        if self.counting not in ("analytic", "montecarlo"):
-            raise ValueError(f"counting must be 'analytic' or 'montecarlo', got {self.counting!r}")
-        if self.method not in ("analytic", "stepped"):
-            raise ValueError(f"method must be 'analytic' or 'stepped', got {self.method!r}")
-        if self.t < 0:
-            raise ValueError("t must be nonnegative")
-        if self.overlap is not None and not 0.0 <= self.overlap <= 1.0:
-            raise ValueError("overlap must be in [0, 1]")
-        if self.output_m == self.output_n:
-            raise ValueError("output_m and output_n must differ")
-        if self.output_m < 0 or self.output_n < 0:
-            raise ValueError("output modes must be nonnegative channel indices")
-        if max(self.output_m, self.output_n) >= self.n_out:
-            raise ValueError(f"output_m and output_n must be < n_out = {self.n_out}")
-        if self.bandwidth_fwhm_nm is not None and not self.bandwidth_fwhm_nm > 0:
-            raise ValueError(f"bandwidth_fwhm_nm must be positive, got {self.bandwidth_fwhm_nm!r}")
-        if self.medium_kind == "unitary" and self.n_out != self.resolved_n_in:
-            raise ValueError(f"unitary media must be square, got n_out = {self.n_out}, n_in = {self.resolved_n_in}")
-        if self.resolved_n_in < 2 * self.segments:
-            raise ValueError(
-                f"n_in = {self.resolved_n_in} cannot host two disjoint modes of {self.segments} segments"
-            )
-
-    @property
-    def resolved_n_in(self) -> int:
-        return int(self.n_in) if self.n_in is not None else 2 * self.segments
-
-    def resolved_medium_seed(self, master_seed: int) -> int:
-        return int(self.medium_seed) if self.medium_seed is not None else int(master_seed)
-
-    def echo(self) -> dict[str, str]:
-        """Config as manifest-ready strings."""
-        out: dict[str, str] = {}
-        for name in (
-            "medium_kind", "n_out", "segments", "output_m", "output_n", "circuit",
-            "method", "steps", "source", "counting", "pulses_per_point", "seeds",
-        ):
-            out[name] = str(getattr(self, name))
-        out["n_in"] = str(self.resolved_n_in)
-        out["medium_seed"] = "master" if self.medium_seed is None else str(self.medium_seed)
-        out["t"] = _fmt(self.t)
-        out["alpha"] = _fmt(self.alpha)
-        for name in ("alpha_grid", "delta_theta_grid", "delay_grid"):
-            out[name] = ",".join(_fmt(v) for v in getattr(self, name))
-        out["segment_counts"] = ",".join(str(c) for c in self.segment_counts)
-        for name in ("overlap", "bandwidth_fwhm_nm", "mean_pairs_per_pulse"):
-            value = getattr(self, name)
-            out[name] = "preset" if value is None else _fmt(value)
-        return out
 
 
 def build_medium(config: ScenarioConfig, master_seed: int) -> TransmissionMatrix:
@@ -577,8 +458,11 @@ def emit_scenario(
 ) -> Path:
     """Write data files with deterministic names, then their manifest.
 
-    Every file is named ``<scenario>_seed<seed>.<name>``.  An existing
-    manifest is never overwritten unless ``force`` is set.  Each file is
+    Every file is named ``<scenario>_seed<seed>.<name>``.  The manifest
+    holds the scenario, artifact version and master seed as ``#``
+    comment lines, then :func:`~specklesim.config.format_config` of the
+    config.  An existing manifest is never overwritten unless ``force``
+    is set.  Each file is
     written under a temporary name and renamed into place, and the
     manifest comes last, so a failed write leaves no manifest behind.
     Returns the manifest path.
@@ -609,14 +493,10 @@ def _emit(out_dir, scenario: str, master_seed: int, writers, config, force: bool
     manifest_path = out / f"{prefix}.manifest.txt"
     if manifest_path.exists() and not force:
         raise FileExistsError(f"{manifest_path} already exists; pass force/--force to overwrite")
-    entries = {
-        "scenario": scenario,
-        "artifact_version": __version__,
-        "master_seed": str(master_seed),
-    }
+    provenance = {"scenario": scenario, "artifact_version": __version__, "master_seed": master_seed}
+    text = "".join(f"# {key} = {value}\n" for key, value in provenance.items())
     if config is not None:
-        entries.update(config.echo())
-    text = "".join(f"{key} = {value}\n" for key, value in entries.items())
+        text += format_config(config)
     # a manifest vouches for a complete run; the old one goes before any data changes
     manifest_path.unlink(missing_ok=True)
     for name, write in writers.items():
@@ -634,7 +514,3 @@ def _write_replacing(path: Path, write) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"

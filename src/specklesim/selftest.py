@@ -13,13 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import (
-    ScenarioConfig,
-    analytic_visibility,
-    focusing_enhancement,
-    program_circuit,
-    run_alpha_scan,
-)
+from .config import ScenarioConfig, format_config, parse_config
+from .experiments import analytic_visibility, emit_scenario, focusing_enhancement, program_circuit, run_alpha_scan
 from .medium import gaussian_transmission_matrix, haar_unitary, load_matrix, save_matrix, transmit
 from .rng import rng_for
 from .shaping import ideal_circuit, phase_distance
@@ -53,6 +48,7 @@ def run_selftest(quiet: bool = False) -> bool:
         ("enhancement law (quick)", _check_enhancement),
         ("monte carlo determinism", _check_mc_determinism),
         ("noiseless alpha scan", _check_alpha_scan),
+        ("manifest re-runs its scenario", _check_manifest),
     ]
     all_ok = True
     for name, check in checks:
@@ -197,3 +193,14 @@ def _check_alpha_scan() -> None:
     config = ScenarioConfig(circuit="ideal", counting="analytic", overlap=1.0)
     result, _ = run_alpha_scan(config, master_seed=0)
     _require(abs(result.v0_fit - 1.0) < 1e-6, f"v0_fit {result.v0_fit} != 1")
+
+
+def _check_manifest() -> None:
+    config = ScenarioConfig(circuit="ideal", alpha_grid=np.linspace(0.0, math.pi, 3))
+    _, files = run_alpha_scan(config, master_seed=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        text = emit_scenario(tmp, "alpha-scan", 0, files, config).read_text()
+    again = parse_config(text)
+    body = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("#"))
+    _require(format_config(again) == body, "manifest does not format back to the same text")
+    _require(run_alpha_scan(again, master_seed=0)[1] == files, "manifest does not re-run to the same files")

@@ -1,11 +1,15 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specklesim.cli import main
-from specklesim.config import ConfigError, parse_angle, parse_config, parse_grid
+from specklesim.config import ConfigError, ScenarioConfig, format_config, parse_angle, parse_config, parse_grid
 from specklesim.medium import gaussian_transmission_matrix, load_matrix
+from specklesim.twophoton import SOURCE_PRESETS
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +48,11 @@ def test_parse_grid_inclusive_endpoints():
     assert grid[0] == 0.0
     assert grid[-1] == pytest.approx(math.pi)
     assert np.allclose(np.diff(grid), math.pi / 8.0)
+
+
+def test_parse_grid_accepts_comma_lists():
+    assert parse_grid("0, pi/2,3").tolist() == [0.0, math.pi / 2.0, 3.0]
+    assert parse_grid("-2e-12").tolist() == [-2e-12]
 
 
 def test_parse_grid_errors():
@@ -129,6 +138,77 @@ def test_config_syntax_error_line_number():
 def test_config_inconsistent_dimensions_rejected():
     with pytest.raises(ConfigError):
         parse_config("n_in = 100\nsegments = 960\n")
+
+
+@pytest.mark.parametrize(
+    "kwargs,key",
+    [
+        (dict(source="nosuch"), "source"),
+        (dict(mean_pairs_per_pulse=-0.1), "mean_pairs_per_pulse"),
+        (dict(mean_pairs_per_pulse=math.inf), "mean_pairs_per_pulse"),
+        (dict(medium_seed=-1), "medium_seed"),
+        (dict(medium_seed=2**64), "medium_seed"),
+    ],
+)
+def test_library_configs_get_the_parser_rules(kwargs, key):
+    with pytest.raises(ValueError) as err:
+        ScenarioConfig(**kwargs)
+    assert str(err.value).startswith(f"{key}: expected ")
+
+
+@st.composite
+def scenario_configs(draw):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    grids = st.one_of(
+        st.builds(np.linspace, st.floats(-1e300, 1e300), st.floats(-1e300, 1e300), st.integers(1, 30)),
+        st.lists(finite, min_size=1, max_size=30).map(np.array),
+    )
+    segments = draw(st.integers(1, 50))
+    n_in = draw(st.none() | st.integers(2 * segments, 200))
+    medium_kind = draw(st.sampled_from(["gaussian", "unitary"]))
+    n_out = (n_in or 2 * segments) if medium_kind == "unitary" else draw(st.integers(2, 300))
+    output_m = draw(st.integers(0, n_out - 1))
+    method = draw(st.sampled_from(["analytic", "stepped"]))
+    return ScenarioConfig(
+        medium_kind=medium_kind,
+        n_out=n_out,
+        n_in=n_in,
+        medium_seed=draw(st.none() | st.integers(0, 2**64 - 1)),
+        segments=segments,
+        output_m=output_m,
+        output_n=draw(st.integers(0, n_out - 1).filter(lambda n: n != output_m)),
+        circuit=draw(st.sampled_from(["ideal", "shaped"])),
+        t=draw(st.floats(0.0, 1e300)),
+        alpha=draw(finite),
+        method=method,
+        steps=draw(st.integers(3 if method == "stepped" else 1, 64)),
+        alpha_grid=draw(grids),
+        delta_theta_grid=draw(grids),
+        delay_grid=draw(grids),
+        source=draw(st.sampled_from(sorted(SOURCE_PRESETS))),
+        overlap=draw(st.none() | st.floats(0.0, 1.0)),
+        bandwidth_fwhm_nm=draw(st.none() | st.floats(0.0, 1e300, exclude_min=True)),
+        mean_pairs_per_pulse=draw(st.none() | st.floats(0.0, 1e300)),
+        counting=draw(st.sampled_from(["analytic", "montecarlo"])),
+        pulses_per_point=draw(st.integers(1, 10**9)),
+        seeds=draw(st.integers(1, 1000)),
+        segment_counts=tuple(draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=5))),
+        out_dir=draw(st.text("ab/._- ", max_size=12).filter(lambda d: d == d.strip())),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(scenario_configs())
+def test_format_config_is_the_inverse_of_parse_config(config):
+    text = format_config(config)
+    again = parse_config(text)
+    assert format_config(again) == text
+    for f in fields(ScenarioConfig):
+        before, after = getattr(config, f.name), getattr(again, f.name)
+        if isinstance(before, np.ndarray):
+            assert after.tobytes() == before.tobytes()
+        else:
+            assert type(after) is type(before) and after == before
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +392,61 @@ def test_non_square_unitary_medium_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "n_out" in err and "n_in" in err
     assert not out.exists()  # no manifest, no data
+
+
+def test_non_finite_alpha_is_a_config_error_when_programming(tmp_path, capsys):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("circuit = shaped\nn_out = 8\nsegments = 4\nalpha = nan\n")
+    assert main(["program", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "alpha" in capsys.readouterr().err
+
+
+def test_non_finite_alpha_is_a_config_error_for_an_ideal_hom_scan(tmp_path, capsys):
+    cfg = tmp_path / "h.cfg"
+    cfg.write_text("circuit = ideal\nt = 0.5\nalpha = nan\n")
+    assert main(["hom-scan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "subcommand,line,key",
+    [("alpha-scan", "alpha_grid = 0:nan:3", "alpha_grid"), ("hom-scan", "delay_grid = -inf:1:3", "delay_grid")],
+)
+def test_non_finite_grid_values_are_config_errors(tmp_path, capsys, subcommand, line, key):
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text(f"circuit = ideal\n{line}\n")
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert key in capsys.readouterr().err
+
+
+def test_stepped_shaping_needs_three_steps(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n_out = 8\nsegments = 4\nmethod = stepped\nsteps = 2\n")
+    assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "steps" in capsys.readouterr().err
+    assert parse_config("method = analytic\nsteps = 1\n").steps == 1
+
+
+@pytest.mark.parametrize(
+    "subcommand,config_text",
+    [
+        ("alpha-scan", "circuit = ideal\nalpha_grid = 0,0.3,pi/2,3\nmean_pairs_per_pulse = 0.05\n"),
+        ("alpha-scan", "circuit = shaped\nn_out = 6\nsegments = 8\noutput_n = 5\nalpha_grid = 0:pi:4\n"),
+        ("hom-scan", "circuit = ideal\nt = 0.5\nalpha = 3pi/4\nsource = broadband\ndelay_grid = -2e-12:2e-12:21\n"),
+        ("enhancement-study", "n_out = 32\nsegment_counts = 2,8\nseeds = 3\n"),
+    ],
+)
+def test_manifest_reruns_the_scenario(tmp_path, capsys, subcommand, config_text):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config_text)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([subcommand, "--config", str(cfg), "--seed", "11", "--out", str(first), "--quiet"]) == 0
+    manifest = first / f"{subcommand}_seed11.manifest.txt"
+    assert main([subcommand, "--config", str(manifest), "--seed", "11", "--out", str(second), "--quiet"]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir()) and len(names) >= 2
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 def test_selftest_cli(capsys):
