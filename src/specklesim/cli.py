@@ -16,6 +16,7 @@ all work runs on one thread today.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -117,12 +118,16 @@ def _run(argv: list[str]) -> int:
             alpha = parse_angle(args.alpha)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
-        dist = outcome_probabilities(args.t, alpha)
+        try:
+            config = dataclasses.replace(config, t=args.t, alpha=alpha)
+        except ValueError as exc:
+            raise ConfigError(f"invalid configuration: {exc}") from exc
+        dist = outcome_probabilities(config.t, config.alpha)
         for label, value in zip(OUTCOME_LABELS, dist.as_array()):
             print(f"P({label[:2]},{label[2:]}) = {value:.17g}")
         if args.out is not None:
             emit_scenario(out_dir, "probabilities", seed, {"outcomes.csv": outcome_csv(dist)}, config, args.force)
-        _summary(args, f"embeddable splitter t = {args.t:.17g}; probabilities sum to 1")
+        _summary(args, f"embeddable splitter t = {config.t:.17g}; probabilities sum to 1")
         return 0
 
     if args.subcommand == "selftest":
@@ -146,3 +151,7 @@ def _run(argv: list[str]) -> int:
 def _summary(args, text: str) -> None:
     if not args.quiet:
         print(text)
+
+
+if __name__ == "__main__":
+    console_main()

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -50,10 +49,7 @@ __all__ = [
     "target_intensity",
     "phase_distance",
     "pattern_csv",
-    "save_pattern",
-    "load_pattern",
     "circuit_csv",
-    "save_circuit",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -105,15 +101,15 @@ class PhasePattern:
         return self.phases.size
 
 
-def mode_templates(n_segments: int, mode_ids: tuple[str, ...] = ("k", "l")) -> list[PhasePattern]:
-    """Zero-phase pattern templates on contiguous disjoint channel blocks.
+def mode_templates(n_segments: int) -> list[PhasePattern]:
+    """Zero-phase templates for modes ``k`` and ``l`` on contiguous disjoint channel blocks.
 
-    Mode ``i`` drives channels ``[i*n_segments, (i+1)*n_segments)``.
+    Mode ``k`` drives channels ``[0, n_segments)``, mode ``l`` ``[n_segments, 2*n_segments)``.
     """
     if int(n_segments) != n_segments or n_segments < 1:
         raise ValueError(f"n_segments must be a positive integer, got {n_segments}")
     out = []
-    for i, mode_id in enumerate(mode_ids):
+    for i, mode_id in enumerate(("k", "l")):
         channels = np.arange(i * n_segments, (i + 1) * n_segments, dtype=np.int64)
         out.append(PhasePattern(np.zeros(n_segments), mode_id, channels))
     return out
@@ -265,7 +261,6 @@ class ProgrammedCircuit:
     alpha_set: float
     t_fit: float
     alpha_fit: float
-    output_modes: tuple[int, int]
     largest_singular_value: float
 
     def __post_init__(self) -> None:
@@ -279,7 +274,7 @@ class ProgrammedCircuit:
             raise ValueError("t_fit and largest_singular_value must be nonnegative")
 
 
-def ideal_circuit(t: float, alpha: float, output_modes: tuple[int, int] = (0, 1)) -> ProgrammedCircuit:
+def ideal_circuit(t: float, alpha: float) -> ProgrammedCircuit:
     """Exactly programmed splitter ``t * [[1, 1], [1, exp(i*alpha)]]``."""
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
@@ -290,7 +285,6 @@ def ideal_circuit(t: float, alpha: float, output_modes: tuple[int, int] = (0, 1)
         alpha_set=float(alpha),
         t_fit=float(t),
         alpha_fit=float(alpha),
-        output_modes=output_modes,
         largest_singular_value=sigma,
     )
 
@@ -333,7 +327,6 @@ def effective_circuit(
         alpha_set=float(alpha_set),
         t_fit=t_fit,
         alpha_fit=alpha_fit,
-        output_modes=(m, n),
         largest_singular_value=sigma,
     )
 
@@ -362,7 +355,7 @@ class ClassicalScan:
 def classical_scan(
     matrix: TransmissionMatrix,
     pattern_k: PhasePattern,
-    pattern_l: PhasePattern | None,
+    pattern_l: PhasePattern,
     m: int,
     n: int,
     delta_theta,
@@ -372,21 +365,15 @@ def classical_scan(
     Equal-power coherent fields enter both shaped input modes with a
     relative phase ``delta_theta``; the intensities at outputs ``m`` and
     ``n`` trace sinusoids whose relative phase reveals the programmed
-    ``alpha``.  Pass ``pattern_l=None`` to switch the second input off
-    (single-beam scans are flat).
+    ``alpha``.
     """
     grid = np.asarray(delta_theta, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("delta_theta grid must be a non-empty 1-d array")
     _check_target(matrix, m)
     _check_target(matrix, n)
-    field_k = shaped_input(pattern_k, matrix.n_in)
-    a, c = matrix.entries[[m, n], :] @ field_k
-    if pattern_l is None:
-        b = d = 0.0 + 0.0j
-    else:
-        field_l = shaped_input(pattern_l, matrix.n_in)
-        b, d = matrix.entries[[m, n], :] @ field_l
+    a, c = matrix.entries[[m, n], :] @ shaped_input(pattern_k, matrix.n_in)
+    b, d = matrix.entries[[m, n], :] @ shaped_input(pattern_l, matrix.n_in)
     rotation = np.exp(1j * grid)
     return ClassicalScan(
         delta_theta=grid,
@@ -442,25 +429,6 @@ def pattern_csv(pattern: PhasePattern) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_pattern(pattern: PhasePattern, path: str | Path) -> None:
-    """Write one segment per row as ``segment,channel,phase_rad``."""
-    Path(path).write_text(pattern_csv(pattern), newline="\n")
-
-
-def load_pattern(path: str | Path, input_mode_id: str = "k") -> PhasePattern:
-    """Read a pattern written by :func:`save_pattern`."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0] != "segment,channel,phase_rad":
-        raise ValueError(f"{path}: not a pattern CSV")
-    channels = []
-    phases = []
-    for line in lines[1:]:
-        _, channel, phase = line.split(",")
-        channels.append(int(channel))
-        phases.append(float(phase))
-    return PhasePattern(np.array(phases), input_mode_id, np.array(channels, dtype=np.int64))
-
-
 def circuit_csv(circuit: ProgrammedCircuit) -> str:
     """Circuit as one CSV row: four complex couplings plus fit parameters."""
     header = (
@@ -474,8 +442,3 @@ def circuit_csv(circuit: ProgrammedCircuit) -> str:
     values.extend([circuit.alpha_set, circuit.alpha_fit, circuit.t_fit, circuit.largest_singular_value])
     row = ",".join(f"{value:.17g}" for value in values)
     return header + "\n" + row + "\n"
-
-
-def save_circuit(circuit: ProgrammedCircuit, path: str | Path) -> None:
-    """Write the four complex couplings and the fitted parameters."""
-    Path(path).write_text(circuit_csv(circuit), newline="\n")

@@ -61,6 +61,8 @@ __all__ = [
 ]
 
 _SPEED_OF_LIGHT = 299_792_458.0
+_CENTER_WAVELENGTH_M = 790e-9  # signal and idler centre wavelength
+_PULSE_RATE_HZ = 76e6  # pump laser repetition rate
 
 _SIGMA_TOL = 1e-9
 _PERMANENT_MAX_SIDE = 20
@@ -389,9 +391,6 @@ class PhotonPairSource:
     rms_angular_bandwidth: float
     intrinsic_overlap: float
     mean_pairs_per_pulse: float
-    pulse_rate_hz: float = 76e6
-    center_wavelength_m: float = 790e-9
-    pump_wavelength_m: float = 395e-9
 
     def __post_init__(self) -> None:
         if self.rms_angular_bandwidth <= 0:
@@ -400,12 +399,10 @@ class PhotonPairSource:
             raise ValueError(f"intrinsic_overlap must be in [0, 1], got {self.intrinsic_overlap}")
         if self.mean_pairs_per_pulse < 0:
             raise ValueError("mean_pairs_per_pulse must be nonnegative")
-        if self.pulse_rate_hz <= 0 or self.center_wavelength_m <= 0 or self.pump_wavelength_m <= 0:
-            raise ValueError("rates and wavelengths must be positive")
 
 
-def rms_bandwidth_from_filter_fwhm(fwhm_nm: float, center_wavelength_m: float = 790e-9) -> float:
-    """Convert a Gaussian bandpass FWHM in nm to an rms angular bandwidth.
+def rms_bandwidth_from_filter_fwhm(fwhm_nm: float) -> float:
+    """Convert a Gaussian bandpass FWHM in nm at 790 nm to an rms angular bandwidth.
 
     Conversion chain:
       sigma_lambda = FWHM / (2 sqrt(2 ln 2))   (Gaussian FWHM to rms)
@@ -415,7 +412,7 @@ def rms_bandwidth_from_filter_fwhm(fwhm_nm: float, center_wavelength_m: float = 
     if fwhm_nm <= 0:
         raise ValueError("fwhm_nm must be positive")
     sigma_lambda = fwhm_nm * 1e-9 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-    sigma_nu = _SPEED_OF_LIGHT * sigma_lambda / center_wavelength_m**2
+    sigma_nu = _SPEED_OF_LIGHT * sigma_lambda / _CENTER_WAVELENGTH_M**2
     return 2.0 * math.pi * sigma_nu
 
 
@@ -529,10 +526,10 @@ def hom_scan(circuit: "ProgrammedCircuit", source: PhotonPairSource, delays) -> 
 
     At each delay the pair overlap follows :func:`overlap_from_delay`;
     coincidence and singles rates are the corresponding per-pulse outcome
-    probabilities scaled by the source's pair emission rate.  At large
-    delay the coincidence rate settles on the distinguishable baseline;
-    at zero delay the relative modulation is ``intrinsic_overlap *
-    cos(alpha)`` for an ideally programmed circuit.
+    probabilities scaled by the pair emission rate at the fixed 76 MHz
+    pulse rate.  At large delay the coincidence rate settles on the
+    distinguishable baseline; at zero delay the relative modulation is
+    ``intrinsic_overlap * cos(alpha)`` for an ideally programmed circuit.
     """
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 1 or delays.size == 0:
@@ -540,7 +537,7 @@ def hom_scan(circuit: "ProgrammedCircuit", source: PhotonPairSource, delays) -> 
     ind, dist = pair_outcome_components(circuit.sub_matrix)
     x = overlap_from_delay(source, delays)[:, None]
     probs = x * ind[None, :] + (1.0 - x) * dist[None, :]
-    scale = source.mean_pairs_per_pulse * source.pulse_rate_hz
+    scale = source.mean_pairs_per_pulse * _PULSE_RATE_HZ
     click_m = probs[:, [0, 2, 3]].sum(axis=1)
     click_n = probs[:, [1, 2, 4]].sum(axis=1)
     return CoincidenceScan(
@@ -552,20 +549,14 @@ def hom_scan(circuit: "ProgrammedCircuit", source: PhotonPairSource, delays) -> 
 
 
 def montecarlo_counts(
-    circuit: "ProgrammedCircuit",
-    source: PhotonPairSource,
-    n_pulses: int,
-    seed: int,
-    *,
-    delay_s: float = 0.0,
-    detector_efficiency: float = 1.0,
+    circuit: "ProgrammedCircuit", source: PhotonPairSource, n_pulses: int, seed: int, *, delay_s: float = 0.0
 ) -> tuple[int, int, int]:
     """Sampled click statistics over a train of pump pulses.
 
     Per pulse the pair count is Poisson with the source mean; each pair
     propagates through the circuit independently (no spectral correlation
     between pairs), photons leaving through unselected channels are
-    absorbed, and the two detectors are non-number-resolving per pulse.
+    absorbed, and the two ideal detectors are non-number-resolving per pulse.
     A coincidence is a pulse in which both detectors click.
 
     Returns ``(singles_m, singles_n, coincidences)`` as integer counts.
@@ -574,8 +565,6 @@ def montecarlo_counts(
     """
     if int(n_pulses) != n_pulses or n_pulses < 1:
         raise ValueError(f"n_pulses must be a positive integer, got {n_pulses}")
-    if not 0.0 < detector_efficiency <= 1.0:
-        raise ValueError(f"detector_efficiency must be in (0, 1], got {detector_efficiency}")
     check_seed(seed)
     mu = source.mean_pairs_per_pulse
     x = overlap_from_delay(source, delay_s)
@@ -605,13 +594,8 @@ def montecarlo_counts(
             )
             photons_m[active] += _PHOTONS_M[outcome]
             photons_n[active] += _PHOTONS_N[outcome]
-        if detector_efficiency >= 1.0:
-            click_m = photons_m > 0
-            click_n = photons_n > 0
-        else:
-            miss = 1.0 - detector_efficiency
-            click_m = rng.random(size) < 1.0 - miss**photons_m
-            click_n = rng.random(size) < 1.0 - miss**photons_n
+        click_m = photons_m > 0
+        click_n = photons_n > 0
         singles_m += int(click_m.sum())
         singles_n += int(click_n.sum())
         coincidences += int((click_m & click_n).sum())

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specklesim
 from specklesim.cli import main
 from specklesim.config import ConfigError, ScenarioConfig, format_config, parse_angle, parse_config, parse_grid
 from specklesim.medium import gaussian_transmission_matrix, load_matrix
@@ -240,6 +245,42 @@ def test_probabilities_rejects_nonembeddable(capsys):
     assert rc == 2
     assert "0.5" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (["--t", "-0.3", "--alpha", "0"], "t"),
+        (["--t", "nan", "--alpha", "0"], "t"),
+        (["--t", "0.3", "--alpha", "nan"], "alpha"),
+    ],
+)
+def test_probabilities_flags_follow_the_config_rules(argv, key, capsys):
+    assert main(["probabilities", *argv]) == 1
+    captured = capsys.readouterr()
+    assert f"{key}: expected" in captured.err
+    assert captured.out == ""
+
+
+def test_probabilities_manifest_records_the_values_used(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["probabilities", "--t", "0.5", "--alpha", "0", "--out", str(out), "--quiet"]) == 0
+    config = parse_config((out / "probabilities_seed0.manifest.txt").read_text())
+    assert (config.t, config.alpha) == (0.5, 0.0)
+
+
+@pytest.mark.parametrize("module", ["specklesim", "specklesim.cli"])
+def test_python_m_runs_the_cli(module):
+    src = str(Path(specklesim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env)
+
+    done = run("probabilities", "--t", "0.5", "--alpha", "0")
+    assert done.returncode == 0
+    assert "P(1m,1n) = 0.25\n" in done.stdout
+    assert run("nosuch").returncode == 1
 
 
 def test_missing_subcommand(capsys):

@@ -1,0 +1,14 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import specklesim
+
+_MODULES = [info.name for info in pkgutil.iter_modules(specklesim.__path__) if not info.name.startswith("_")]
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"specklesim.{name}")
+    assert [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)] == []
