@@ -5,6 +5,12 @@ One subcommand per invocation::
     specklesim <subcommand> [--config PATH] [--seed U64] [--out DIR]
                [--force] [--threads N] [--quiet] [extras]
 
+All subcommands but two are rows of a table over the runners in
+:mod:`specklesim.experiments`, which build the file contents (text or
+bytes) that ``emit_scenario`` writes.  The two special branches:
+``probabilities`` prints its data and writes files only with ``--out``,
+and ``selftest`` writes nothing.
+
 Exit codes: 0 success, 1 usage, configuration or I/O error, 2 domain error
 (for example a non-embeddable splitter setting).  Error text goes to
 stderr; data goes to files in the output directory or, for
@@ -22,20 +28,15 @@ from pathlib import Path
 
 from . import experiments
 from .config import ConfigError, ScenarioConfig, parse_angle, parse_config
-from .experiments import build_medium, emit_medium, emit_scenario
+from .experiments import emit_scenario
 from .shaping import DegenerateFitError
-from .twophoton import (
-    OUTCOME_LABELS,
-    EmbeddabilityError,
-    UndefinedVisibilityError,
-    outcome_csv,
-    outcome_probabilities,
-)
+from .twophoton import OUTCOME_LABELS, EmbeddabilityError, UndefinedVisibilityError
 
 # subcommand -> (runner in ``experiments``, summary line from (result, config)).
 # Runners are looked up by name at call time, so wrappers installed on the
 # ``experiments`` module see every call.
 _SCENARIOS = {
+    "gen-medium": ("run_gen_medium", lambda r, c: f"generated {r.kind.value} medium {r.n_out}x{r.n_in}"),
     "optimize": ("run_optimize", lambda r, c: f"optimized {c.segments} segments onto output {c.output_m}"),
     "program": ("run_program", lambda r, c: f"programmed alpha = {c.alpha:.17g}: "
                 f"alpha_fit = {r.alpha_fit:.17g}, t_fit = {r.t_fit:.17g}"),
@@ -49,7 +50,7 @@ _SCENARIOS = {
         f"N={x.n_segments}: {x.mean_enhancement:.1f} (law {x.predicted:.1f})" for x in r)),
 }
 
-SUBCOMMANDS = ("gen-medium", *_SCENARIOS, "probabilities", "selftest")
+SUBCOMMANDS = (*_SCENARIOS, "probabilities", "selftest")
 
 
 class _UsageError(Exception):
@@ -122,11 +123,11 @@ def _run(argv: list[str]) -> int:
             config = dataclasses.replace(config, t=args.t, alpha=alpha)
         except ValueError as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
-        dist = outcome_probabilities(config.t, config.alpha)
+        dist, files = experiments.run_probabilities(config, seed)
         for label, value in zip(OUTCOME_LABELS, dist.as_array()):
             print(f"P({label[:2]},{label[2:]}) = {value:.17g}")
         if args.out is not None:
-            emit_scenario(out_dir, "probabilities", seed, {"outcomes.csv": outcome_csv(dist)}, config, args.force)
+            emit_scenario(out_dir, "probabilities", seed, files, config, args.force)
         _summary(args, f"embeddable splitter t = {config.t:.17g}; probabilities sum to 1")
         return 0
 
@@ -134,12 +135,6 @@ def _run(argv: list[str]) -> int:
         from .selftest import run_selftest
 
         return 0 if run_selftest(quiet=args.quiet) else 1
-
-    if args.subcommand == "gen-medium":
-        medium = build_medium(config, seed)
-        path = emit_medium(out_dir, seed, medium, config, args.force)
-        _summary(args, f"wrote {path} ({medium.kind.value} {medium.n_out}x{medium.n_in})")
-        return 0
 
     runner, summary = _SCENARIOS[args.subcommand]
     result, files = getattr(experiments, runner)(config, seed)

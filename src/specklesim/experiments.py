@@ -1,8 +1,9 @@
 """End-to-end scenario runners wiring medium, shaping and statistics.
 
 Each ``run_<scenario>(config, master_seed)`` reproduces one reference
-curve at desk scale and returns ``(result, files)``: the computed
-result and its plot-ready CSV texts keyed by file name.
+curve at desk scale, or builds one medium, and returns ``(result,
+files)``: the computed result and its file contents keyed by file name,
+CSV text for curves and container bytes for a medium.
 :func:`emit_scenario` writes the files plus a manifest into an output
 directory; the manifest is a config file that re-runs the scenario
 with the recorded master seed.  Everything is deterministic in the master
@@ -23,14 +24,13 @@ import numpy as np
 
 from . import __version__
 from .config import ScenarioConfig, format_config
-from .medium import TransmissionMatrix, gaussian_transmission_matrix, haar_unitary, save_matrix
+from .medium import TransmissionMatrix, gaussian_transmission_matrix, haar_unitary, matrix_bytes
 from .rng import child_seed
 from .shaping import (
     ClassicalScan,
     DegenerateFitError,
     PhasePattern,
     ProgrammedCircuit,
-    circuit_csv,
     classical_scan,
     effective_circuit,
     combine_patterns,
@@ -38,16 +38,18 @@ from .shaping import (
     ideal_circuit,
     mode_templates,
     optimize_pattern,
-    pattern_csv,
     shaped_input,
     target_intensity,
 )
 from .twophoton import (
+    OUTCOME_LABELS,
     CoincidenceScan,
+    OutcomeDistribution,
     PhotonPairSource,
     VisibilityResult,
     hom_scan,
     montecarlo_counts,
+    outcome_probabilities,
     source_preset,
     visibility,
 )
@@ -67,6 +69,8 @@ __all__ = [
     "fit_visibility_cosine",
     "ClassicalScanResult",
     "HomScanResult",
+    "run_gen_medium",
+    "run_probabilities",
     "run_optimize",
     "run_program",
     "run_classical_scan",
@@ -77,7 +81,6 @@ __all__ = [
     "run_enhancement_study",
     "dip_half_width",
     "emit_scenario",
-    "emit_medium",
 ]
 
 # child-seed derivation tags (part of the determinism contract)
@@ -232,21 +235,41 @@ def _csv(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _pattern_csv(pattern: PhasePattern) -> str:
+    rows = zip(range(pattern.n_segments), pattern.segment_to_channel, pattern.phases)
+    return _csv("segment,channel,phase_rad", rows)
+
+
+def run_gen_medium(config: ScenarioConfig, master_seed: int = 0) -> tuple[TransmissionMatrix, dict[str, bytes]]:
+    """Build the configured medium and its binary container."""
+    medium = build_medium(config, master_seed)
+    return medium, {"medium.tmat": matrix_bytes(medium)}
+
+
+def run_probabilities(config: ScenarioConfig, master_seed: int = 0) -> tuple[OutcomeDistribution, dict[str, str]]:
+    """Two-photon outcome probabilities of the ideal splitter at ``config.t``, ``config.alpha``."""
+    dist = outcome_probabilities(config.t, config.alpha)
+    return dist, {"outcomes.csv": _csv("outcome,probability", zip(OUTCOME_LABELS, dist.as_array()))}
+
+
 def run_optimize(config: ScenarioConfig, master_seed: int = 0) -> tuple[PhasePattern, dict[str, str]]:
     """Focus input mode ``k`` onto output ``output_m`` of the configured medium."""
     medium = build_medium(config, master_seed)
     template = mode_templates(config.segments)[0]
     pattern = optimize_pattern(medium, template, config.output_m, config.method, config.steps)
-    return pattern, {"pattern_k.csv": pattern_csv(pattern)}
+    return pattern, {"pattern_k.csv": _pattern_csv(pattern)}
 
 
 def run_program(config: ScenarioConfig, master_seed: int = 0) -> tuple[ProgrammedCircuit, dict[str, str]]:
     """Program the splitter at ``config.alpha`` and read back its circuit."""
     pattern_k, pattern_l, circuit = _program(config, build_medium(config, master_seed), config.alpha)
+    couplings = np.ravel(circuit.sub_matrix).view(np.float64)  # mk, ml, nk, nl as (real, imaginary) pairs
+    fit = (circuit.alpha_set, circuit.alpha_fit, circuit.t_fit, circuit.largest_singular_value)
+    header = "t_mk_re,t_mk_im,t_ml_re,t_ml_im,t_nk_re,t_nk_im,t_nl_re,t_nl_im,alpha_set,alpha_fit,t_fit,sigma_max"
     return circuit, {
-        "pattern_k.csv": pattern_csv(pattern_k),
-        "pattern_l.csv": pattern_csv(pattern_l),
-        "circuit.csv": circuit_csv(circuit),
+        "pattern_k.csv": _pattern_csv(pattern_k),
+        "pattern_l.csv": _pattern_csv(pattern_l),
+        "circuit.csv": _csv(header, [(*couplings, *fit)]),
     }
 
 
@@ -452,41 +475,21 @@ def emit_scenario(
     out_dir: str | Path,
     scenario: str,
     master_seed: int,
-    files: dict[str, str],
+    files: dict[str, str | bytes],
     config: ScenarioConfig | None,
     force: bool = False,
 ) -> Path:
     """Write data files with deterministic names, then their manifest.
 
-    Every file is named ``<scenario>_seed<seed>.<name>``.  The manifest
-    holds the scenario, artifact version and master seed as ``#``
-    comment lines, then :func:`~specklesim.config.format_config` of the
-    config.  An existing manifest is never overwritten unless ``force``
-    is set.  Each file is
-    written under a temporary name and renamed into place, and the
-    manifest comes last, so a failed write leaves no manifest behind.
-    Returns the manifest path.
+    Every file is named ``<scenario>_seed<seed>.<name>``.  A ``str`` value
+    is written as text with LF line ends, a ``bytes`` value as is.  The
+    manifest holds the scenario, artifact version and master seed as
+    ``#`` comment lines, then :func:`~specklesim.config.format_config` of
+    the config.  An existing manifest is never overwritten unless
+    ``force`` is set.  Each file is written under a temporary name and
+    renamed into place, and the manifest comes last, so a failed write
+    leaves no manifest behind.  Returns the manifest path.
     """
-    writers = {
-        name: (lambda path, text=text: path.write_text(text, newline="\n")) for name, text in files.items()
-    }
-    return _emit(out_dir, scenario, master_seed, writers, config, force)
-
-
-def emit_medium(
-    out_dir: str | Path,
-    master_seed: int,
-    medium: TransmissionMatrix,
-    config: ScenarioConfig | None,
-    force: bool = False,
-) -> Path:
-    """Save a medium's container, then its gen-medium manifest; returns the container path."""
-    writers = {"medium.tmat": lambda path: save_matrix(medium, path)}
-    manifest = _emit(out_dir, "gen-medium", master_seed, writers, config, force)
-    return manifest.with_name(f"gen-medium_seed{master_seed}.medium.tmat")
-
-
-def _emit(out_dir, scenario: str, master_seed: int, writers, config, force: bool) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     prefix = f"{scenario}_seed{master_seed}"
@@ -499,17 +502,20 @@ def _emit(out_dir, scenario: str, master_seed: int, writers, config, force: bool
         text += format_config(config)
     # a manifest vouches for a complete run; the old one goes before any data changes
     manifest_path.unlink(missing_ok=True)
-    for name, write in writers.items():
-        _write_replacing(out / f"{prefix}.{name}", write)
-    _write_replacing(manifest_path, lambda path: path.write_text(text, newline="\n"))
+    for name, data in files.items():
+        _write_replacing(out / f"{prefix}.{name}", data)
+    _write_replacing(manifest_path, text)
     return manifest_path
 
 
-def _write_replacing(path: Path, write) -> None:
-    """Let ``write`` fill a temporary file beside ``path``, then rename it into place."""
+def _write_replacing(path: Path, data: str | bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it into place."""
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        write(tmp)
+        if isinstance(data, bytes):
+            tmp.write_bytes(data)
+        else:
+            tmp.write_text(data, newline="\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -34,6 +34,7 @@ __all__ = [
     "gaussian_transmission_matrix",
     "haar_unitary",
     "transmit",
+    "matrix_bytes",
     "save_matrix",
     "load_matrix",
 ]
@@ -189,17 +190,22 @@ _KIND_CODES = {MatrixKind.GAUSSIAN: 0, MatrixKind.UNITARY: 1}
 _CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
 
 
-def save_matrix(matrix: TransmissionMatrix, path: str | Path) -> None:
-    """Write a matrix to the binary container; round-trips bit-exactly."""
+def matrix_bytes(matrix: TransmissionMatrix) -> bytes:
+    """A matrix as binary container bytes; round-trips bit-exactly."""
     header = struct.pack("<8sII", _MAGIC, _VERSION, 0)
     dims = struct.pack("<QQ", matrix.n_out, matrix.n_in)
     meta = struct.pack("<IIQ", _KIND_CODES[matrix.kind], 0, matrix.seed)
     payload = np.ascontiguousarray(matrix.entries, dtype="<c16").tobytes()
-    Path(path).write_bytes(header + dims + meta + payload)
+    return header + dims + meta + payload
+
+
+def save_matrix(matrix: TransmissionMatrix, path: str | Path) -> None:
+    """Write :func:`matrix_bytes` of a matrix to ``path``."""
+    Path(path).write_bytes(matrix_bytes(matrix))
 
 
 def load_matrix(path: str | Path) -> TransmissionMatrix:
-    """Read a matrix previously written by :func:`save_matrix`."""
+    """Read a matrix from a container written by :func:`save_matrix`."""
     blob = Path(path).read_bytes()
     if len(blob) < 48:
         raise ValueError(f"{path}: truncated container")

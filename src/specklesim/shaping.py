@@ -48,8 +48,6 @@ __all__ = [
     "shaped_input",
     "target_intensity",
     "phase_distance",
-    "pattern_csv",
-    "circuit_csv",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -310,9 +308,7 @@ def effective_circuit(
         raise ValueError("output modes m and n must differ")
     _check_target(matrix, m)
     _check_target(matrix, n)
-    overlap = np.intersect1d(pattern_k.segment_to_channel, pattern_l.segment_to_channel)
-    if overlap.size:
-        raise ValueError(f"input modes share medium channels {overlap[:4].tolist()}")
+    _check_disjoint(pattern_k, pattern_l)
     inputs = np.column_stack(
         [shaped_input(pattern_k, matrix.n_in), shaped_input(pattern_l, matrix.n_in)]
     )
@@ -372,6 +368,7 @@ def classical_scan(
         raise ValueError("delta_theta grid must be a non-empty 1-d array")
     _check_target(matrix, m)
     _check_target(matrix, n)
+    _check_disjoint(pattern_k, pattern_l)
     a, c = matrix.entries[[m, n], :] @ shaped_input(pattern_k, matrix.n_in)
     b, d = matrix.entries[[m, n], :] @ shaped_input(pattern_l, matrix.n_in)
     rotation = np.exp(1j * grid)
@@ -416,29 +413,7 @@ def _check_target(matrix: TransmissionMatrix, channel: int) -> None:
         raise ValueError(f"output channel {channel} out of range [0, {matrix.n_out})")
 
 
-# ---------------------------------------------------------------------------
-# CSV persistence
-# ---------------------------------------------------------------------------
-
-
-def pattern_csv(pattern: PhasePattern) -> str:
-    """Pattern as CSV text, one segment per ``segment,channel,phase_rad`` row."""
-    lines = ["segment,channel,phase_rad"]
-    for s in range(pattern.n_segments):
-        lines.append(f"{s},{pattern.segment_to_channel[s]},{pattern.phases[s]:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def circuit_csv(circuit: ProgrammedCircuit) -> str:
-    """Circuit as one CSV row: four complex couplings plus fit parameters."""
-    header = (
-        "t_mk_re,t_mk_im,t_ml_re,t_ml_im,t_nk_re,t_nk_im,t_nl_re,t_nl_im,"
-        "alpha_set,alpha_fit,t_fit,sigma_max"
-    )
-    sub = circuit.sub_matrix
-    values = []
-    for entry in (sub[0, 0], sub[0, 1], sub[1, 0], sub[1, 1]):
-        values.extend([entry.real, entry.imag])
-    values.extend([circuit.alpha_set, circuit.alpha_fit, circuit.t_fit, circuit.largest_singular_value])
-    row = ",".join(f"{value:.17g}" for value in values)
-    return header + "\n" + row + "\n"
+def _check_disjoint(pattern_k: PhasePattern, pattern_l: PhasePattern) -> None:
+    overlap = np.intersect1d(pattern_k.segment_to_channel, pattern_l.segment_to_channel)
+    if overlap.size:
+        raise ValueError(f"input modes share medium channels {overlap[:4].tolist()}")

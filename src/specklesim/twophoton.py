@@ -57,7 +57,6 @@ __all__ = [
     "visibility",
     "hom_scan",
     "montecarlo_counts",
-    "outcome_csv",
 ]
 
 _SPEED_OF_LIGHT = 299_792_458.0
@@ -600,14 +599,6 @@ def montecarlo_counts(
         singles_n += int(click_n.sum())
         coincidences += int((click_m & click_n).sum())
     return singles_m, singles_n, coincidences
-
-
-def outcome_csv(distribution: OutcomeDistribution) -> str:
-    """Distribution as CSV text, one ``outcome,probability`` row per label."""
-    lines = ["outcome,probability"]
-    for label, value in zip(OUTCOME_LABELS, distribution.as_array()):
-        lines.append(f"{label},{value:.17g}")
-    return "\n".join(lines) + "\n"
 
 
 def _cumulative(probs: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specklesim
-from specklesim.cli import main
+from specklesim import experiments
+from specklesim.cli import _SCENARIOS, main
 from specklesim.config import ConfigError, ScenarioConfig, format_config, parse_angle, parse_config, parse_grid
 from specklesim.medium import gaussian_transmission_matrix, load_matrix
 from specklesim.twophoton import SOURCE_PRESETS
@@ -488,6 +490,57 @@ def test_manifest_reruns_the_scenario(tmp_path, capsys, subcommand, config_text)
     assert names == sorted(p.name for p in second.iterdir()) and len(names) >= 2
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+_TINY_CONFIGS = {
+    "gen-medium": "medium_kind = unitary\nn_out = 8\nn_in = 8\nsegments = 4\n",
+    "optimize": "n_out = 16\nsegments = 8\nmethod = stepped\n",
+    "program": "n_out = 16\nsegments = 8\nalpha = pi/3\n",
+    "classical-scan": "n_out = 16\nsegments = 8\ndelta_theta_grid = 0:2pi:9\n",
+    "hom-scan": "circuit = shaped\nn_out = 16\nsegments = 8\ndelay_grid = -2e-12:2e-12:11\n",
+    "alpha-scan": "circuit = ideal\nalpha_grid = 0:pi:5\ncounting = montecarlo\npulses_per_point = 5000\n",
+    "enhancement-study": "n_out = 16\nsegment_counts = 2,4\nseeds = 2\n",
+}
+
+
+@pytest.mark.parametrize("subcommand", list(_SCENARIOS))
+def test_table_subcommands_write_exactly_the_runner_files(tmp_path, capsys, subcommand):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(_TINY_CONFIGS[subcommand])
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--seed", "5", "--out", str(out), "--quiet"]) == 0
+    _, files = getattr(experiments, _SCENARIOS[subcommand][0])(parse_config(cfg.read_text()), 5)
+    prefix = f"{subcommand}_seed5."
+    expected = {prefix + name: data if isinstance(data, bytes) else data.encode() for name, data in files.items()}
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert written.pop(prefix + "manifest.txt").startswith(f"# scenario = {subcommand}\n".encode())
+    assert written == expected
+
+
+# sha256 of artifacts at artifact version 0.3.1.  None of them goes through
+# a BLAS reduction, so their bytes do not depend on the linear-algebra build.
+_PINNED_ARTIFACTS = [
+    (
+        ["gen-medium"], "n_out = 24\nn_in = 12\nsegments = 6\n", "medium.tmat",
+        "3c5ccd38384a2840954c96d9d65a0df20e255bfdc7fb0d91104a21248da0c8bf",
+    ),
+    (
+        ["optimize"], "n_out = 64\nsegments = 32\nmethod = analytic\n", "pattern_k.csv",
+        "e4bd50011d5c6ff7ef56b4116c8984161e39a4f2d0af6a95004eb7659905f029",
+    ),
+    (
+        ["probabilities", "--t", "0.3", "--alpha", "pi/2"], "", "outcomes.csv",
+        "d94146cc867dbb64d2ca66dfbeb9f905ef99d909b20cf4e4b2a3c8f0d199a4cf",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,config_text,name,digest", _PINNED_ARTIFACTS)
+def test_artifacts_are_pinned(tmp_path, capsys, argv, config_text, name, digest):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config_text)
+    assert main([*argv, "--config", str(cfg), "--seed", "5", "--out", str(tmp_path), "--quiet"]) == 0
+    assert hashlib.sha256((tmp_path / f"{argv[0]}_seed5.{name}").read_bytes()).hexdigest() == digest
 
 
 def test_selftest_cli(capsys):

@@ -1,7 +1,11 @@
 import hashlib
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from specklesim.medium import (
     MatrixKind,
@@ -9,6 +13,7 @@ from specklesim.medium import (
     gaussian_transmission_matrix,
     haar_unitary,
     load_matrix,
+    matrix_bytes,
     save_matrix,
     transmit,
 )
@@ -243,3 +248,50 @@ def test_regeneration_matches_container(tmp_path):
     back = load_matrix(path)
     regenerated = gaussian_transmission_matrix(back.n_out, back.n_in, back.seed)
     assert regenerated.entries.tobytes() == back.entries.tobytes()
+
+
+def _patched(blob: bytes, fmt: str, offset: int, *values) -> bytes:
+    out = bytearray(blob)
+    struct.pack_into(fmt, out, offset, *values)
+    return bytes(out)
+
+
+_U32 = st.integers(0, 2**32 - 1)
+_U64 = st.integers(0, 2**64 - 1)
+_DEFECTS = ("truncated", "magic", "version", "kind", "dims", "zero_dims", "non_finite", "unitary_tag")
+
+
+@st.composite
+def corrupted_containers(draw):
+    """Container bytes of a small medium with one defect that loading must reject."""
+    defect = draw(st.sampled_from(_DEFECTS))
+    if defect == "unitary_tag":  # a non-square and a square non-unitary payload
+        medium = draw(st.sampled_from([gaussian_transmission_matrix(3, 2, 1), gaussian_transmission_matrix(3, 3, 1)]))
+        return _patched(matrix_bytes(medium), "<I", 32, 1)
+    medium = draw(st.sampled_from([gaussian_transmission_matrix(3, 2, 1), haar_unitary(3, 2)]))
+    blob = matrix_bytes(medium)
+    size = medium.n_out * medium.n_in
+    if defect == "truncated":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    if defect == "magic":
+        return draw(st.binary(min_size=8, max_size=8).filter(lambda magic: magic != b"SPKLTMAT")) + blob[8:]
+    if defect == "version":
+        return _patched(blob, "<I", 8, draw(_U32.filter(lambda version: version != 1)))
+    if defect == "kind":
+        return _patched(blob, "<I", 32, draw(st.integers(2, 2**32 - 1)))
+    if defect == "dims":
+        return _patched(blob, "<QQ", 16, *draw(st.tuples(_U64, _U64).filter(lambda d: d[0] * d[1] != size)))
+    if defect == "zero_dims":  # the payload is emptied to agree with the dims
+        other = draw(_U64)
+        return _patched(blob[:48], "<QQ", 16, *draw(st.sampled_from([(0, other), (other, 0)])))
+    index = draw(st.integers(0, 2 * size - 1))
+    return _patched(blob, "<d", 48 + 8 * index, draw(st.sampled_from([math.nan, math.inf, -math.inf])))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(corrupted_containers())
+def test_container_rejects_every_corruption(tmp_path, blob):
+    path = tmp_path / "fuzzed.tmat"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError):
+        load_matrix(path)

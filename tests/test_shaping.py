@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from specklesim import experiments
+from specklesim.experiments import ScenarioConfig, run_optimize, run_program
 from specklesim.medium import MatrixKind, TransmissionMatrix, gaussian_transmission_matrix, haar_unitary
 from specklesim.rng import rng_for
 from specklesim.shaping import (
     DegenerateFitError,
     PhasePattern,
-    circuit_csv,
     classical_scan,
     combine_patterns,
     effective_circuit,
@@ -16,7 +17,6 @@ from specklesim.shaping import (
     ideal_circuit,
     mode_templates,
     optimize_pattern,
-    pattern_csv,
     phase_distance,
     shaped_input,
     target_intensity,
@@ -411,6 +411,13 @@ def test_classical_scan_rejects_empty_grid():
         classical_scan(medium, pattern, pattern, 0, 1, [])
 
 
+def test_classical_scan_rejects_shared_channels():
+    medium = gaussian_transmission_matrix(8, 8, seed=4)
+    pattern = PhasePattern(np.zeros(2), "k", np.array([0, 1]))
+    with pytest.raises(ValueError, match="share medium channels"):
+        classical_scan(medium, pattern, pattern, 0, 1, np.linspace(0.0, TWO_PI, 5))
+
+
 # ---------------------------------------------------------------------------
 # fit_sine
 # ---------------------------------------------------------------------------
@@ -458,30 +465,34 @@ def test_fit_sine_errors():
 
 
 # ---------------------------------------------------------------------------
-# persistence
+# persistence: the pattern and circuit files the scenario runners return
 # ---------------------------------------------------------------------------
 
 
 def test_pattern_csv_round_trip():
-    rng = rng_for(31)
-    pattern = PhasePattern(rng.uniform(0.0, TWO_PI, 16), "l", np.arange(16, 32))
-    text = pattern_csv(pattern)
+    pattern, files = run_optimize(ScenarioConfig(n_out=8, segments=16), master_seed=31)
+    text = files["pattern_k.csv"]
     assert text.splitlines()[0] == "segment,channel,phase_rad"
     rows = [line.split(",") for line in text.splitlines()[1:]]
-    back = PhasePattern([float(r[2]) for r in rows], "l", [int(r[1]) for r in rows])
+    back = PhasePattern([float(r[2]) for r in rows], "k", [int(r[1]) for r in rows])
     assert np.array_equal(back.phases, pattern.phases)
     assert np.array_equal(back.segment_to_channel, pattern.segment_to_channel)
 
 
-def test_pattern_csv_17_digits():
+def test_pattern_csv_17_digits(monkeypatch):
     pattern = PhasePattern(np.array([1.0 / 3.0]), "k", np.array([0]))
-    text = pattern_csv(pattern)
+    monkeypatch.setattr(experiments, "optimize_pattern", lambda *args: pattern)
+    _, files = run_optimize(ScenarioConfig(n_out=2, segments=1))
+    text = files["pattern_k.csv"]
     assert "0.33333333333333331" in text
 
 
-def test_circuit_csv():
+def test_circuit_csv(monkeypatch):
     circuit = ideal_circuit(0.45, math.pi / 3)
-    lines = circuit_csv(circuit).splitlines()
+    pattern = PhasePattern(np.zeros(1), "k", np.array([0]))
+    monkeypatch.setattr(experiments, "program_circuit", lambda *args: (pattern, pattern, circuit))
+    _, files = run_program(ScenarioConfig(n_out=2, segments=1))
+    lines = files["circuit.csv"].splitlines()
     assert lines[0].startswith("t_mk_re,")
     values = [float(v) for v in lines[1].split(",")]
     assert len(values) == 12

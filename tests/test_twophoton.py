@@ -231,9 +231,10 @@ def test_outcome_distribution_validation():
 
 
 def test_outcome_csv_format():
-    from specklesim.twophoton import outcome_csv
+    from specklesim.experiments import ScenarioConfig, run_probabilities
 
-    text = outcome_csv(outcome_probabilities(0.5, 0.0))
+    _, files = run_probabilities(ScenarioConfig(t=0.5, alpha=0.0))
+    text = files["outcomes.csv"]
     lines = text.splitlines()
     assert lines[0] == "outcome,probability"
     assert lines[1] == "2m0n,0.125"
