@@ -29,8 +29,7 @@ from pathlib import Path
 from . import experiments
 from .config import ConfigError, ScenarioConfig, parse_angle, parse_config
 from .experiments import emit_scenario
-from .shaping import DegenerateFitError
-from .twophoton import OUTCOME_LABELS, EmbeddabilityError, UndefinedVisibilityError
+from .twophoton import OUTCOME_LABELS
 
 # subcommand -> (runner in ``experiments``, summary line from (result, config)).
 # Runners are looked up by name at call time, so wrappers installed on the
@@ -88,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     except (_UsageError, ConfigError, OSError) as exc:
         print(f"specklesim: error: {exc}", file=sys.stderr)
         return 1
-    except (EmbeddabilityError, DegenerateFitError, UndefinedVisibilityError, ValueError) as exc:
+    except ValueError as exc:
         print(f"specklesim: error: {exc}", file=sys.stderr)
         return 2
 

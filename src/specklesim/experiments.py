@@ -281,11 +281,8 @@ class ClassicalScanResult(NamedTuple):
 
 def run_classical_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[ClassicalScanResult, dict]:
     """Two-beam intensity scan of the programmed circuit, with sine fits per output."""
-    medium = build_medium(config, master_seed)
-    pattern_k, pattern_l, _ = _program(config, medium, config.alpha)
-    scan = classical_scan(
-        medium, pattern_k, pattern_l, config.output_m, config.output_n, config.delta_theta_grid
-    )
+    _, _, circuit = _program(config, build_medium(config, master_seed), config.alpha)
+    scan = classical_scan(circuit, config.delta_theta_grid)
     fit_m = fit_sine(scan.delta_theta, scan.intensity_m)
     fit_n = fit_sine(scan.delta_theta, scan.intensity_n)
     rows = zip(scan.delta_theta, scan.intensity_m, scan.intensity_n)

@@ -11,8 +11,10 @@ capabilities, built on top of each other:
    mode into one phase-only pattern that feeds both outputs at once, with
    a programmable phase ``alpha`` inserted on one path.
 3. :func:`effective_circuit` reads back the resulting 2x2 field matrix
-   between the two shaped inputs and the two target outputs and fits the
-   programmed-splitter form ``t * [[1, 1], [1, exp(i*alpha)]]``.
+   between the two shaped inputs and the two target outputs once; the
+   returned :class:`ProgrammedCircuit` fits the programmed-splitter form
+   ``t * [[1, 1], [1, exp(i*alpha)]]``, and :func:`classical_scan` and the
+   two-photon statistics read that circuit, never the medium again.
 
 Phase reference.  All analytic patterns are measured against a fixed
 phase origin: the phase the medium imprints on input channel 0 at the
@@ -27,7 +29,7 @@ channel 0 therefore carries phase 0 on that segment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -250,41 +252,38 @@ class ProgrammedCircuit:
     """Effective 2x2 field matrix carved out of the medium.
 
     ``sub_matrix[i, j]`` couples shaped input mode ``j`` (k, l) to output
-    mode ``i`` (m, n).  ``t_fit`` and ``alpha_fit`` are the least-squares
-    parameters of the programmed-splitter form after factoring out global
-    and relative input/output phases.
+    mode ``i`` (m, n).  The fit is derived from the block: ``t_fit`` is the
+    least-squares common amplitude of the programmed-splitter form (the
+    mean of the four magnitudes) and ``alpha_fit`` the gauge-invariant
+    relative phase ``arg(a*d / (b*c))`` in [-pi, pi], the only phase left
+    after factoring out per-input and per-output phases.
     """
 
     sub_matrix: np.ndarray
     alpha_set: float
-    t_fit: float
-    alpha_fit: float
-    largest_singular_value: float
+    t_fit: float = field(init=False)
+    alpha_fit: float = field(init=False)
+    largest_singular_value: float = field(init=False)
 
     def __post_init__(self) -> None:
         sub = np.asarray(self.sub_matrix, dtype=np.complex128)
-        object.__setattr__(self, "sub_matrix", sub)
         if sub.shape != (2, 2):
             raise ValueError(f"sub_matrix must be 2x2, got {sub.shape}")
         if not np.all(np.isfinite(sub.view(np.float64))):
             raise ValueError("sub_matrix must be finite")
-        if self.t_fit < 0 or self.largest_singular_value < 0:
-            raise ValueError("t_fit and largest_singular_value must be nonnegative")
+        (a, b), (c, d) = sub
+        object.__setattr__(self, "sub_matrix", sub)
+        object.__setattr__(self, "alpha_set", float(self.alpha_set))
+        object.__setattr__(self, "t_fit", float(np.mean(np.abs(sub))))
+        object.__setattr__(self, "alpha_fit", float(np.angle(a * d * np.conj(b * c))))
+        object.__setattr__(self, "largest_singular_value", float(np.linalg.svd(sub, compute_uv=False)[0]))
 
 
 def ideal_circuit(t: float, alpha: float) -> ProgrammedCircuit:
     """Exactly programmed splitter ``t * [[1, 1], [1, exp(i*alpha)]]``."""
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    sub = t * np.array([[1.0, 1.0], [1.0, np.exp(1j * alpha)]])
-    sigma = float(np.linalg.svd(sub, compute_uv=False)[0])
-    return ProgrammedCircuit(
-        sub_matrix=sub,
-        alpha_set=float(alpha),
-        t_fit=float(t),
-        alpha_fit=float(alpha),
-        largest_singular_value=sigma,
-    )
+    return ProgrammedCircuit(t * np.array([[1.0, 1.0], [1.0, np.exp(1j * alpha)]]), alpha)
 
 
 def effective_circuit(
@@ -299,32 +298,24 @@ def effective_circuit(
 
     Each input mode is driven with a unit-power field spread evenly over
     its segments; the four complex couplings to outputs ``m`` and ``n``
-    form the sub-matrix.  ``t_fit`` is the least-squares common amplitude
-    (the mean of the four magnitudes) and ``alpha_fit`` the gauge
-    invariant relative phase ``arg(a*d / (b*c))``, the only phase left
-    after factoring out per-input and per-output phases.
+    form the sub-matrix, from which :class:`ProgrammedCircuit` derives
+    its fit.
     """
     if m == n:
         raise ValueError("output modes m and n must differ")
     _check_target(matrix, m)
     _check_target(matrix, n)
-    _check_disjoint(pattern_k, pattern_l)
+    overlap = np.intersect1d(pattern_k.segment_to_channel, pattern_l.segment_to_channel)
+    if overlap.size:
+        raise ValueError(f"input modes share medium channels {overlap[:4].tolist()}")
     inputs = np.column_stack(
         [shaped_input(pattern_k, matrix.n_in), shaped_input(pattern_l, matrix.n_in)]
     )
-    sub = matrix.entries[[m, n], :] @ inputs
-    t_fit = float(np.mean(np.abs(sub)))
-    alpha_fit = float(np.angle(sub[0, 0] * sub[1, 1] * np.conj(sub[0, 1] * sub[1, 0])))
-    sigma = float(np.linalg.svd(sub, compute_uv=False)[0])
+    circuit = ProgrammedCircuit(matrix.entries[[m, n], :] @ inputs, alpha_set)
+    sigma = circuit.largest_singular_value
     if matrix.kind is MatrixKind.UNITARY and sigma > 1.0 + 1e-9:
         raise ValueError(f"sub-block of a unitary medium has singular value {sigma} > 1")
-    return ProgrammedCircuit(
-        sub_matrix=sub,
-        alpha_set=float(alpha_set),
-        t_fit=t_fit,
-        alpha_fit=alpha_fit,
-        largest_singular_value=sigma,
-    )
+    return circuit
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,29 +339,18 @@ class ClassicalScan:
                 raise ValueError(f"{name} must be nonnegative")
 
 
-def classical_scan(
-    matrix: TransmissionMatrix,
-    pattern_k: PhasePattern,
-    pattern_l: PhasePattern,
-    m: int,
-    n: int,
-    delta_theta,
-) -> ClassicalScan:
+def classical_scan(circuit: ProgrammedCircuit, delta_theta) -> ClassicalScan:
     """Classical two-beam interference scan of a programmed circuit.
 
-    Equal-power coherent fields enter both shaped input modes with a
-    relative phase ``delta_theta``; the intensities at outputs ``m`` and
-    ``n`` trace sinusoids whose relative phase reveals the programmed
-    ``alpha``.
+    Equal-power coherent fields enter both input modes with a relative
+    phase ``delta_theta``; the intensities ``|a + b exp(i*delta_theta)|^2``
+    and ``|c + d exp(i*delta_theta)|^2`` at outputs ``m`` and ``n`` trace
+    sinusoids whose relative phase reveals the programmed ``alpha``.
     """
     grid = np.asarray(delta_theta, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("delta_theta grid must be a non-empty 1-d array")
-    _check_target(matrix, m)
-    _check_target(matrix, n)
-    _check_disjoint(pattern_k, pattern_l)
-    a, c = matrix.entries[[m, n], :] @ shaped_input(pattern_k, matrix.n_in)
-    b, d = matrix.entries[[m, n], :] @ shaped_input(pattern_l, matrix.n_in)
+    (a, b), (c, d) = circuit.sub_matrix
     rotation = np.exp(1j * grid)
     return ClassicalScan(
         delta_theta=grid,
@@ -412,8 +392,3 @@ def _check_target(matrix: TransmissionMatrix, channel: int) -> None:
     if not 0 <= channel < matrix.n_out:
         raise ValueError(f"output channel {channel} out of range [0, {matrix.n_out})")
 
-
-def _check_disjoint(pattern_k: PhasePattern, pattern_l: PhasePattern) -> None:
-    overlap = np.intersect1d(pattern_k.segment_to_channel, pattern_l.segment_to_channel)
-    if overlap.size:
-        raise ValueError(f"input modes share medium channels {overlap[:4].tolist()}")

@@ -25,7 +25,7 @@ For one photon in each input, this module provides:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -468,21 +468,19 @@ def overlap_from_delay(source: PhotonPairSource, delay_s):
 
 @dataclass(frozen=True)
 class VisibilityResult:
-    """Normalized dip/peak depth ``(r_indist - r_dist) / r_dist``."""
+    """Normalized dip/peak depth ``v = (r_indist - r_dist) / r_dist``."""
 
-    v: float
+    v: float = field(init=False)
     r_dist: float
     r_indist: float
     std_err: float = 0.0
 
     def __post_init__(self) -> None:
         if self.r_dist <= 0:
-            raise UndefinedVisibilityError("reference (distinguishable) rate must be positive")
+            raise UndefinedVisibilityError(f"r_dist = {self.r_dist} must be positive")
         if self.std_err < 0:
             raise ValueError("std_err must be nonnegative")
-        expected = (self.r_indist - self.r_dist) / self.r_dist
-        if abs(self.v - expected) > 1e-12 * max(1.0, abs(expected)):
-            raise ValueError(f"v = {self.v} inconsistent with rates (expected {expected})")
+        object.__setattr__(self, "v", (self.r_indist - self.r_dist) / self.r_dist)
 
 
 def visibility(r_indist: float, r_dist: float, std_err: float = 0.0) -> VisibilityResult:
@@ -491,10 +489,7 @@ def visibility(r_indist: float, r_dist: float, std_err: float = 0.0) -> Visibili
     Negative values are dips, positive values peaks; ``r_dist`` must be
     positive or the visibility is undefined.
     """
-    if r_dist <= 0:
-        raise UndefinedVisibilityError(f"r_dist = {r_dist} must be positive")
-    v = (r_indist - r_dist) / r_dist
-    return VisibilityResult(v=v, r_dist=float(r_dist), r_indist=float(r_indist), std_err=std_err)
+    return VisibilityResult(r_dist=float(r_dist), r_indist=float(r_indist), std_err=std_err)
 
 
 @dataclass(frozen=True, eq=False)

@@ -145,7 +145,7 @@ def test_criterion_05_programmed_phase_fidelity():
         alpha_devs.append(phase_distance(circuit.alpha_fit, math.pi))
 
         pattern_k0, pattern_l0 = combine_patterns(p_km, p_kn, p_lm, p_ln, 0.0)
-        scan = classical_scan(medium, pattern_k0, pattern_l0, 0, 1, theta)
+        scan = classical_scan(effective_circuit(medium, pattern_k0, pattern_l0, 0, 1, 0.0), theta)
         _, amp_m, phase_m = fit_sine(scan.delta_theta, scan.intensity_m)
         _, amp_n, phase_n = fit_sine(scan.delta_theta, scan.intensity_n)
         scan_phase_devs.append(phase_distance(phase_m, phase_n))

@@ -24,6 +24,7 @@ from specklesim.experiments import (
     run_optimize,
     run_program,
 )
+from specklesim.config import parse_config
 from specklesim.rng import rng_for
 from specklesim.shaping import DegenerateFitError, ideal_circuit
 from specklesim.twophoton import hom_scan, overlap_from_delay, source_preset
@@ -192,6 +193,18 @@ def test_hom_reproduction_preset_visibilities_and_widths():
         "filtered"
     ).rms_angular_bandwidth
     assert abs(widths["filtered"] / widths["broadband"] - bandwidth_ratio) < 0.05 * bandwidth_ratio
+
+
+def test_hom_scan_runs_one_ulp_above_the_embeddability_bound():
+    # the photon-counting benchmark's hom-scan config: its t is one ulp above
+    # embeddability_bound(pi), inside the 1 + 1e-9 band of the block routes
+    config = parse_config(
+        "circuit = ideal\nt = 0.7071067811865476\nalpha = pi\nsource = filtered\ndelay_grid = -3e-12:3e-12:241\n"
+    )
+    sigma = ideal_circuit(config.t, config.alpha).largest_singular_value  # 1.0000000000000002
+    assert 1.0 < sigma <= 1.0 + 1e-9
+    result, _ = run_hom_scan(config, master_seed=0)
+    assert abs(result.visibility.v + 0.86) < 1e-6
 
 
 def test_shaped_hom_scan_matches_read_back_closed_form():

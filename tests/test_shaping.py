@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specklesim import experiments
-from specklesim.experiments import ScenarioConfig, run_optimize, run_program
+from specklesim.experiments import ScenarioConfig, run_classical_scan, run_optimize, run_program
 from specklesim.medium import MatrixKind, TransmissionMatrix, gaussian_transmission_matrix, haar_unitary
 from specklesim.rng import rng_for
 from specklesim.shaping import (
@@ -297,6 +297,15 @@ def test_effective_circuit_exact_form():
     assert np.max(np.abs(circuit.sub_matrix - medium.entries)) < 1e-15
 
 
+def test_ideal_circuit_reports_its_own_setting():
+    # the fit is derived from the block, so it must give back t and any alpha in (-pi, pi]
+    for t in (1e-3, 0.45, 1.0 / math.sqrt(2.0)):
+        for alpha in (-math.pi + 1e-9, -2.0, -0.5, 0.0, 1.234, 3.0, math.pi):
+            circuit = ideal_circuit(t, alpha)
+            assert abs(circuit.t_fit - t) < 1e-12
+            assert abs(circuit.alpha_fit - alpha) < 1e-12
+
+
 def test_effective_circuit_unitary_medium_is_contraction():
     medium = haar_unitary(64, seed=17)
     template_k, template_l = mode_templates(32)
@@ -383,7 +392,7 @@ def test_classical_scan_pi_antiphase():
     for seed in range(6):
         medium = gaussian_transmission_matrix(512, 1920, seed=88 + seed)
         pattern_k, pattern_l = programmed_patterns(medium, 960, math.pi)
-        scan = classical_scan(medium, pattern_k, pattern_l, 0, 1, grid)
+        scan = classical_scan(effective_circuit(medium, pattern_k, pattern_l, 0, 1, math.pi), grid)
         _, _, phase_m = fit_sine(scan.delta_theta, scan.intensity_m)
         _, _, phase_n = fit_sine(scan.delta_theta, scan.intensity_n)
         devs.append(phase_distance(phase_m - phase_n, math.pi))
@@ -394,7 +403,7 @@ def test_classical_scan_zero_alpha_overlapping_curves():
     medium = gaussian_transmission_matrix(512, 768, seed=89)
     pattern_k, pattern_l = programmed_patterns(medium, 384, 0.0)
     grid = np.linspace(0.0, TWO_PI, 41)
-    scan = classical_scan(medium, pattern_k, pattern_l, 0, 1, grid)
+    scan = classical_scan(effective_circuit(medium, pattern_k, pattern_l, 0, 1, 0.0), grid)
     fit_m = fit_sine(scan.delta_theta, scan.intensity_m)
     fit_n = fit_sine(scan.delta_theta, scan.intensity_n)
     curve_m = fit_m[0] + fit_m[1] * np.sin(grid + fit_m[2])
@@ -406,16 +415,30 @@ def test_classical_scan_zero_alpha_overlapping_curves():
 
 def test_classical_scan_rejects_empty_grid():
     medium = gaussian_transmission_matrix(8, 8, seed=4)
-    pattern = PhasePattern(np.zeros(2), "k", np.array([0, 1]))
+    pattern_k = PhasePattern(np.zeros(2), "k", np.array([0, 1]))
+    pattern_l = PhasePattern(np.zeros(2), "l", np.array([2, 3]))
     with pytest.raises(ValueError):
-        classical_scan(medium, pattern, pattern, 0, 1, [])
+        classical_scan(effective_circuit(medium, pattern_k, pattern_l, 0, 1, 0.0), [])
 
 
-def test_classical_scan_rejects_shared_channels():
+def test_effective_circuit_rejects_shared_channels():
     medium = gaussian_transmission_matrix(8, 8, seed=4)
     pattern = PhasePattern(np.zeros(2), "k", np.array([0, 1]))
     with pytest.raises(ValueError, match="share medium channels"):
-        classical_scan(medium, pattern, pattern, 0, 1, np.linspace(0.0, TWO_PI, 5))
+        effective_circuit(medium, pattern, pattern, 0, 1, 0.0)
+
+
+def test_classical_scan_is_the_closed_form_of_the_programmed_circuit():
+    # the scan reads the same circuit `program` reports, exactly; the
+    # circuit file's 17 digits round-trip the block's entries
+    config = ScenarioConfig(n_out=16, segments=8, alpha=2.0, delta_theta_grid=np.linspace(0.0, TWO_PI, 9))
+    _, program_files = run_program(config, master_seed=3)
+    values = [float(v) for v in program_files["circuit.csv"].splitlines()[1].split(",")[:8]]
+    a, b, c, d = (complex(values[2 * i], values[2 * i + 1]) for i in range(4))
+    result, _ = run_classical_scan(config, master_seed=3)
+    rotation = np.exp(1j * result.scan.delta_theta)
+    assert np.array_equal(result.scan.intensity_m, np.abs(a + b * rotation) ** 2)
+    assert np.array_equal(result.scan.intensity_n, np.abs(c + d * rotation) ** 2)
 
 
 # ---------------------------------------------------------------------------
