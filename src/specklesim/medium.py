@@ -14,14 +14,15 @@ ensembles are provided:
   number conservation.
 
 All generation is deterministic in ``(kind, dims, seed)``; see
-:mod:`specklesim.rng` for the stream derivation rule.
+:mod:`specklesim.rng` for the stream derivation rule.  A Gaussian medium
+draws its rows when first read, as a prefix of its one row-major stream.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -51,42 +52,67 @@ class MatrixKind(enum.Enum):
     UNITARY = "unitary"
 
 
-@dataclass(frozen=True, eq=False)
 class TransmissionMatrix:
     """Complex channel-coupling matrix of a scattering medium.
 
     ``entries[i, j]`` is the field-transmission coefficient from input
-    channel ``j`` to output channel ``i``.  Instances are immutable and
-    safe to share across workers.
+    channel ``j`` to output channel ``i``.  A Gaussian medium draws rows
+    on demand as a prefix of its one row-major stream: :meth:`rows` draws
+    up to the last row it reads and ``entries`` the rest, with the bytes
+    of one whole draw.  A medium built from an array holds every row.
+    Instances are immutable, and a lock guards the draw, so they are safe
+    to share across workers.
     """
 
-    entries: np.ndarray
-    kind: MatrixKind
-    seed: int
-
-    def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=np.complex128)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries, kind: MatrixKind, seed: int, *, _stream=None) -> None:
+        entries = np.asarray(entries, dtype=np.complex128)
         if entries.ndim != 2 or entries.shape[0] < 1 or entries.shape[1] < 1:
             raise ValueError(f"entries must be a 2-d matrix with positive dims, got shape {entries.shape}")
-        if not np.all(np.isfinite(entries.view(np.float64))):
-            raise ValueError("entries must all be finite")
-        check_seed(self.seed)
-        if self.kind is MatrixKind.UNITARY:
-            n_out, n_in = entries.shape
-            if n_out != n_in:
+        check_seed(seed)
+        self.kind = kind
+        self.seed = seed
+        self.n_out, self.n_in = entries.shape
+        self._entries = entries
+        self._stream = _stream  # (generator, scale) filling the undrawn rows, or None
+        self._drawn = 0
+        self._lock = threading.Lock()
+        if _stream is None:
+            self._draw_to(self.n_out)
+        if kind is MatrixKind.UNITARY:
+            if self.n_out != self.n_in:
                 raise ValueError("unitary ensemble requires a square matrix")
             gram = entries.conj().T @ entries
-            if np.max(np.abs(gram - np.eye(n_in))) > _UNITARITY_TOL:
+            if np.max(np.abs(gram - np.eye(self.n_in))) > _UNITARITY_TOL:
                 raise ValueError(f"matrix is not unitary within {_UNITARITY_TOL}")
 
-    @property
-    def n_out(self) -> int:
-        return self.entries.shape[0]
+    def __setattr__(self, name: str, value) -> None:
+        if name != "_drawn" and name in self.__dict__:  # all set once, in __init__
+            raise AttributeError(f"cannot assign {name!r}: a medium is immutable")
+        object.__setattr__(self, name, value)
 
     @property
-    def n_in(self) -> int:
-        return self.entries.shape[1]
+    def entries(self) -> np.ndarray:
+        self._draw_to(self.n_out)
+        return self._entries
+
+    def rows(self, idx) -> np.ndarray:
+        """``entries[idx]`` for output rows ``idx``, drawing only up to ``max(idx) + 1``."""
+        flat = np.asarray(idx)
+        if flat.size == 0 or flat.dtype.kind not in "iu" or flat.min() < 0 or flat.max() >= self.n_out:
+            raise ValueError(f"rows {idx!r} must be a non-empty selection of [0, {self.n_out})")
+        self._draw_to(int(flat.max()) + 1)
+        return self._entries[flat.tolist()]
+
+    def _draw_to(self, stop: int) -> None:
+        with self._lock:
+            if stop <= self._drawn:
+                return
+            block = self._entries[self._drawn:stop]
+            if self._stream is not None:
+                _fill_normal(*self._stream, block)
+            if not np.all(np.isfinite(block.view(np.float64))):
+                raise ValueError("entries must all be finite")
+            self._drawn = stop
 
 
 def gaussian_transmission_matrix(n_out: int, n_in: int, seed: int) -> TransmissionMatrix:
@@ -109,9 +135,9 @@ def gaussian_transmission_matrix(n_out: int, n_in: int, seed: int) -> Transmissi
     programmed-circuit amplitudes.
     """
     _check_dims(n_out, n_in)
-    rng = rng_for(check_seed(seed), _STREAM_GAUSSIAN)
-    entries = _complex_normal(rng, n_out, n_in, np.sqrt(0.5 / n_in))
-    return TransmissionMatrix(entries=entries, kind=MatrixKind.GAUSSIAN, seed=seed)
+    stream = (rng_for(check_seed(seed), _STREAM_GAUSSIAN), np.sqrt(0.5 / n_in))
+    undrawn = np.empty((n_out, n_in), dtype=np.complex128)
+    return TransmissionMatrix(undrawn, MatrixKind.GAUSSIAN, seed, _stream=stream)
 
 
 def haar_unitary(n: int, seed: int) -> TransmissionMatrix:
@@ -125,7 +151,7 @@ def haar_unitary(n: int, seed: int) -> TransmissionMatrix:
     """
     _check_dims(n, n)
     rng = rng_for(check_seed(seed), _STREAM_UNITARY)
-    ginibre = _complex_normal(rng, n, n, np.sqrt(0.5))
+    ginibre = _fill_normal(rng, np.sqrt(0.5), np.empty((n, n), dtype=np.complex128))
     q, r = np.linalg.qr(ginibre)
     diag = np.diagonal(r)
     # diag entries vanish only on a measure-zero set; guard anyway
@@ -149,17 +175,19 @@ def transmit(matrix: TransmissionMatrix, field: np.ndarray) -> np.ndarray:
     return matrix.entries @ field
 
 
-def _complex_normal(rng: np.random.Generator, n_out: int, n_in: int, scale: float) -> np.ndarray:
-    """``n_out x n_in`` complex normals ``scale * (x + i y)``, drawn in place.
+def _fill_normal(rng: np.random.Generator, scale: float, out: np.ndarray) -> np.ndarray:
+    """Fill a complex128 array in place with complex normals ``scale * (x + i y)``.
 
     The draws come in row-major (real, imaginary) pairs, the layout of a
-    complex128 array, so one float buffer is scaled and viewed as complex
-    with no temporary copy.  The stream is the one ``(n_out, n_in, 2)``
-    normals give, and the bytes equal those of ``(x + 1j * y) * scale``.
+    complex128 array, so the float view of ``out`` is filled and scaled
+    with no temporary copy.  The stream is the one ``(rows, n_in, 2)``
+    normals give, the bytes equal those of ``(x + 1j * y) * scale``, and
+    filling consecutive row blocks continues the same stream.
     """
-    z = rng.standard_normal((n_out, 2 * n_in))
-    z *= scale
-    return z.view(np.complex128)
+    floats = out.view(np.float64)
+    rng.standard_normal(out=floats)
+    floats *= scale
+    return out
 
 
 def _check_dims(n_out: int, n_in: int) -> None:

@@ -73,6 +73,8 @@ def _require(condition: bool, message: str) -> None:
 def _check_gaussian() -> None:
     a = gaussian_transmission_matrix(300, 400, 7)
     b = gaussian_transmission_matrix(300, 400, 7)
+    picked = a.rows([0, 299, 5])  # read before entries: rows are a prefix of the whole draw
+    _require(picked.tobytes() == a.entries[[0, 299, 5]].tobytes(), "rows differ from entries")
     _require(a.entries.tobytes() == b.entries.tobytes(), "regeneration is not bit-identical")
     mean_power = float(np.mean(np.abs(a.entries) ** 2))
     _require(abs(mean_power * 400 - 1.0) < 0.05, f"entry power {mean_power} far from 1/n_in")

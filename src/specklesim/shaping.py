@@ -132,7 +132,7 @@ def target_intensity(matrix: TransmissionMatrix, pattern: PhasePattern, target_o
     """Intensity at one output channel for a shaped unit-power input."""
     _check_target(matrix, target_output)
     field = shaped_input(pattern, matrix.n_in)
-    return float(abs(matrix.entries[target_output] @ field) ** 2)
+    return float(abs(matrix.rows(target_output) @ field) ** 2)
 
 
 def optimize_pattern(
@@ -178,7 +178,7 @@ def optimize_pattern(
     channels = template.segment_to_channel
     if int(channels.max()) >= matrix.n_in:
         raise ValueError("pattern drives channels outside the medium")
-    row = matrix.entries[target_output]
+    row = matrix.rows(target_output)
     if method == "analytic":
         reference = np.angle(row[REFERENCE_CHANNEL])
         phases = _wrap_phase(reference - np.angle(row[channels]))
@@ -311,7 +311,7 @@ def effective_circuit(
     inputs = np.column_stack(
         [shaped_input(pattern_k, matrix.n_in), shaped_input(pattern_l, matrix.n_in)]
     )
-    circuit = ProgrammedCircuit(matrix.entries[[m, n], :] @ inputs, alpha_set)
+    circuit = ProgrammedCircuit(matrix.rows([m, n]) @ inputs, alpha_set)
     sigma = circuit.largest_singular_value
     if matrix.kind is MatrixKind.UNITARY and sigma > 1.0 + 1e-9:
         raise ValueError(f"sub-block of a unitary medium has singular value {sigma} > 1")
@@ -330,7 +330,7 @@ class ClassicalScan:
         for name in ("delta_theta", "intensity_m", "intensity_n"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.delta_theta.ndim != 1 or self.delta_theta.size == 0:
-            raise ValueError("delta_theta grid must be non-empty")
+            raise ValueError("delta_theta grid must be a non-empty 1-d array")
         for name in ("intensity_m", "intensity_n"):
             arr = getattr(self, name)
             if arr.shape != self.delta_theta.shape:
@@ -348,8 +348,6 @@ def classical_scan(circuit: ProgrammedCircuit, delta_theta) -> ClassicalScan:
     sinusoids whose relative phase reveals the programmed ``alpha``.
     """
     grid = np.asarray(delta_theta, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("delta_theta grid must be a non-empty 1-d array")
     (a, b), (c, d) = circuit.sub_matrix
     rotation = np.exp(1j * grid)
     return ClassicalScan(

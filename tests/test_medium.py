@@ -1,6 +1,8 @@
 import hashlib
 import math
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -295,3 +297,79 @@ def test_container_rejects_every_corruption(tmp_path, blob):
     path.write_bytes(blob)
     with pytest.raises(ValueError):
         load_matrix(path)
+
+
+def _whole_draw(n_out, n_in, seed):
+    """Every Gaussian medium's bytes: one ``standard_normal`` call for the whole matrix."""
+    z = rng_for(seed, 0).standard_normal((n_out, 2 * n_in))
+    z *= math.sqrt(0.5 / n_in)
+    return z.view(np.complex128)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.data(),
+    st.integers(1, 9),
+    st.integers(1, 6),
+    st.sampled_from([0, 3, 7, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+)
+def test_rows_are_a_prefix_of_the_whole_draw(data, n_out, n_in, seed):
+    whole = _whole_draw(n_out, n_in, seed)
+    medium = gaussian_transmission_matrix(n_out, n_in, seed)
+    row = st.integers(0, n_out - 1)
+    reads = data.draw(st.lists(row | st.lists(row, min_size=1, max_size=4), max_size=6))
+    for idx in reads:
+        assert medium.rows(idx).tobytes() == whole[idx].tobytes()
+    assert medium.entries.tobytes() == whole.tobytes()
+
+
+def test_two_rows_of_a_reference_medium_draw_two_rows():
+    medium = gaussian_transmission_matrix(4000, 1920, seed=0)
+    assert (medium.n_out, medium.n_in) == (4000, 1920)
+    assert medium._drawn == 0
+    picked = medium.rows([0, 1])
+    assert medium._drawn == 2
+    assert picked.tobytes() == _whole_draw(2, 1920, 0).tobytes()
+
+
+@pytest.mark.parametrize("idx", [-1, 5, [], [0, 5], [-1, 0], 1.0])
+def test_rows_rejects_negative_out_of_range_and_empty(idx):
+    medium = gaussian_transmission_matrix(5, 3, seed=1)
+    with pytest.raises(ValueError):
+        medium.rows(idx)
+    assert medium._drawn == 0
+
+
+def test_threads_reading_different_rows_of_one_medium_get_the_whole_draw():
+    whole = _whole_draw(300, 400, 5)
+    picks = (150, 299, 40, [7, 220])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            medium = gaussian_transmission_matrix(300, 400, seed=5)
+            start = threading.Barrier(len(picks))
+            got = {}
+
+            def read(i):
+                start.wait(timeout=10)
+                got[i] = medium.rows(picks[i])
+
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(len(picks))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            for i, idx in enumerate(picks):
+                assert got[i].tobytes() == whole[idx].tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_array_built_media_hold_every_row():
+    u = haar_unitary(6, seed=3)
+    assert u._drawn == 6
+    assert u.rows([4, 1]).tobytes() == u.entries[[4, 1]].tobytes()
+    with pytest.raises(AttributeError):
+        u.kind = MatrixKind.GAUSSIAN
