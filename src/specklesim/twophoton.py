@@ -79,9 +79,9 @@ class UndefinedVisibilityError(ValueError):
 
 OUTCOME_LABELS = ("2m0n", "0m2n", "1m1n", "1m0n", "0m1n", "0m0n")
 
-# photons arriving at m and at n for each outcome label above
-_PHOTONS_M = np.array([2, 0, 1, 1, 0, 0])
-_PHOTONS_N = np.array([0, 2, 1, 0, 1, 0])
+# whether detector m, and detector n, clicks for each outcome label above
+_CLICKS_M = np.array([True, False, True, True, False, False])
+_CLICKS_N = np.array([False, True, True, False, True, False])
 
 
 @dataclass(frozen=True)
@@ -392,12 +392,13 @@ class PhotonPairSource:
     mean_pairs_per_pulse: float
 
     def __post_init__(self) -> None:
-        if self.rms_angular_bandwidth <= 0:
-            raise ValueError("rms_angular_bandwidth must be positive")
-        if not 0.0 <= self.intrinsic_overlap <= 1.0:
-            raise ValueError(f"intrinsic_overlap must be in [0, 1], got {self.intrinsic_overlap}")
-        if self.mean_pairs_per_pulse < 0:
-            raise ValueError("mean_pairs_per_pulse must be nonnegative")
+        for name, expected, ok in (
+            ("rms_angular_bandwidth", "positive number", 0.0 < self.rms_angular_bandwidth < math.inf),
+            ("intrinsic_overlap", "number in [0, 1]", 0.0 <= self.intrinsic_overlap <= 1.0),
+            ("mean_pairs_per_pulse", "nonnegative number", 0.0 <= self.mean_pairs_per_pulse < math.inf),
+        ):
+            if not ok:
+                raise ValueError(f"{name}: expected {expected}, got {getattr(self, name)!r}")
 
 
 def rms_bandwidth_from_filter_fwhm(fwhm_nm: float) -> float:
@@ -408,8 +409,8 @@ def rms_bandwidth_from_filter_fwhm(fwhm_nm: float) -> float:
       sigma_nu     = c * sigma_lambda / lambda^2
       sigma_omega  = 2 pi * sigma_nu           (rad/s)
     """
-    if fwhm_nm <= 0:
-        raise ValueError("fwhm_nm must be positive")
+    if not 0.0 < fwhm_nm < math.inf:
+        raise ValueError(f"fwhm_nm: expected positive number, got {fwhm_nm!r}")
     sigma_lambda = fwhm_nm * 1e-9 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
     sigma_nu = _SPEED_OF_LIGHT * sigma_lambda / _CENTER_WAVELENGTH_M**2
     return 2.0 * math.pi * sigma_nu
@@ -454,9 +455,12 @@ def overlap_from_delay(source: PhotonPairSource, delay_s):
 
     ``x(tau) = intrinsic_overlap * exp(-(sigma_omega * tau)^2)`` for a
     Gaussian spectral envelope: unity-minus-mismatch at zero delay,
-    monotonically decaying to zero.  Accepts scalar or array delays.
+    monotonically decaying to zero.  Accepts scalar or array delays,
+    which must be finite.
     """
     tau = np.asarray(delay_s, dtype=float)
+    if not np.isfinite(tau).all():
+        raise ValueError(f"delay_s: expected finite delays, got {float(tau[~np.isfinite(tau)][0])!r}")
     x = source.intrinsic_overlap * np.exp(-((source.rms_angular_bandwidth * tau) ** 2))
     return float(x) if np.isscalar(delay_s) or tau.ndim == 0 else x
 
@@ -511,8 +515,8 @@ class CoincidenceScan:
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have the same length as delays")
-            if np.any(arr < 0):
-                raise ValueError(f"{name} must be nonnegative")
+            if not np.all((arr >= 0) & (arr < np.inf)):
+                raise ValueError(f"{name} must be finite and nonnegative")
 
 
 def hom_scan(circuit: "ProgrammedCircuit", source: PhotonPairSource, delays) -> CoincidenceScan:
@@ -556,6 +560,15 @@ def montecarlo_counts(
     Returns ``(singles_m, singles_n, coincidences)`` as integer counts.
     Deterministic in ``seed`` and independent of how the fixed-size pulse
     chunks would be distributed over workers.
+
+    Stream contract: pulses come in chunks of 65536, chunk ``c`` drawing
+    from ``rng_for(seed, 2, c)``.  A chunk makes one Poisson draw of its
+    pair counts.  Then, in round ``r = 0, 1, ...``, the ``n_r`` pulses
+    holding more than ``r`` pairs, in pulse order, draw ``random(n_r)``
+    (the pair is indistinguishable where the draw is below the overlap)
+    and then ``random(n_r)`` (the outcome, by inverse transform of the
+    cumulative six-outcome distribution).  Pulses without a pair draw
+    nothing after the Poisson draw.
     """
     if int(n_pulses) != n_pulses or n_pulses < 1:
         raise ValueError(f"n_pulses must be a positive integer, got {n_pulses}")
@@ -572,24 +585,24 @@ def montecarlo_counts(
         size = min(_MC_CHUNK, n_pulses - start)
         rng = rng_for(seed, _STREAM_MONTECARLO, chunk_index)
         pairs = rng.poisson(mu, size)
-        photons_m = np.zeros(size, dtype=np.int64)
-        photons_n = np.zeros(size, dtype=np.int64)
-        for round_idx in range(int(pairs.max()) if size else 0):
-            active = pairs > round_idx
-            count = int(active.sum())
-            if count == 0:
-                break
+        # a pulse without a pair cannot click, so only pulses with pairs are kept
+        held = pairs[pairs > 0]
+        click_m = np.zeros(held.size, dtype=bool)
+        click_n = np.zeros(held.size, dtype=bool)
+        live, count, rounds = slice(None), held.size, 0
+        while count:
             quantum = rng.random(count) < x
             u = rng.random(count)
-            outcome = np.where(
-                quantum,
-                np.searchsorted(cum_ind, u, side="right"),
-                np.searchsorted(cum_dist, u, side="right"),
-            )
-            photons_m[active] += _PHOTONS_M[outcome]
-            photons_n[active] += _PHOTONS_N[outcome]
-        click_m = photons_m > 0
-        click_n = photons_n > 0
+            # searchsorted(cum, u, side="right") for each pulse's own cum: the
+            # count of its thresholds <= u, the last (1.0) never counting
+            outcome = np.zeros(count, dtype=np.intp)
+            for ci, cd in zip(cum_ind[:-1], cum_dist[:-1]):
+                outcome += np.where(quantum, ci, cd) <= u
+            click_m[live] |= _CLICKS_M[outcome]
+            click_n[live] |= _CLICKS_N[outcome]
+            rounds += 1
+            live = np.flatnonzero(held > rounds)
+            count = live.size
         singles_m += int(click_m.sum())
         singles_n += int(click_n.sum())
         coincidences += int((click_m & click_n).sum())

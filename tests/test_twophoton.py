@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from specklesim.medium import haar_unitary
 from specklesim.rng import rng_for
-from specklesim.shaping import ideal_circuit
+from specklesim.shaping import ProgrammedCircuit, ideal_circuit
 from specklesim.twophoton import (
+    CoincidenceScan,
     EmbeddabilityError,
     OutcomeDistribution,
     PhotonPairSource,
@@ -377,6 +378,40 @@ def test_source_validation():
         PhotonPairSource(rms_angular_bandwidth=0.0, intrinsic_overlap=0.5, mean_pairs_per_pulse=0.1)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("rms_angular_bandwidth", math.nan),
+        ("rms_angular_bandwidth", math.inf),
+        ("intrinsic_overlap", math.nan),
+        ("mean_pairs_per_pulse", math.nan),
+        ("mean_pairs_per_pulse", math.inf),
+    ],
+)
+def test_source_rejects_non_finite_values_naming_the_field(field, value):
+    settings = {"rms_angular_bandwidth": 1e12, "intrinsic_overlap": 0.5, "mean_pairs_per_pulse": 0.1, field: value}
+    with pytest.raises(ValueError, match=f"^{field}: expected "):
+        PhotonPairSource(**settings)
+
+
+@pytest.mark.parametrize("fwhm", [math.nan, math.inf, 0.0])
+def test_filter_width_must_be_positive_and_finite(fwhm):
+    with pytest.raises(ValueError, match="^fwhm_nm: expected positive number"):
+        source_preset("filtered", filter_fwhm_nm=fwhm)
+
+
+@pytest.mark.parametrize("delay", [math.nan, math.inf, [0.0, math.nan]])
+def test_non_finite_delays_are_rejected(delay):
+    source = source_preset("filtered")
+    with pytest.raises(ValueError, match="^delay_s: expected finite delays"):
+        overlap_from_delay(source, delay)
+    with pytest.raises(ValueError, match="^delay_s: expected finite delays"):
+        hom_scan(ideal_circuit(0.5, math.pi), source, np.atleast_1d(delay))
+    if np.ndim(delay) == 0:
+        with pytest.raises(ValueError, match="^delay_s: expected finite delays"):
+            montecarlo_counts(ideal_circuit(0.5, math.pi), source, 100, seed=1, delay_s=delay)
+
+
 # ---------------------------------------------------------------------------
 # visibility
 # ---------------------------------------------------------------------------
@@ -423,6 +458,15 @@ def test_hom_scan_source_limited_visibility():
     scan = hom_scan(circuit, source, [0.0, 1e-9])
     v = scan.coincidence_rate[0] / scan.coincidence_rate[1] - 1.0
     assert abs(v + 0.86) < 1e-9
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("name", ["coincidence_rate", "singles_m", "singles_n"])
+def test_coincidence_scan_requires_finite_nonnegative_rates(name, rate):
+    rates = {"coincidence_rate": [1.0, 2.0], "singles_m": [3.0, 4.0], "singles_n": [5.0, 6.0]}
+    rates[name] = [1.0, rate]
+    with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative"):
+        CoincidenceScan(delays=[0.0, 1e-12], **rates)
 
 
 def test_hom_scan_rejects_bad_input():
@@ -530,15 +574,80 @@ def test_montecarlo_estimator_consistency():
     [
         ("filtered", (3317, 3349, 1322), (3695, 3732, 863)),
         ("highpower", (155206, 155374, 67877), (166253, 166250, 56577)),
+        # many rounds per pulse, and a partial last chunk
+        pytest.param(
+            ("broadband", 3.0, 70_001, 5),
+            (44465, 44440, 32181),
+            (46395, 46549, 33096),
+            id="broadband-mu3-n70001-seed5",
+        ),
     ],
 )
 def test_montecarlo_counts_are_pinned(preset, at_zero, at_reference):
     # exact counts of the chunked sampler; a kernel rewrite must keep its draw order
+    name, mu, n_pulses, seed = preset if isinstance(preset, tuple) else (preset, None, 10**6, 3)
     circuit = ideal_circuit(0.45, math.pi / 4)
-    source = source_preset(preset)
-    assert montecarlo_counts(circuit, source, 10**6, seed=3) == at_zero
+    source = source_preset(name, mean_pairs_per_pulse=mu)
+    assert montecarlo_counts(circuit, source, n_pulses, seed=seed) == at_zero
     far = 10.0 / source.rms_angular_bandwidth
-    assert montecarlo_counts(circuit, source, 10**6, seed=3, delay_s=far) == at_reference
+    assert montecarlo_counts(circuit, source, n_pulses, seed=seed, delay_s=far) == at_reference
+
+
+def dense_montecarlo_counts(circuit, source, n_pulses, seed, delay_s=0.0):
+    """Reference kernel: every pulse of a chunk in every round, two lookups per pair.
+
+    Same stream contract as ``montecarlo_counts``: 65536-pulse chunks, chunk
+    ``c`` on ``rng_for(seed, 2, c)``, one Poisson draw, then per round one
+    overlap and one outcome draw over the pulses holding more pairs.
+    """
+    photons_m_of = np.array([2, 0, 1, 1, 0, 0])
+    photons_n_of = np.array([0, 2, 1, 0, 1, 0])
+    x = overlap_from_delay(source, delay_s)
+    cum_ind, cum_dist = (np.cumsum(p / p.sum()) for p in pair_outcome_components(circuit.sub_matrix))
+    cum_ind[-1] = cum_dist[-1] = 1.0
+    singles_m = singles_n = coincidences = 0
+    for chunk_index, start in enumerate(range(0, n_pulses, 1 << 16)):
+        size = min(1 << 16, n_pulses - start)
+        rng = rng_for(seed, 2, chunk_index)
+        pairs = rng.poisson(source.mean_pairs_per_pulse, size)
+        photons_m = np.zeros(size, dtype=np.int64)
+        photons_n = np.zeros(size, dtype=np.int64)
+        for round_idx in range(int(pairs.max())):
+            active = pairs > round_idx
+            count = int(active.sum())
+            quantum = rng.random(count) < x
+            u = rng.random(count)
+            outcome = np.where(
+                quantum,
+                np.searchsorted(cum_ind, u, side="right"),
+                np.searchsorted(cum_dist, u, side="right"),
+            )
+            photons_m[active] += photons_m_of[outcome]
+            photons_n[active] += photons_n_of[outcome]
+        click_m = photons_m > 0
+        click_n = photons_n > 0
+        singles_m += int(click_m.sum())
+        singles_n += int(click_n.sum())
+        coincidences += int((click_m & click_n).sum())
+    return singles_m, singles_n, coincidences
+
+
+@pytest.mark.parametrize("n_pulses", [1, 65535, 65536, 65537, 70001])
+@pytest.mark.parametrize("mu", [0.0, 1e-3, 0.01, 0.5, 3.0])
+@settings(derandomize=True, deadline=None, max_examples=6)
+@given(
+    block=contractions(),
+    overlap=st.floats(0.0, 1.0),
+    far=st.booleans(),
+    seed=st.one_of(st.just(2**64 - 1), st.integers(0, 2**64 - 1)),
+)
+def test_sparse_kernel_matches_the_dense_reference(mu, n_pulses, block, overlap, far, seed):
+    circuit = ProgrammedCircuit(block, 0.0)
+    source = source_preset("broadband", overlap=overlap, mean_pairs_per_pulse=mu)
+    delay = 10.0 / source.rms_angular_bandwidth if far else 0.0
+    assert montecarlo_counts(circuit, source, n_pulses, seed, delay_s=delay) == dense_montecarlo_counts(
+        circuit, source, n_pulses, seed, delay
+    )
 
 
 def test_montecarlo_validation():
