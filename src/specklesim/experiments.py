@@ -24,8 +24,15 @@ import numpy as np
 
 from . import __version__
 from .config import ScenarioConfig, format_config
-from .medium import TransmissionMatrix, gaussian_transmission_matrix, haar_unitary, matrix_bytes
-from .rng import child_seed
+from .medium import (
+    _STREAM_BACKGROUND,
+    MatrixKind,
+    TransmissionMatrix,
+    gaussian_transmission_matrix,
+    haar_unitary,
+    matrix_bytes,
+)
+from .rng import child_seed, rng_for
 from .shaping import (
     ClassicalScan,
     DegenerateFitError,
@@ -38,7 +45,6 @@ from .shaping import (
     ideal_circuit,
     mode_templates,
     optimize_pattern,
-    shaped_input,
     target_intensity,
 )
 from .twophoton import (
@@ -86,6 +92,9 @@ __all__ = [
 # child-seed derivation tags (part of the determinism contract)
 _TAG_ALPHA_POINT = 1
 _TAG_STUDY = 2
+# Version of the rules mapping a seed to draws; 2 takes the enhancement
+# background from its Gamma law.
+_STREAM_CONTRACT = 2
 
 
 def build_medium(config: ScenarioConfig, master_seed: int) -> TransmissionMatrix:
@@ -427,11 +436,23 @@ def focusing_enhancement(
     """Enhancement of one output when every input channel is one segment.
 
     The optimized target intensity divided by the mean unshaped speckle
-    intensity over all outputs.
+    intensity ``|T f0|^2`` over all outputs, ``f0`` being the zero-phase
+    template field.  Only the target row is read.  ``f0`` has unit norm
+    and Gaussian entries have variance ``1/n_in``, so every other row's
+    ``|row . f0|^2`` is exponential with mean ``1/n_in``, independent of
+    the target row, and their sum is exactly Gamma(``n_out - 1``, scale
+    ``1/n_in``): one draw from the medium seed's background substream.
+    The background is that draw plus the target row's own unshaped
+    ``|row . f0|^2``, over ``n_out``.  Reading row ``target`` draws the
+    rows before it too; they are ignored.  The law needs i.i.d. Gaussian
+    entries, so a unitary medium is rejected.
     """
+    if medium.kind is not MatrixKind.GAUSSIAN:
+        raise ValueError(f"focusing_enhancement needs a gaussian medium, got {medium.kind.value}")
     template = mode_templates(medium.n_in)[0]
     pattern = optimize_pattern(medium, template, target, method, steps)
-    background = float(np.mean(np.abs(medium.entries @ shaped_input(template, medium.n_in)) ** 2))
+    others = rng_for(medium.seed, _STREAM_BACKGROUND).gamma(medium.n_out - 1, 1.0 / medium.n_in)
+    background = (target_intensity(medium, template, target) + others) / medium.n_out
     return target_intensity(medium, pattern, target) / background
 
 
@@ -441,7 +462,9 @@ def run_enhancement_study(
     """Measure the focusing enhancement against the phase-only law.
 
     For each segment count, ``config.seeds`` fresh media are drawn and
-    their :func:`focusing_enhancement` at ``output_m`` is averaged.  The
+    their :func:`focusing_enhancement` at ``output_m`` is averaged.  Each
+    medium draws rows up to ``output_m`` only; the unshaped background
+    of the other outputs is one draw from its exact Gamma law.  The
     prediction for ``N`` phase-only segments is ``1 + (pi/4) (N - 1)``.
     """
     rows: list[EnhancementRow] = []
@@ -480,12 +503,13 @@ def emit_scenario(
 
     Every file is named ``<scenario>_seed<seed>.<name>``.  A ``str`` value
     is written as text with LF line ends, a ``bytes`` value as is.  The
-    manifest holds the scenario, artifact version and master seed as
-    ``#`` comment lines, then :func:`~specklesim.config.format_config` of
-    the config.  An existing manifest is never overwritten unless
-    ``force`` is set.  Each file is written under a temporary name and
-    renamed into place, and the manifest comes last, so a failed write
-    leaves no manifest behind.  Returns the manifest path.
+    manifest holds the scenario, artifact version, stream contract, numpy
+    version and master seed as ``#`` comment lines, then
+    :func:`~specklesim.config.format_config` of the config.  An existing
+    manifest is never overwritten unless ``force`` is set.  Each file is
+    written under a temporary name and renamed into place, and the
+    manifest comes last, so a failed write leaves no manifest behind.
+    Returns the manifest path.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -493,7 +517,13 @@ def emit_scenario(
     manifest_path = out / f"{prefix}.manifest.txt"
     if manifest_path.exists() and not force:
         raise FileExistsError(f"{manifest_path} already exists; pass force/--force to overwrite")
-    provenance = {"scenario": scenario, "artifact_version": __version__, "master_seed": master_seed}
+    provenance = {
+        "scenario": scenario,
+        "artifact_version": __version__,
+        "stream_contract": _STREAM_CONTRACT,
+        "numpy": np.__version__,
+        "master_seed": master_seed,
+    }
     text = "".join(f"# {key} = {value}\n" for key, value in provenance.items())
     if config is not None:
         text += format_config(config)

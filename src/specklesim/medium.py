@@ -45,6 +45,9 @@ _UNITARITY_TOL = 1e-10
 # Stream tags keeping the two ensembles on disjoint substreams of one seed.
 _STREAM_GAUSSIAN = 0
 _STREAM_UNITARY = 1
+# Tag 2 is Monte Carlo counting's; tag 3 draws the enhancement background
+# that a Gaussian medium's unread rows would give.
+_STREAM_BACKGROUND = 3
 
 
 class MatrixKind(enum.Enum):

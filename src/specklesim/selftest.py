@@ -17,7 +17,7 @@ from .config import ScenarioConfig, format_config, parse_config
 from .experiments import analytic_visibility, emit_scenario, focusing_enhancement, program_circuit, run_alpha_scan
 from .medium import gaussian_transmission_matrix, haar_unitary, load_matrix, save_matrix, transmit
 from .rng import rng_for
-from .shaping import ideal_circuit, phase_distance
+from .shaping import ideal_circuit, mode_templates, optimize_pattern, phase_distance, shaped_input, target_intensity
 from .twophoton import (
     EmbeddabilityError,
     embeddability_bound,
@@ -178,9 +178,19 @@ def _check_programmed_phase() -> None:
 
 def _check_enhancement() -> None:
     media = [gaussian_transmission_matrix(256, 64, 3000 + seed) for seed in range(10)]
-    ratios = [focusing_enhancement(medium, 0) for medium in media]
+    gamma_route = float(np.mean([focusing_enhancement(medium, 0) for medium in media]))
+    # oracle: the background summed over every row of each drawn medium
+    template = mode_templates(64)[0]
+    flat = shaped_input(template, 64)
+    whole_route = float(np.mean([
+        target_intensity(medium, optimize_pattern(medium, template, 0), 0)
+        / np.mean(np.abs(medium.entries @ flat) ** 2)
+        for medium in media
+    ]))
+    _require(abs(gamma_route / whole_route - 1.0) < 0.1, f"enhancement {gamma_route} vs whole medium {whole_route}")
     law = 1.0 + (math.pi / 4.0) * 63
-    _require(abs(np.mean(ratios) / law - 1.0) < 0.2, f"enhancement {np.mean(ratios)} vs law {law}")
+    for route, value in (("gamma", gamma_route), ("whole-medium", whole_route)):
+        _require(abs(value / law - 1.0) < 0.2, f"{route} enhancement {value} vs law {law}")
 
 
 def _check_mc_determinism() -> None:

@@ -511,6 +511,8 @@ class CoincidenceScan:
         n = self.delays.shape[0]
         if n == 0:
             raise ValueError("scan must contain at least one delay")
+        if not np.all(np.isfinite(self.delays)):
+            raise ValueError("delays must be finite")
         for name in ("coincidence_rate", "singles_m", "singles_n"):
             arr = getattr(self, name)
             if arr.shape != (n,):

@@ -13,6 +13,7 @@ from specklesim.experiments import (
     dip_half_width,
     emit_scenario,
     fit_visibility_cosine,
+    focusing_enhancement,
     montecarlo_visibility,
     program_circuit,
     reference_delay,
@@ -25,8 +26,16 @@ from specklesim.experiments import (
     run_program,
 )
 from specklesim.config import parse_config
+from specklesim.medium import gaussian_transmission_matrix, haar_unitary
 from specklesim.rng import rng_for
-from specklesim.shaping import DegenerateFitError, ideal_circuit
+from specklesim.shaping import (
+    DegenerateFitError,
+    ideal_circuit,
+    mode_templates,
+    optimize_pattern,
+    shaped_input,
+    target_intensity,
+)
 from specklesim.twophoton import hom_scan, overlap_from_delay, source_preset
 
 
@@ -274,6 +283,56 @@ def test_enhancement_study_one_segment_is_uncontrolled():
     assert abs(rows[0].mean_enhancement - 1.0) < 0.25
 
 
+def _whole_medium_enhancement(medium, target):
+    """The oracle route: the unshaped background averaged over every row of the medium."""
+    template = mode_templates(medium.n_in)[0]
+    background = np.mean(np.abs(medium.entries @ shaped_input(template, medium.n_in)) ** 2)
+    return target_intensity(medium, optimize_pattern(medium, template, target), target) / background
+
+
+def _ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov distance: the largest gap between the empirical CDFs."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, grid, side="right") / a.size
+    cdf_b = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+@pytest.mark.parametrize("n_out, n_in, replicates", [(8, 64, 1000), (400, 256, 300)])
+def test_gamma_background_has_the_whole_medium_law(n_out, n_in, replicates):
+    # Disjoint seeds make the two routes' ratios independent samples, as the
+    # two-sample test requires.  At small n_out the target row's own term is
+    # an eighth of the background, so taking it from the shaped field instead
+    # of the zero-phase one would shift the law far past the critical distance.
+    gamma_route = [
+        focusing_enhancement(gaussian_transmission_matrix(n_out, n_in, seed), 0) for seed in range(replicates)
+    ]
+    whole_route = [
+        _whole_medium_enhancement(gaussian_transmission_matrix(n_out, n_in, seed), 0)
+        for seed in range(replicates, 2 * replicates)
+    ]
+    critical = 1.949 * math.sqrt(2.0 / replicates)  # significance 0.001
+    assert _ks_distance(gamma_route, whole_route) < critical
+
+
+def test_one_output_background_is_the_targets_own_term():
+    medium = gaussian_transmission_matrix(1, 64, seed=9)
+    assert focusing_enhancement(medium, 0) == pytest.approx(_whole_medium_enhancement(medium, 0), rel=1e-12)
+
+
+def test_enhancement_rejects_a_unitary_medium():
+    with pytest.raises(ValueError, match="gaussian medium"):
+        focusing_enhancement(haar_unitary(8, seed=1), 0)
+
+
+@pytest.mark.parametrize("target", [0, 5])
+def test_enhancement_draws_rows_up_to_the_target_only(target):
+    medium = gaussian_transmission_matrix(4000, 64, seed=4)
+    focusing_enhancement(medium, target)
+    assert medium._drawn == target + 1
+
+
 # ---------------------------------------------------------------------------
 # monte carlo visibility vs pump power
 # ---------------------------------------------------------------------------
@@ -364,6 +423,7 @@ def test_manifest_contents(tmp_path):
     manifest = (tmp_path / "alpha-scan_seed9.manifest.txt").read_text()
     assert "scenario = alpha-scan\n" in manifest
     assert "master_seed = 9\n" in manifest
+    assert f"# stream_contract = 2\n# numpy = {np.__version__}\n" in manifest
     assert "segments = 960\n" in manifest
 
 

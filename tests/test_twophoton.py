@@ -469,6 +469,12 @@ def test_coincidence_scan_requires_finite_nonnegative_rates(name, rate):
         CoincidenceScan(delays=[0.0, 1e-12], **rates)
 
 
+@pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf])
+def test_coincidence_scan_requires_finite_delays(delay):
+    with pytest.raises(ValueError, match="^delays must be finite"):
+        CoincidenceScan(delays=[0.0, delay], coincidence_rate=[1.0, 2.0], singles_m=[3.0, 4.0], singles_n=[5.0, 6.0])
+
+
 def test_hom_scan_rejects_bad_input():
     circuit = ideal_circuit(0.9, math.pi)  # sigma_max > 1
     source = source_preset("filtered")
