@@ -283,8 +283,10 @@ def format_config(config: ScenarioConfig) -> str:
     """Config text that :func:`parse_config` reads back to ``config``.
 
     Every field that is not ``None`` is written in field order; floats
-    carry 17 significant digits and grids are comma lists, so values
-    survive the round trip exactly.
+    carry 17 significant digits, and a grid is written as
+    ``start:stop:count`` when that text parses back to the same grid bit
+    for bit, else as a comma list, so values survive the round trip
+    exactly.
     """
     lines = []
     for f in fields(config):
@@ -295,6 +297,10 @@ def format_config(config: ScenarioConfig) -> str:
 
 
 def _format_value(value) -> str:
+    if isinstance(value, np.ndarray):
+        compact = f"{value[0]:.17g}:{value[-1]:.17g}:{value.size}"
+        if parse_grid(compact).tobytes() == value.tobytes():  # bytes, so a -0.0 start is kept
+            return compact
     if isinstance(value, (np.ndarray, tuple)):
         return ",".join(_format_value(item) for item in value)
     return f"{value:.17g}" if isinstance(value, float) else str(value)

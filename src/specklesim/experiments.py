@@ -160,7 +160,11 @@ def reference_delay(source: PhotonPairSource) -> float:
 
 
 def analytic_visibility(circuit: ProgrammedCircuit, source: PhotonPairSource) -> VisibilityResult:
-    """Noiseless visibility: zero-delay rate against the far-delay baseline."""
+    """Noiseless visibility: zero-delay rate against the far-delay baseline.
+
+    This is ``counting = analytic``.  It reads :func:`hom_scan`, so it is
+    the ``mu -> 0`` limit and ignores multi-pair emission.
+    """
     scan = hom_scan(circuit, source, [0.0, reference_delay(source)])
     return visibility(scan.coincidence_rate[0], scan.coincidence_rate[1])
 
@@ -449,7 +453,7 @@ def focusing_enhancement(
     """
     if medium.kind is not MatrixKind.GAUSSIAN:
         raise ValueError(f"focusing_enhancement needs a gaussian medium, got {medium.kind.value}")
-    template = mode_templates(medium.n_in)[0]
+    template = PhasePattern(np.zeros(medium.n_in), "k", np.arange(medium.n_in))
     pattern = optimize_pattern(medium, template, target, method, steps)
     others = rng_for(medium.seed, _STREAM_BACKGROUND).gamma(medium.n_out - 1, 1.0 / medium.n_in)
     background = (target_intensity(medium, template, target) + others) / medium.n_out

@@ -208,11 +208,18 @@ def _check_alpha_scan() -> None:
 
 
 def _check_manifest() -> None:
-    config = ScenarioConfig(circuit="ideal", alpha_grid=np.linspace(0.0, math.pi, 3))
-    _, files = run_alpha_scan(config, master_seed=0)
-    with tempfile.TemporaryDirectory() as tmp:
-        text = emit_scenario(tmp, "alpha-scan", 0, files, config).read_text()
-    again = parse_config(text)
-    body = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("#"))
-    _require(format_config(again) == body, "manifest does not format back to the same text")
-    _require(run_alpha_scan(again, master_seed=0)[1] == files, "manifest does not re-run to the same files")
+    # the three default grids are written as start:stop:count, a grid off linspace as a comma list
+    off_linspace = ScenarioConfig(circuit="ideal", alpha_grid=[0.0, 1.0, math.pi])
+    for config, compact in ((ScenarioConfig(circuit="ideal"), 3), (off_linspace, 2)):
+        _, files = run_alpha_scan(config, master_seed=0)
+        with tempfile.TemporaryDirectory() as tmp:
+            text = emit_scenario(tmp, "alpha-scan", 0, files, config).read_text()
+        again = parse_config(text)
+        body = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("#"))
+        _require(format_config(again) == body, "manifest does not format back to the same text")
+        written = sum(":" in line for line in body.splitlines())
+        _require(written == compact, f"{written} grids written as start:stop:count, expected {compact}")
+        for name in ("alpha_grid", "delta_theta_grid", "delay_grid"):
+            same = getattr(again, name).tobytes() == getattr(config, name).tobytes()
+            _require(same, f"{name} does not survive the manifest bit for bit")
+        _require(run_alpha_scan(again, master_seed=0)[1] == files, "manifest does not re-run to the same files")

@@ -89,11 +89,12 @@ class PhasePattern:
             raise ValueError("pattern needs at least one segment")
         if channels.shape != phases.shape:
             raise ValueError("segment_to_channel must map every segment")
-        if np.any(~np.isfinite(phases)) or np.any(phases < 0.0) or np.any(phases >= TWO_PI):
+        if not np.all((phases >= 0.0) & (phases < TWO_PI)):  # NaN fails both comparisons
             raise ValueError("phases must lie in [0, 2*pi)")
         if np.any(channels < 0):
             raise ValueError("channel indices must be nonnegative")
-        if np.unique(channels).size != channels.size:
+        ordered = np.sort(channels)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("segment_to_channel must be injective")
 
     @property

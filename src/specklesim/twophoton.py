@@ -530,6 +530,11 @@ def hom_scan(circuit: "ProgrammedCircuit", source: PhotonPairSource, delays) -> 
     pulse rate.  At large delay the coincidence rate settles on the
     distinguishable baseline; at zero delay the relative modulation is
     ``intrinsic_overlap * cos(alpha)`` for an ideally programmed circuit.
+
+    The rates are linear in ``mean_pairs_per_pulse``: this is the
+    ``mu -> 0`` limit, which ignores multi-pair emission.
+    :func:`montecarlo_counts` draws Poisson pair numbers and shows the
+    multi-pair loss of visibility.
     """
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 1 or delays.size == 0:

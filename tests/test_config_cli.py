@@ -218,6 +218,45 @@ def test_format_config_is_the_inverse_of_parse_config(config):
             assert type(after) is type(before) and after == before
 
 
+def _one_ulp_off(grid: np.ndarray, index: int) -> np.ndarray:
+    moved = grid.copy()
+    moved[index % grid.size] = np.nextafter(moved[index % grid.size], np.inf)
+    return moved
+
+
+_ENDS = st.floats(-1e300, 1e300)
+_LINSPACE = st.builds(np.linspace, _ENDS, _ENDS, st.integers(1, 300))
+_GRIDS = st.one_of(
+    _LINSPACE,
+    st.lists(_ENDS, min_size=1, max_size=2).map(np.array),
+    st.builds(lambda stop, count: np.linspace(-0.0, stop, count), _ENDS, st.integers(1, 20)),
+    st.builds(lambda stop, count: np.r_[-0.0, np.linspace(0.0, stop, count)[1:]], _ENDS, st.integers(1, 20)),
+    st.builds(_one_ulp_off, _LINSPACE, st.integers(0, 299)),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30).map(np.array),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(_GRIDS)
+def test_grids_round_trip_bit_for_bit(grid):
+    text = format_config(ScenarioConfig(alpha_grid=grid, delta_theta_grid=grid, delay_grid=grid))
+    again = parse_config(text)
+    for name in ("alpha_grid", "delta_theta_grid", "delay_grid"):
+        assert getattr(again, name).tobytes() == grid.tobytes()
+    (written,) = [line.partition(" = ")[2] for line in text.splitlines() if line.startswith("alpha_grid = ")]
+    with np.errstate(all="ignore"):
+        spaced = np.linspace(grid[0], grid[-1], grid.size)
+    assert (":" in written) == (spaced.tobytes() == grid.tobytes())
+
+
+def test_default_grids_are_written_compact_and_others_as_lists():
+    text = format_config(ScenarioConfig(alpha_grid=[-0.0, 1.0, 2.0], delay_grid=_one_ulp_off(np.linspace(0, 1, 5), 2)))
+    assert "\ndelta_theta_grid = 0:6.2831853071795862:25\n" in text
+    assert "\nalpha_grid = -0,1,2\n" in text
+    assert "\ndelay_grid = 0,0.25,0.50000000000000011,0.75,1\n" in text
+    assert "\ndelay_grid = -3.0000000000000001e-12:3.0000000000000001e-12:241\n" in format_config(ScenarioConfig())
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

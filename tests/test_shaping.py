@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specklesim import experiments
 from specklesim.experiments import ScenarioConfig, run_classical_scan, run_optimize, run_program
@@ -38,12 +41,54 @@ def circular_rms_after_offset(a, b):
 
 
 def test_pattern_validation():
-    with pytest.raises(ValueError):
-        PhasePattern(np.array([0.0, 7.0]), "k", np.array([0, 1]))  # phase >= 2 pi
+    for phase in (7.0, TWO_PI, -1e-300, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=re.escape("phases must lie in [0, 2*pi)")):
+            PhasePattern(np.array([0.0, phase, 1.0]), "k", np.array([0, 1, 2]))
     with pytest.raises(ValueError):
         PhasePattern(np.array([0.0, 1.0]), "k", np.array([2, 2]))  # not injective
+    with pytest.raises(ValueError, match="injective"):
+        PhasePattern(np.zeros(5), "k", np.array([7, 1, 2, 3, 7]))  # repeated at the two ends only
     with pytest.raises(ValueError):
         PhasePattern(np.array([]), "k", np.array([], dtype=int))
+
+
+def _unique_and_isfinite_verdict(phases, channels):
+    """The message the ``np.unique``/``isfinite`` checks gave, or None when they accepted."""
+    phases = np.asarray(phases, dtype=float)
+    channels = np.asarray(channels, dtype=np.int64)
+    if np.any(~np.isfinite(phases)) or np.any(phases < 0.0) or np.any(phases >= TWO_PI):
+        return "phases must lie in [0, 2*pi)"
+    if np.any(channels < 0):
+        return "channel indices must be nonnegative"
+    if np.unique(channels).size != channels.size:
+        return "segment_to_channel must be injective"
+    return None
+
+
+_EDGE_PHASES = [math.nan, math.inf, -math.inf, -1e-300, -1.0, -0.0, 0.0, TWO_PI, math.nextafter(TWO_PI, 0.0), 7.0]
+
+
+@st.composite
+def pattern_inputs(draw):
+    size = draw(st.integers(1, 12))
+    phase = st.floats(0.0, TWO_PI, exclude_max=True) | st.sampled_from(_EDGE_PHASES)
+    phases = draw(st.lists(phase, min_size=size, max_size=size))
+    channels = draw(st.lists(st.integers(-2, 15), min_size=size, max_size=size, unique=draw(st.booleans())))
+    if size > 1 and draw(st.booleans()):
+        channels[-1] = channels[0]  # the only repeat may sit at the two ends
+    return phases, channels
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(pattern_inputs())
+def test_pattern_checks_reject_what_unique_and_isfinite_rejected(inputs):
+    phases, channels = inputs
+    expected = _unique_and_isfinite_verdict(phases, channels)
+    if expected is None:
+        PhasePattern(np.array(phases), "k", np.array(channels))
+    else:
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            PhasePattern(np.array(phases), "k", np.array(channels))
 
 
 def test_mode_templates_disjoint_blocks():
