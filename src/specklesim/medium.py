@@ -62,21 +62,25 @@ class TransmissionMatrix:
     channel ``j`` to output channel ``i``.  A Gaussian medium draws rows
     on demand as a prefix of its one row-major stream: :meth:`rows` draws
     up to the last row it reads and ``entries`` the rest, with the bytes
-    of one whole draw.  A medium built from an array holds every row.
-    Instances are immutable, and a lock guards the draw, so they are safe
-    to share across workers.
+    of one whole draw.  It holds only the rows drawn so far, so a medium
+    read at a few rows costs a few rows of memory.  A medium built from an
+    array holds every row.  Instances are immutable, and a lock guards the
+    draw, so they are safe to share across workers.
     """
 
     def __init__(self, entries, kind: MatrixKind, seed: int, *, _stream=None) -> None:
         entries = np.asarray(entries, dtype=np.complex128)
-        if entries.ndim != 2 or entries.shape[0] < 1 or entries.shape[1] < 1:
-            raise ValueError(f"entries must be a 2-d matrix with positive dims, got shape {entries.shape}")
+        # _stream is (generator, scale, n_out): entries holds no row yet and
+        # the generator fills rows as they are read.
+        shape = (entries.shape[:1] if _stream is None else (_stream[2],)) + entries.shape[1:]
+        if len(shape) != 2 or min(shape) < 1:
+            raise ValueError(f"entries must be a 2-d matrix with positive dims, got shape {shape}")
         check_seed(seed)
         self.kind = kind
         self.seed = seed
-        self.n_out, self.n_in = entries.shape
+        self.n_out, self.n_in = shape
         self._entries = entries
-        self._stream = _stream  # (generator, scale) filling the undrawn rows, or None
+        self._stream = _stream
         self._drawn = 0
         self._lock = threading.Lock()
         if _stream is None:
@@ -89,33 +93,41 @@ class TransmissionMatrix:
                 raise ValueError(f"matrix is not unitary within {_UNITARITY_TOL}")
 
     def __setattr__(self, name: str, value) -> None:
-        if name != "_drawn" and name in self.__dict__:  # all set once, in __init__
+        if name not in ("_drawn", "_entries") and name in self.__dict__:  # all set once, in __init__
             raise AttributeError(f"cannot assign {name!r}: a medium is immutable")
         object.__setattr__(self, name, value)
 
     @property
     def entries(self) -> np.ndarray:
-        self._draw_to(self.n_out)
-        return self._entries
+        return self._draw_to(self.n_out)
 
     def rows(self, idx) -> np.ndarray:
         """``entries[idx]`` for output rows ``idx``, drawing only up to ``max(idx) + 1``."""
         flat = np.asarray(idx)
         if flat.size == 0 or flat.dtype.kind not in "iu" or flat.min() < 0 or flat.max() >= self.n_out:
             raise ValueError(f"rows {idx!r} must be a non-empty selection of [0, {self.n_out})")
-        self._draw_to(int(flat.max()) + 1)
-        return self._entries[flat.tolist()]
+        return self._draw_to(int(flat.max()) + 1)[flat.tolist()]
 
-    def _draw_to(self, stop: int) -> None:
+    def _draw_to(self, stop: int) -> np.ndarray:
+        """Draw rows up to ``stop``; returns a buffer whose first ``stop`` rows are drawn."""
         with self._lock:
             if stop <= self._drawn:
-                return
+                return self._entries
+            if stop > self._entries.shape[0]:
+                # Grow to at least twice the rows held, so reading row by row
+                # copies each row O(1) times; the full matrix is never
+                # allocated before it is read.
+                held = min(self.n_out, max(stop, 2 * self._entries.shape[0]))
+                grown = np.empty((held, self.n_in), dtype=np.complex128)
+                grown[: self._drawn] = self._entries[: self._drawn]
+                self._entries = grown
             block = self._entries[self._drawn:stop]
             if self._stream is not None:
-                _fill_normal(*self._stream, block)
+                _fill_normal(self._stream[0], self._stream[1], block)
             if not np.all(np.isfinite(block.view(np.float64))):
                 raise ValueError("entries must all be finite")
             self._drawn = stop
+            return self._entries
 
 
 def gaussian_transmission_matrix(n_out: int, n_in: int, seed: int) -> TransmissionMatrix:
@@ -138,9 +150,8 @@ def gaussian_transmission_matrix(n_out: int, n_in: int, seed: int) -> Transmissi
     programmed-circuit amplitudes.
     """
     _check_dims(n_out, n_in)
-    stream = (rng_for(check_seed(seed), _STREAM_GAUSSIAN), np.sqrt(0.5 / n_in))
-    undrawn = np.empty((n_out, n_in), dtype=np.complex128)
-    return TransmissionMatrix(undrawn, MatrixKind.GAUSSIAN, seed, _stream=stream)
+    stream = (rng_for(check_seed(seed), _STREAM_GAUSSIAN), np.sqrt(0.5 / n_in), n_out)
+    return TransmissionMatrix(np.empty((0, n_in)), MatrixKind.GAUSSIAN, seed, _stream=stream)
 
 
 def haar_unitary(n: int, seed: int) -> TransmissionMatrix:

@@ -329,7 +329,17 @@ def test_two_rows_of_a_reference_medium_draw_two_rows():
     assert medium._drawn == 0
     picked = medium.rows([0, 1])
     assert medium._drawn == 2
+    assert medium._entries.shape == (2, 1920)  # no buffer for the 3998 unread rows
     assert picked.tobytes() == _whole_draw(2, 1920, 0).tobytes()
+
+
+def test_rows_read_one_by_one_hold_at_most_twice_the_rows_drawn():
+    whole = _whole_draw(37, 4, 9)
+    medium = gaussian_transmission_matrix(37, 4, seed=9)
+    for row in range(37):
+        assert medium.rows(row).tobytes() == whole[row].tobytes()
+        assert row + 1 <= medium._entries.shape[0] <= min(37, 2 * (row + 1))
+    assert medium.entries.shape == (37, 4)
 
 
 @pytest.mark.parametrize("idx", [-1, 5, [], [0, 5], [-1, 0], 1.0])
