@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .twophoton import SOURCE_PRESETS
+from .twophoton import SOURCE_PRESETS, rms_bandwidth_from_filter_fwhm
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "format_config", "parse_angle", "parse_grid"]
 
@@ -67,7 +67,8 @@ _NUMBERS: dict[str, tuple[str, Callable[[float], bool]]] = {
     "t": ("nonnegative number", lambda x: 0.0 <= x < math.inf),
     "alpha": ("finite angle", math.isfinite),
     "overlap": ("number in [0, 1]", lambda x: 0.0 <= x <= 1.0),
-    "bandwidth_fwhm_nm": ("positive number", lambda x: 0.0 < x < math.inf),
+    "bandwidth_fwhm_nm": ("positive number with a finite rms bandwidth",
+                          lambda x: 0.0 < x < math.inf and math.isfinite(rms_bandwidth_from_filter_fwhm(x))),
     "mean_pairs_per_pulse": ("nonnegative number", lambda x: 0.0 <= x < math.inf),
 }
 _GRIDS = ("alpha_grid", "delta_theta_grid", "delay_grid")

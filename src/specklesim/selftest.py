@@ -44,6 +44,7 @@ def run_selftest(quiet: bool = False) -> bool:
         ("permanent against the definition", _check_permanent),
         ("two-photon completeness on a unitary", _check_completeness),
         ("visibility cosine law", _check_cosine_law),
+        ("stepped shaping matches analytic", _check_stepped),
         ("programmed-phase fidelity", _check_programmed_phase),
         ("enhancement law (quick)", _check_enhancement),
         ("monte carlo determinism", _check_mc_determinism),
@@ -165,6 +166,24 @@ def _check_cosine_law() -> None:
         v = analytic_visibility(circuit, source).v
         expected = source.intrinsic_overlap * math.cos(alpha)
         _require(abs(v - expected) < 1e-9, f"visibility {v} != overlap*cos(alpha) {expected}")
+
+
+def _check_stepped() -> None:
+    # the bounds of the stepped-shaping tests; the stepped phases deviate
+    # by ~1/sqrt(segments), so smaller patterns would miss them
+    template = mode_templates(960)[0]
+    rms, offsets = [], []
+    for seed in range(1300, 1305):
+        medium = gaussian_transmission_matrix(4, 960, seed)
+        delta = np.angle(np.exp(1j * (
+            optimize_pattern(medium, template, 0, method="stepped", steps=8).phases
+            - optimize_pattern(medium, template, 0).phases
+        )))
+        offset = float(np.angle(np.mean(np.exp(1j * delta))))
+        rms.append(math.sqrt(float(np.mean(np.angle(np.exp(1j * (delta - offset))) ** 2))))
+        offsets.append(abs(offset))
+    _require(float(np.median(rms)) < 0.1, f"median rms deviation {np.median(rms)} from analytic phases")
+    _require(max(offsets) < 0.01, f"stepped phase origin off by up to {max(offsets)}")
 
 
 def _check_programmed_phase() -> None:

@@ -57,6 +57,10 @@ TWO_PI = 2.0 * math.pi
 # Input channel whose transmission phase serves as the global phase origin.
 REFERENCE_CHANNEL = 0
 
+# fit_sine needs det / trace**2 of its 2x2 normal equations (about their reciprocal
+# condition number) above this
+_FIT_RCOND = 1e-12
+
 
 class DegenerateFitError(ValueError):
     """Least-squares fit has singular normal equations."""
@@ -160,9 +164,13 @@ def optimize_pattern(
         to the shared channel-0 reference (see the module docstring).
         ``"stepped"`` emulates a feedback experiment: each segment is
         scanned over ``steps`` equally spaced phases against the
-        otherwise unmodified template pattern, the intensity response is
-        sinusoid-fitted, and all fitted maximizers are applied together
-        at the end.  The result is then rotated as a whole onto the
+        otherwise unmodified template pattern, and all fitted maximizers
+        are applied together at the end.  Every segment's intensity
+        response is computed at once, as one ``(segments, steps)``
+        array, and :func:`fit_sine` fits each row in closed form; a
+        segment whose fit has amplitude exactly 0 (a flat response, as
+        from a channel with no coupling to the target) keeps its
+        template phase.  The result is then rotated as a whole onto the
         channel-0 origin the analytic method uses, which leaves the
         target intensity unchanged.  With noiseless intensities it
         reproduces the analytic pattern up to the finite strength of the
@@ -190,19 +198,21 @@ def optimize_pattern(
         raise ValueError(f"steps must be an integer >= 3, got {steps}")
 
     amplitude = 1.0 / math.sqrt(template.n_segments)
-    contributions = amplitude * row[channels] * np.exp(1j * template.phases)
-    total = contributions.sum()
+    coupling = amplitude * row[channels]
+    contributions = coupling * np.exp(1j * template.phases)
+    # every segment's scan response at once, one segment per row
+    rest = contributions.sum() - contributions
     scan_phases = np.arange(steps) * TWO_PI / steps
-    phasors = np.exp(1j * scan_phases)
-    phases = np.array(template.phases, dtype=float)
-    for s in range(template.n_segments):
-        rest = total - contributions[s]
-        response = np.abs(rest + amplitude * row[channels[s]] * phasors) ** 2
+    responses = np.abs(rest[:, None] + coupling[:, None] * np.exp(1j * scan_phases)) ** 2
+    phases = template.phases.tolist()
+    for s, response in enumerate(responses):
         _, fit_amplitude, fit_phase = fit_sine(scan_phases, response)
         if fit_amplitude > 0.0:
-            phases[s] = float(_wrap_phase(np.asarray(math.pi / 2.0 - fit_phase)))
+            wrapped = (math.pi / 2.0 - fit_phase) % TWO_PI
+            phases[s] = wrapped if wrapped < TWO_PI else 0.0  # % can round up to 2*pi, as in _wrap_phase
     # rotate onto the shared origin: the target field takes the channel-0 phase
-    achieved = np.sum(amplitude * row[channels] * np.exp(1j * phases))
+    phases = np.array(phases)
+    achieved = np.sum(coupling * np.exp(1j * phases))
     phases = _wrap_phase(phases + np.angle(row[REFERENCE_CHANNEL]) - np.angle(achieved))
     return PhasePattern(phases, template.input_mode_id, channels.copy())
 
@@ -362,9 +372,23 @@ def fit_sine(x, y) -> tuple[float, float, float]:
     """Least-squares fit of ``y = offset + amplitude * sin(x + phase)``.
 
     Returns ``(offset, amplitude, phase)`` with ``amplitude >= 0``.
+
+    Closed form: with ``sin x``, ``cos x`` and ``y`` centred on their
+    means, the offset drops out and the sine and cosine coefficients
+    solve the 2x2 normal equations, whose entries are read off one 3x3
+    Gram product of the centred columns.  Each column is shifted by its
+    first entry before centring, so a constant column centres to exact
+    zeros: a flat ``y`` fits with amplitude exactly 0 and phase 0.
+
     Raises ``ValueError`` for fewer than 3 samples and
-    :class:`DegenerateFitError` when the normal equations are singular
-    (for example all ``x`` equal).
+    :class:`DegenerateFitError` unless the determinant ``det`` of the
+    normal equations exceeds ``1e-12 * (ss + cc)**2``, where ``ss`` and
+    ``cc`` are their diagonal entries.  ``det / (ss + cc)**2`` is at most
+    1/4, and when small it is about the reciprocal condition number of
+    the normal equations.  The rule rejects every design whose
+    ``[1, sin x, cos x]`` columns are dependent, such as all ``x`` equal
+    or all ``x`` on multiples of ``2*pi``, and any design so close to
+    one that the fit would keep only a few digits.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -372,14 +396,19 @@ def fit_sine(x, y) -> tuple[float, float, float]:
         raise ValueError("x and y must be 1-d arrays of equal length")
     if x.size < 3:
         raise ValueError(f"need at least 3 samples to fit a sinusoid, got {x.size}")
-    design = np.column_stack([np.ones_like(x), np.sin(x), np.cos(x)])
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < 3:
-        raise DegenerateFitError("sinusoid fit is degenerate (rank-deficient design)")
-    offset, a, b = coef
-    amplitude = float(np.hypot(a, b))
-    phase = float(math.atan2(b, a))
-    return float(offset), amplitude, phase
+    columns = np.array([np.sin(x), np.cos(x), y])
+    shift = columns[:, :1].copy()
+    columns -= shift
+    means = np.add.reduce(columns, axis=1, keepdims=True) / x.size
+    columns -= means
+    (ss, sc, sy), (_, cc, cy), _ = (columns @ columns.T).tolist()
+    det = ss * cc - sc * sc
+    if not det > _FIT_RCOND * (ss + cc) ** 2:
+        raise DegenerateFitError("sinusoid fit is degenerate (singular normal equations)")
+    a = (cc * sy - sc * cy) / det
+    b = (ss * cy - sc * sy) / det
+    mean_sin, mean_cos, mean_y = (shift + means).ravel().tolist()
+    return mean_y - a * mean_sin - b * mean_cos, math.hypot(a, b), math.atan2(b, a)
 
 
 def phase_distance(a: float, b: float) -> float:

@@ -194,7 +194,7 @@ def scenario_configs(draw):
         delay_grid=draw(grids),
         source=draw(st.sampled_from(sorted(SOURCE_PRESETS))),
         overlap=draw(st.none() | st.floats(0.0, 1.0)),
-        bandwidth_fwhm_nm=draw(st.none() | st.floats(0.0, 1e300, exclude_min=True)),
+        bandwidth_fwhm_nm=draw(st.none() | st.floats(0.0, 1e296, exclude_min=True)),  # finite rms bandwidth
         mean_pairs_per_pulse=draw(st.none() | st.floats(0.0, 1e300)),
         counting=draw(st.sampled_from(["analytic", "montecarlo"])),
         pulses_per_point=draw(st.integers(1, 10**9)),
@@ -457,6 +457,20 @@ def test_zero_bandwidth_is_a_config_error(tmp_path, capsys):
     cfg.write_text("bandwidth_fwhm_nm = 0\n")
     assert main(["hom-scan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert "bandwidth_fwhm_nm" in capsys.readouterr().err
+
+
+def test_bandwidth_whose_rms_overflows_is_a_config_error(tmp_path, capsys):
+    # above about 1.4e296 nm the conversion to an rms angular bandwidth overflows
+    cfg = tmp_path / "bw.cfg"
+    out = tmp_path / "out"
+    for width in ("1e300", "1.5e296"):
+        cfg.write_text(f"circuit = ideal\nbandwidth_fwhm_nm = {width}\n")
+        assert main(["hom-scan", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "bandwidth_fwhm_nm: expected positive number with a finite rms bandwidth" in capsys.readouterr().err
+        assert not out.exists()
+    cfg.write_text("circuit = ideal\nbandwidth_fwhm_nm = 1e296\ndelay_grid = 0\n")
+    assert main(["hom-scan", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert (out / "hom-scan_seed0.summary.csv").exists()
 
 
 def test_output_channel_beyond_n_out_is_a_config_error(tmp_path, capsys):

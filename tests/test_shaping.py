@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specklesim import experiments
+from specklesim.config import parse_grid
 from specklesim.experiments import ScenarioConfig, run_classical_scan, run_optimize, run_program
 from specklesim.medium import MatrixKind, TransmissionMatrix, gaussian_transmission_matrix, haar_unitary
 from specklesim.rng import rng_for
@@ -218,6 +219,72 @@ def test_stepped_never_decreases_target_intensity():
         template = PhasePattern(np.zeros(960), "k", np.arange(960))
         stepped = optimize_pattern(medium, template, 0, method="stepped", steps=8)
         assert target_intensity(medium, stepped, 0) >= target_intensity(medium, template, 0)
+
+
+def stepped_by_segment_loop(matrix, template, target_output, steps):
+    """Stepped shaping as one scan and one least-squares fit per segment.
+
+    Returns the final phases and the rotation onto the channel-0 origin
+    that was added to every segment's fitted (or kept) phase.
+    """
+    row = matrix.rows(target_output)
+    channels = template.segment_to_channel
+    amplitude = 1.0 / math.sqrt(template.n_segments)
+    contributions = amplitude * row[channels] * np.exp(1j * template.phases)
+    total = contributions.sum()
+    scan_phases = np.arange(steps) * TWO_PI / steps
+    phasors = np.exp(1j * scan_phases)
+    phases = np.array(template.phases, dtype=float)
+    for s in range(template.n_segments):
+        rest = total - contributions[s]
+        response = np.abs(rest + amplitude * row[channels[s]] * phasors) ** 2
+        _, fit_amplitude, fit_phase = lstsq_fit_sine(scan_phases, response)
+        if fit_amplitude > 0.0:
+            phases[s] = np.mod(math.pi / 2.0 - fit_phase, TWO_PI)
+    achieved = np.sum(amplitude * row[channels] * np.exp(1j * phases))
+    rotation = np.angle(row[0]) - np.angle(achieved)
+    return np.mod(phases + rotation, TWO_PI), rotation
+
+
+def _random_template(segments, seed):
+    return PhasePattern(rng_for(seed).uniform(0.0, TWO_PI, segments), "k", np.arange(segments))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "unitary"])
+@pytest.mark.parametrize("steps", [3, 4, 8])
+@pytest.mark.parametrize("segments", [1, 2, 7, 64, 300])
+def test_stepped_matches_the_per_segment_loop(kind, steps, segments):
+    seed = 1000 * steps + segments
+    medium = (
+        gaussian_transmission_matrix(4, 2 * segments, seed=seed) if kind == "gaussian" else haar_unitary(2 * segments, seed=seed)
+    )
+    for template in (PhasePattern(np.zeros(segments), "k", np.arange(segments)), _random_template(segments, seed)):
+        for target in (0, 1):
+            stepped = optimize_pattern(medium, template, target, method="stepped", steps=steps)
+            loop, _ = stepped_by_segment_loop(medium, template, target, steps)
+            assert np.max(np.abs(np.angle(np.exp(1j * (stepped.phases - loop))))) <= 1e-12
+
+
+@pytest.mark.parametrize("steps", [3, 4, 8])
+def test_stepped_zero_coupling_segment_keeps_its_template_phase(steps):
+    # a channel with no coupling to the target gives a flat scan response:
+    # the fit's amplitude is exactly zero and the segment keeps its template
+    # phase, moved only by the pattern's rotation onto the channel-0 origin.
+    # The per-segment loop took that phase from least-squares rounding
+    # residue there, so it is compared on the coupled segments only.
+    entries = gaussian_transmission_matrix(4, 16, seed=66).entries.copy()
+    dead = [3, 5]
+    entries[0, dead] = 0.0
+    medium = TransmissionMatrix(entries, MatrixKind.GAUSSIAN, seed=0)
+    template = _random_template(8, 67)
+    stepped = optimize_pattern(medium, template, 0, method="stepped", steps=steps)
+    loop, rotation = stepped_by_segment_loop(medium, template, 0, steps)
+    delta = np.abs(np.angle(np.exp(1j * (stepped.phases - loop))))
+    coupled = np.ones(8, dtype=bool)
+    coupled[dead] = False
+    assert np.max(delta[coupled]) <= 1e-12
+    kept = np.angle(np.exp(1j * (stepped.phases[dead] - template.phases[dead] - rotation)))
+    assert np.max(np.abs(kept)) <= 1e-12
 
 
 def test_optimize_validation():
@@ -530,6 +597,76 @@ def test_fit_sine_errors():
         fit_sine([0.0, 1.0], [1.0, 2.0])
     with pytest.raises(DegenerateFitError):
         fit_sine([1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 3.0, 4.0])
+
+
+def lstsq_fit_sine(x, y):
+    """The least-squares solve on the ``[1, sin, cos]`` design, kept as the oracle of the closed form."""
+    design = np.column_stack([np.ones_like(x), np.sin(x), np.cos(x)])
+    (offset, a, b), _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    assert rank == 3
+    return float(offset), math.hypot(a, b), math.atan2(b, a)
+
+
+@st.composite
+def sine_samples(draw):
+    design = draw(st.sampled_from(["evenly spaced", "classical-scan grid", "random"]))
+    if design == "evenly spaced":
+        steps = draw(st.integers(3, 64))
+        x = np.arange(steps) * TWO_PI / steps
+    elif design == "classical-scan grid":
+        x = parse_grid("0:2pi:25")
+    else:
+        # jittered, shuffled points over a span of 1 to 6 rad: spread enough to stay well conditioned
+        size = draw(st.integers(3, 40))
+        jitter = np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=size, max_size=size)))
+        spaced = np.arange(size) + jitter
+        unit = (spaced - spaced.min()) / (spaced.max() - spaced.min())
+        order = draw(st.permutations(range(size)))
+        x = draw(st.floats(-20.0, 20.0)) + draw(st.floats(1.0, 6.0)) * unit[order]
+    offset = draw(st.floats(-5.0, 5.0))
+    amplitude = draw(st.floats(0.1, 5.0))
+    phase = draw(st.floats(-math.pi, math.pi))
+    noise = draw(st.floats(0.0, 0.5)) * rng_for(draw(st.integers(0, 2**32))).standard_normal(x.size)
+    return x, offset + amplitude * np.sin(x + phase) + noise
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(sine_samples())
+def test_fit_sine_matches_least_squares(sample):
+    x, y = sample
+    offset, amplitude, phase = fit_sine(x, y)
+    want_offset, want_amplitude, want_phase = lstsq_fit_sine(x, y)
+    # worst seen over 3000 examples: 1.2e-13 relative
+    scale = max(abs(want_offset), want_amplitude)
+    assert abs(offset - want_offset) <= 1e-11 * scale
+    assert abs(amplitude - want_amplitude) <= 1e-11 * want_amplitude
+    assert phase_distance(phase, want_phase) <= 1e-11
+
+
+@st.composite
+def degenerate_designs(draw):
+    size = draw(st.integers(3, 64))
+    if draw(st.booleans()):
+        x = np.full(size, draw(st.floats(-100.0, 100.0)))
+    else:
+        x = TWO_PI * np.array(draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size)), dtype=float)
+    y = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size)))
+    return x, y
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(degenerate_designs())
+def test_fit_sine_rejects_exactly_degenerate_designs(sample):
+    with pytest.raises(DegenerateFitError):
+        fit_sine(*sample)
+
+
+def test_fit_sine_flat_response_has_zero_amplitude():
+    # the closed form centres a constant column to exact zeros, for any step count
+    for steps in range(3, 17):
+        x = np.arange(steps) * TWO_PI / steps
+        for level in (0.1, 1.7, 12.345):
+            assert fit_sine(x, np.full(steps, level)) == (level, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
