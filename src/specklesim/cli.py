@@ -4,12 +4,13 @@ One subcommand per invocation::
 
     specklesim <subcommand> [--config PATH] [--seed U64] [--out DIR]
                [--force] [--threads N] [--quiet] [extras]
+    specklesim selftest [--quiet]
 
 All subcommands but two are rows of a table over the runners in
 :mod:`specklesim.experiments`, which build the file contents (text or
 bytes) that ``emit_scenario`` writes.  The two special branches:
 ``probabilities`` prints its data and writes files only with ``--out``,
-and ``selftest`` writes nothing.
+and ``selftest``, which takes only ``--quiet``, writes nothing.
 
 Exit codes: 0 success, 1 usage, configuration or I/O error, 2 domain error
 (for example a non-embeddable splitter setting).  Error text goes to
@@ -66,6 +67,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
     for name in SUBCOMMANDS:
         p = sub.add_parser(name)
+        p.add_argument("--quiet", action="store_true", help="suppress the one-line summary (selftest: the PASS lines)")
+        if name == "selftest":
+            continue
         p.add_argument("--config", type=str, default=None, help="path to a key = value config file")
         p.add_argument("--seed", type=int, default=0, help="64-bit master seed (default 0)")
         p.add_argument("--out", type=str, default=None, help="output directory (default: config out_dir)")
@@ -73,7 +77,6 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--threads", type=int, default=1, help="worker count (>= 1); accepted, but all work runs on one thread"
         )
-        p.add_argument("--quiet", action="store_true", help="suppress the one-line summary")
         if name == "probabilities":
             p.add_argument("--t", type=float, required=True, help="splitter amplitude")
             p.add_argument("--alpha", type=str, required=True, help="programmed phase (radians or pi tokens)")
@@ -101,6 +104,10 @@ def _run(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.subcommand is None:
         raise _UsageError(f"missing subcommand; choose one of: {', '.join(SUBCOMMANDS)}")
+    if args.subcommand == "selftest":
+        from .selftest import run_selftest
+
+        return 0 if run_selftest(quiet=args.quiet) else 1
     if args.threads < 1:
         raise _UsageError(f"--threads must be >= 1, got {args.threads}")
     if not 0 <= args.seed < 2**64:
@@ -129,11 +136,6 @@ def _run(argv: list[str]) -> int:
             emit_scenario(out_dir, "probabilities", seed, files, config, args.force)
         _summary(args, f"embeddable splitter t = {config.t:.17g}; probabilities sum to 1")
         return 0
-
-    if args.subcommand == "selftest":
-        from .selftest import run_selftest
-
-        return 0 if run_selftest(quiet=args.quiet) else 1
 
     runner, summary = _SCENARIOS[args.subcommand]
     result, files = getattr(experiments, runner)(config, seed)

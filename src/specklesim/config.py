@@ -68,7 +68,7 @@ _NUMBERS: dict[str, tuple[str, Callable[[float], bool]]] = {
     "alpha": ("finite angle", math.isfinite),
     "overlap": ("number in [0, 1]", lambda x: 0.0 <= x <= 1.0),
     "bandwidth_fwhm_nm": ("positive number with a finite rms bandwidth",
-                          lambda x: 0.0 < x < math.inf and math.isfinite(rms_bandwidth_from_filter_fwhm(x))),
+                          lambda x: 0.0 < x < math.inf and 0.0 < rms_bandwidth_from_filter_fwhm(x) < math.inf),
     "mean_pairs_per_pulse": ("nonnegative number", lambda x: 0.0 <= x < math.inf),
 }
 _GRIDS = ("alpha_grid", "delta_theta_grid", "delay_grid")

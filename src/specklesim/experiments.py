@@ -8,8 +8,8 @@ CSV text for curves and container bytes for a medium.
 directory; the manifest is a config file that re-runs the scenario
 with the recorded master seed.  Everything is deterministic in the master
 seed: replicate media draw child seeds along fixed integer paths, Monte
-Carlo points use per-point substreams, and emitted files are
-byte-identical across runs and worker counts.
+Carlo points use per-point substreams (tags in :mod:`specklesim.rng`),
+and emitted files are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -24,15 +24,8 @@ import numpy as np
 
 from . import __version__
 from .config import ScenarioConfig, format_config
-from .medium import (
-    _STREAM_BACKGROUND,
-    MatrixKind,
-    TransmissionMatrix,
-    gaussian_transmission_matrix,
-    haar_unitary,
-    matrix_bytes,
-)
-from .rng import child_seed, rng_for
+from .medium import MatrixKind, TransmissionMatrix, gaussian_transmission_matrix, haar_unitary, matrix_bytes
+from .rng import STREAM_CONTRACT, ChildSeed, PointSeed, Stream, child_seed, rng_for
 from .shaping import (
     ClassicalScan,
     DegenerateFitError,
@@ -88,13 +81,6 @@ __all__ = [
     "dip_half_width",
     "emit_scenario",
 ]
-
-# child-seed derivation tags (part of the determinism contract)
-_TAG_ALPHA_POINT = 1
-_TAG_STUDY = 2
-# Version of the rules mapping a seed to draws; 2 takes the enhancement
-# background from its Gamma law.
-_STREAM_CONTRACT = 2
 
 
 def build_medium(config: ScenarioConfig, master_seed: int) -> TransmissionMatrix:
@@ -180,9 +166,9 @@ def montecarlo_visibility(
     The standard error follows from first-order propagation of the
     counting variances through ``v = c0/cref - 1``.
     """
-    _, _, c0 = montecarlo_counts(circuit, source, n_pulses, child_seed(seed, 0), delay_s=0.0)
+    _, _, c0 = montecarlo_counts(circuit, source, n_pulses, child_seed(seed, PointSeed.ZERO_DELAY), delay_s=0.0)
     _, _, cref = montecarlo_counts(
-        circuit, source, n_pulses, child_seed(seed, 1), delay_s=reference_delay(source)
+        circuit, source, n_pulses, child_seed(seed, PointSeed.REFERENCE_DELAY), delay_s=reference_delay(source)
     )
     if cref == 0:
         raise DegenerateFitError("no reference coincidences; raise pulses_per_point")
@@ -353,7 +339,7 @@ def run_alpha_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[AlphaS
         if config.counting == "analytic":
             result = analytic_visibility(circuit, source)
         else:
-            point_seed = child_seed(master_seed, _TAG_ALPHA_POINT, index)
+            point_seed = child_seed(master_seed, ChildSeed.ALPHA_POINT, index)
             result = montecarlo_visibility(circuit, source, config.pulses_per_point, point_seed)
         visibilities.append(result.v)
         std_errs.append(result.std_err)
@@ -455,7 +441,7 @@ def focusing_enhancement(
         raise ValueError(f"focusing_enhancement needs a gaussian medium, got {medium.kind.value}")
     template = PhasePattern(np.zeros(medium.n_in), "k", np.arange(medium.n_in))
     pattern = optimize_pattern(medium, template, target, method, steps)
-    others = rng_for(medium.seed, _STREAM_BACKGROUND).gamma(medium.n_out - 1, 1.0 / medium.n_in)
+    others = rng_for(medium.seed, Stream.BACKGROUND).gamma(medium.n_out - 1, 1.0 / medium.n_in)
     background = (target_intensity(medium, template, target) + others) / medium.n_out
     return target_intensity(medium, pattern, target) / background
 
@@ -475,7 +461,7 @@ def run_enhancement_study(
     for idx, n_seg in enumerate(config.segment_counts):
         ratios = []
         for replicate in range(config.seeds):
-            seed = child_seed(master_seed, _TAG_STUDY, idx, replicate)
+            seed = child_seed(master_seed, ChildSeed.STUDY, idx, replicate)
             medium = gaussian_transmission_matrix(config.n_out, n_seg, seed)
             ratios.append(focusing_enhancement(medium, config.output_m, config.method, config.steps))
         rows.append(
@@ -524,7 +510,7 @@ def emit_scenario(
     provenance = {
         "scenario": scenario,
         "artifact_version": __version__,
-        "stream_contract": _STREAM_CONTRACT,
+        "stream_contract": STREAM_CONTRACT,
         "numpy": np.__version__,
         "master_seed": master_seed,
     }

@@ -13,8 +13,8 @@ ensembles are provided:
   invariant) measure, the ground truth for checks that need exact photon
   number conservation.
 
-All generation is deterministic in ``(kind, dims, seed)``; see
-:mod:`specklesim.rng` for the stream derivation rule.  A Gaussian medium
+All generation is deterministic in ``(kind, dims, seed)``, on the
+streams of :mod:`specklesim.rng`.  A Gaussian medium
 draws its rows when first read, as a prefix of its one row-major stream.
 """
 
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rng import check_seed, rng_for
+from .rng import Stream, check_seed, rng_for
 
 __all__ = [
     "MatrixKind",
@@ -41,13 +41,6 @@ __all__ = [
 ]
 
 _UNITARITY_TOL = 1e-10
-
-# Stream tags keeping the two ensembles on disjoint substreams of one seed.
-_STREAM_GAUSSIAN = 0
-_STREAM_UNITARY = 1
-# Tag 2 is Monte Carlo counting's; tag 3 draws the enhancement background
-# that a Gaussian medium's unread rows would give.
-_STREAM_BACKGROUND = 3
 
 
 class MatrixKind(enum.Enum):
@@ -65,7 +58,7 @@ class TransmissionMatrix:
     of one whole draw.  It holds only the rows drawn so far, so a medium
     read at a few rows costs a few rows of memory.  A medium built from an
     array holds every row.  Instances are immutable, and a lock guards the
-    draw, so they are safe to share across workers.
+    draw, so they are safe to share across threads.
     """
 
     def __init__(self, entries, kind: MatrixKind, seed: int, *, _stream=None) -> None:
@@ -150,7 +143,7 @@ def gaussian_transmission_matrix(n_out: int, n_in: int, seed: int) -> Transmissi
     programmed-circuit amplitudes.
     """
     _check_dims(n_out, n_in)
-    stream = (rng_for(check_seed(seed), _STREAM_GAUSSIAN), np.sqrt(0.5 / n_in), n_out)
+    stream = (rng_for(check_seed(seed), Stream.GAUSSIAN), np.sqrt(0.5 / n_in), n_out)
     return TransmissionMatrix(np.empty((0, n_in)), MatrixKind.GAUSSIAN, seed, _stream=stream)
 
 
@@ -164,7 +157,7 @@ def haar_unitary(n: int, seed: int) -> TransmissionMatrix:
     measure.
     """
     _check_dims(n, n)
-    rng = rng_for(check_seed(seed), _STREAM_UNITARY)
+    rng = rng_for(check_seed(seed), Stream.UNITARY)
     ginibre = _fill_normal(rng, np.sqrt(0.5), np.empty((n, n), dtype=np.complex128))
     q, r = np.linalg.qr(ginibre)
     diag = np.diagonal(r)

@@ -1,27 +1,46 @@
-"""Deterministic, splittable random-number streams.
+"""Deterministic, splittable random-number streams: the stream contract.
 
-Every stochastic operation in this package draws from a stream derived
-here.  The derivation rule is fixed and documented so that results are
-bit-reproducible:
-
-- ``rng_for(seed)`` returns the master stream for a 64-bit seed.
-- ``rng_for(seed, a, b, ...)`` returns an independent substream keyed by
-  the integer path ``(a, b, ...)``.  The path is passed to
-  ``numpy.random.SeedSequence`` as its ``spawn_key``, which is numpy's
-  supported mechanism for deriving statistically independent children.
-- ``child_seed(seed, *path)`` folds a path into a fresh 64-bit seed, used
-  when an experiment needs many independently seeded media.
-
-The same ``(seed, path)`` always yields the same values, on any machine
-and for any worker count, because streams are keyed by data rather than
-by execution order.
+``rng_for(seed, *path)`` is the generator for a 64-bit seed and an
+integer path, which is passed to ``numpy.random.SeedSequence`` as its
+``spawn_key`` (numpy's supported way to derive statistically independent
+children).  ``child_seed(seed, *path)`` folds a path into a fresh 64-bit
+seed, for experiments that need many independently seeded media.  Every
+path starts with a tag of :class:`Stream`, :class:`ChildSeed` or
+:class:`PointSeed`, the one table of tags.  The same ``(seed, path)``
+gives the same values on any machine, because streams are keyed by data,
+not by execution order.  A change that moves any draw bumps
+:data:`STREAM_CONTRACT`, which every manifest records.
 """
 
 from __future__ import annotations
 
+import enum
+
 import numpy as np
 
 _U64_MAX = 2**64 - 1
+
+STREAM_CONTRACT = 2  # version of the seed-to-draw rules; 2 takes the enhancement background from its Gamma law
+
+
+@enum.unique
+class Stream(enum.IntEnum):  # rng_for(seed, tag, ...)
+    GAUSSIAN = 0  # medium seed: a Gaussian medium, row-major, rows drawn as a prefix when first read
+    UNITARY = 1  # medium seed: a Haar unitary's Ginibre matrix
+    MONTECARLO = 2  # counting seed, then chunk index: one 65536-pulse chunk of Monte Carlo counting
+    BACKGROUND = 3  # medium seed: the enhancement background's Gamma draw
+
+
+@enum.unique
+class ChildSeed(enum.IntEnum):  # child_seed(master seed, tag, ...)
+    ALPHA_POINT = 1  # then the alpha index: a Monte Carlo alpha point's seed
+    STUDY = 2  # then segment-count index and replicate: an enhancement medium's seed
+
+
+@enum.unique
+class PointSeed(enum.IntEnum):  # child_seed(alpha point seed, tag): its two counting seeds
+    ZERO_DELAY = 0
+    REFERENCE_DELAY = 1
 
 
 def check_seed(seed: int) -> int:

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .medium import MatrixKind, TransmissionMatrix
+from .twophoton import check_embeddable
 
 __all__ = [
     "DegenerateFitError",
@@ -126,11 +127,15 @@ def shaped_input(pattern: PhasePattern, n_in: int) -> np.ndarray:
     Total power 1 is spread evenly over the pattern's segments, so
     programmed-circuit amplitudes are comparable across segment counts.
     """
+    field = np.zeros(n_in, dtype=np.complex128)
+    field[_check_channels(pattern, n_in)] = np.exp(1j * pattern.phases) / math.sqrt(pattern.n_segments)
+    return field
+
+
+def _check_channels(pattern: PhasePattern, n_in: int) -> np.ndarray:
     if int(pattern.segment_to_channel.max()) >= n_in:
         raise ValueError("pattern drives channels outside the medium")
-    field = np.zeros(n_in, dtype=np.complex128)
-    field[pattern.segment_to_channel] = np.exp(1j * pattern.phases) / math.sqrt(pattern.n_segments)
-    return field
+    return pattern.segment_to_channel
 
 
 def target_intensity(matrix: TransmissionMatrix, pattern: PhasePattern, target_output: int) -> float:
@@ -184,9 +189,7 @@ def optimize_pattern(
     intensity never drops below its template value.
     """
     _check_target(matrix, target_output)
-    channels = template.segment_to_channel
-    if int(channels.max()) >= matrix.n_in:
-        raise ValueError("pattern drives channels outside the medium")
+    channels = _check_channels(template, matrix.n_in)
     row = matrix.rows(target_output)
     if method == "analytic":
         reference = np.angle(row[REFERENCE_CHANNEL])
@@ -204,14 +207,9 @@ def optimize_pattern(
     rest = contributions.sum() - contributions
     scan_phases = np.arange(steps) * TWO_PI / steps
     responses = np.abs(rest[:, None] + coupling[:, None] * np.exp(1j * scan_phases)) ** 2
-    phases = template.phases.tolist()
-    for s, response in enumerate(responses):
-        _, fit_amplitude, fit_phase = fit_sine(scan_phases, response)
-        if fit_amplitude > 0.0:
-            wrapped = (math.pi / 2.0 - fit_phase) % TWO_PI
-            phases[s] = wrapped if wrapped < TWO_PI else 0.0  # % can round up to 2*pi, as in _wrap_phase
+    _, fit_amplitudes, fit_phases = np.array([fit_sine(scan_phases, response) for response in responses]).T
+    phases = np.where(fit_amplitudes > 0.0, _wrap_phase(math.pi / 2.0 - fit_phases), template.phases)
     # rotate onto the shared origin: the target field takes the channel-0 phase
-    phases = np.array(phases)
     achieved = np.sum(coupling * np.exp(1j * phases))
     phases = _wrap_phase(phases + np.angle(row[REFERENCE_CHANNEL]) - np.angle(achieved))
     return PhasePattern(phases, template.input_mode_id, channels.copy())
@@ -310,7 +308,8 @@ def effective_circuit(
     Each input mode is driven with a unit-power field spread evenly over
     its segments; the four complex couplings to outputs ``m`` and ``n``
     form the sub-matrix, from which :class:`ProgrammedCircuit` derives
-    its fit.
+    its fit.  On a unitary medium the block must also pass
+    :func:`~specklesim.twophoton.check_embeddable`.
     """
     if m == n:
         raise ValueError("output modes m and n must differ")
@@ -323,9 +322,8 @@ def effective_circuit(
         [shaped_input(pattern_k, matrix.n_in), shaped_input(pattern_l, matrix.n_in)]
     )
     circuit = ProgrammedCircuit(matrix.rows([m, n]) @ inputs, alpha_set)
-    sigma = circuit.largest_singular_value
-    if matrix.kind is MatrixKind.UNITARY and sigma > 1.0 + 1e-9:
-        raise ValueError(f"sub-block of a unitary medium has singular value {sigma} > 1")
+    if matrix.kind is MatrixKind.UNITARY:
+        check_embeddable(circuit.largest_singular_value)
     return circuit
 
 

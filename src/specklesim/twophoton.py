@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .rng import check_seed, rng_for
+from .rng import Stream, check_seed, rng_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .shaping import ProgrammedCircuit
@@ -45,6 +45,7 @@ __all__ = [
     "VisibilityResult",
     "CoincidenceScan",
     "embeddability_bound",
+    "check_embeddable",
     "outcome_probabilities",
     "permanent",
     "unitary_completion",
@@ -63,9 +64,7 @@ _SPEED_OF_LIGHT = 299_792_458.0
 _CENTER_WAVELENGTH_M = 790e-9  # signal and idler centre wavelength
 _PULSE_RATE_HZ = 76e6  # pump laser repetition rate
 
-_SIGMA_TOL = 1e-9
 _PERMANENT_MAX_SIDE = 20
-_STREAM_MONTECARLO = 2
 _MC_CHUNK = 1 << 16  # pulses per substream; fixed, part of the stream contract
 
 
@@ -120,6 +119,16 @@ def embeddability_bound(alpha: float) -> float:
     splitter.
     """
     return 1.0 / math.sqrt(2.0 + 2.0 * abs(math.cos(alpha / 2.0)))
+
+
+def check_embeddable(sigma: float) -> None:
+    """Raise :class:`EmbeddabilityError` if a block's largest singular value exceeds ``1 + 1e-9``.
+
+    The band above 1 absorbs rounding at the bound.  Ideal settings meet
+    :func:`embeddability_bound` exactly in :func:`outcome_probabilities`.
+    """
+    if sigma > 1.0 + 1e-9:
+        raise EmbeddabilityError(f"largest singular value {sigma:.17g} exceeds 1: block is not embeddable")
 
 
 def outcome_probabilities(t: float, alpha: float) -> OutcomeDistribution:
@@ -219,17 +228,14 @@ def unitary_completion(block: np.ndarray) -> np.ndarray:
     Raises
     ------
     EmbeddabilityError
-        If the largest singular value of ``block`` exceeds ``1 + 1e-9``.
-        Singular values inside the tolerance band are clipped to one.
+        If :func:`check_embeddable` rejects ``block``.  Singular values
+        inside its tolerance band are clipped to one.
     """
     m = np.asarray(block, dtype=np.complex128)
     if m.ndim != 2:
         raise ValueError("block must be a 2-d matrix")
     left, s, right_h = np.linalg.svd(m)
-    if s.size and float(s[0]) > 1.0 + _SIGMA_TOL:
-        raise EmbeddabilityError(
-            f"largest singular value {float(s[0]):.17g} exceeds 1: block is not embeddable"
-        )
+    check_embeddable(float(s.max(initial=0.0)))
     s = np.clip(s, 0.0, 1.0)
     r, c = m.shape
     s_rows = np.zeros(r)
@@ -256,15 +262,13 @@ def pair_outcome_components(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``(|ab|^2, |cd|^2, |ad|^2 + |bc|^2)`` for distinguishable photons.  The
     mean photon number at m, ``|a|^2 + |b|^2 = 2 p20 + p11 + p10``, does not
     depend on distinguishability and fixes ``p10`` (likewise ``p01``);
-    ``p00`` completes the sum.  A largest singular value above ``1 + 1e-9``
-    raises :class:`EmbeddabilityError`.
+    ``p00`` completes the sum.  Raises :class:`EmbeddabilityError` if
+    :func:`check_embeddable` rejects ``block``.
     """
     m = np.asarray(block, dtype=np.complex128)
     if m.shape != (2, 2):
         raise ValueError(f"block must be 2x2, got shape {m.shape}")
-    sigma = float(np.linalg.svd(m, compute_uv=False)[0])
-    if sigma > 1.0 + _SIGMA_TOL:
-        raise EmbeddabilityError(f"largest singular value {sigma:.17g} exceeds 1: block is not embeddable")
+    check_embeddable(float(np.linalg.svd(m, compute_uv=False)[0]))
     (a, b), (c, d) = m
     bunch_m = abs(a * b) ** 2
     bunch_n = abs(c * d) ** 2
@@ -543,14 +547,10 @@ def hom_scan(circuit: "ProgrammedCircuit", source: PhotonPairSource, delays) -> 
     x = overlap_from_delay(source, delays)[:, None]
     probs = x * ind[None, :] + (1.0 - x) * dist[None, :]
     scale = source.mean_pairs_per_pulse * _PULSE_RATE_HZ
-    click_m = probs[:, [0, 2, 3]].sum(axis=1)
-    click_n = probs[:, [1, 2, 4]].sum(axis=1)
-    return CoincidenceScan(
-        delays=delays,
-        coincidence_rate=scale * probs[:, 2],
-        singles_m=scale * click_m,
-        singles_n=scale * click_n,
+    click_m, click_n, both = (
+        scale * probs[:, clicks].sum(axis=1) for clicks in (_CLICKS_M, _CLICKS_N, _CLICKS_M & _CLICKS_N)
     )
+    return CoincidenceScan(delays=delays, coincidence_rate=both, singles_m=click_m, singles_n=click_n)
 
 
 def montecarlo_counts(
@@ -565,17 +565,16 @@ def montecarlo_counts(
     A coincidence is a pulse in which both detectors click.
 
     Returns ``(singles_m, singles_n, coincidences)`` as integer counts.
-    Deterministic in ``seed`` and independent of how the fixed-size pulse
-    chunks would be distributed over workers.
 
     Stream contract: pulses come in chunks of 65536, chunk ``c`` drawing
-    from ``rng_for(seed, 2, c)``.  A chunk makes one Poisson draw of its
-    pair counts.  Then, in round ``r = 0, 1, ...``, the ``n_r`` pulses
-    holding more than ``r`` pairs, in pulse order, draw ``random(n_r)``
-    (the pair is indistinguishable where the draw is below the overlap)
-    and then ``random(n_r)`` (the outcome, by inverse transform of the
-    cumulative six-outcome distribution).  Pulses without a pair draw
-    nothing after the Poisson draw.
+    from ``rng_for(seed, Stream.MONTECARLO, c)``; the fixed chunk size
+    fixes the stream and bounds memory.  A chunk makes one Poisson draw
+    of its pair counts.  Then, in round ``r = 0, 1, ...``, the ``n_r``
+    pulses holding more than ``r`` pairs, in pulse order, draw
+    ``random(n_r)`` (the pair is indistinguishable where the draw is
+    below the overlap) and then ``random(n_r)`` (the outcome, by inverse
+    transform of the cumulative six-outcome distribution).  Pulses
+    without a pair draw nothing after the Poisson draw.
     """
     if int(n_pulses) != n_pulses or n_pulses < 1:
         raise ValueError(f"n_pulses must be a positive integer, got {n_pulses}")
@@ -590,7 +589,7 @@ def montecarlo_counts(
     n_pulses = int(n_pulses)
     for chunk_index, start in enumerate(range(0, n_pulses, _MC_CHUNK)):
         size = min(_MC_CHUNK, n_pulses - start)
-        rng = rng_for(seed, _STREAM_MONTECARLO, chunk_index)
+        rng = rng_for(seed, Stream.MONTECARLO, chunk_index)
         pairs = rng.poisson(mu, size)
         # a pulse without a pair cannot click, so only pulses with pairs are kept
         held = pairs[pairs > 0]

@@ -194,7 +194,7 @@ def scenario_configs(draw):
         delay_grid=draw(grids),
         source=draw(st.sampled_from(sorted(SOURCE_PRESETS))),
         overlap=draw(st.none() | st.floats(0.0, 1.0)),
-        bandwidth_fwhm_nm=draw(st.none() | st.floats(0.0, 1e296, exclude_min=True)),  # finite rms bandwidth
+        bandwidth_fwhm_nm=draw(st.none() | st.floats(1e-300, 1e296)),  # positive finite rms bandwidth
         mean_pairs_per_pulse=draw(st.none() | st.floats(0.0, 1e300)),
         counting=draw(st.sampled_from(["analytic", "montecarlo"])),
         pulses_per_point=draw(st.integers(1, 10**9)),
@@ -473,6 +473,20 @@ def test_bandwidth_whose_rms_overflows_is_a_config_error(tmp_path, capsys):
     assert (out / "hom-scan_seed0.summary.csv").exists()
 
 
+def test_bandwidth_whose_rms_underflows_is_a_config_error(tmp_path, capsys):
+    # below about 7.4e-315 nm the conversion to an rms angular bandwidth underflows to 0
+    cfg = tmp_path / "bw.cfg"
+    out = tmp_path / "out"
+    for width in ("1e-320", "5e-315"):
+        cfg.write_text(f"circuit = ideal\nbandwidth_fwhm_nm = {width}\n")
+        assert main(["hom-scan", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "bandwidth_fwhm_nm: expected positive number with a finite rms bandwidth" in capsys.readouterr().err
+        assert not out.exists()
+    cfg.write_text("circuit = ideal\nbandwidth_fwhm_nm = 1e-314\ndelay_grid = 0\n")
+    assert main(["hom-scan", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert (out / "hom-scan_seed0.summary.csv").exists()
+
+
 def test_output_channel_beyond_n_out_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "ch.cfg"
     cfg.write_text("n_out = 100\noutput_m = 5000\n")
@@ -598,3 +612,13 @@ def test_artifacts_are_pinned(tmp_path, capsys, argv, config_text, name, digest)
 
 def test_selftest_cli(capsys):
     assert main(["selftest", "--quiet"]) == 0
+
+
+@pytest.mark.parametrize(
+    "extra", [["--seed", "3"], ["--config", "missing.cfg"], ["--out", "x"], ["--force"], ["--threads", "2"]]
+)
+def test_selftest_takes_only_quiet(tmp_path, monkeypatch, capsys, extra):
+    monkeypatch.chdir(tmp_path)
+    assert main(["selftest", "--quiet", *extra]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -456,3 +456,14 @@ def test_build_source_overrides():
     source = build_source(config)
     assert source.intrinsic_overlap == 0.5
     assert source.mean_pairs_per_pulse == 0.2
+
+
+def test_manifest_records_the_stream_table_version(tmp_path):
+    from specklesim.rng import STREAM_CONTRACT
+
+    config = ScenarioConfig(alpha_grid=[0.0, 1.0])
+    _, files = run_alpha_scan(config, master_seed=4)
+    manifest = emit_scenario(tmp_path, "alpha-scan", 4, files, config).read_text()
+    assert [line for line in manifest.splitlines() if line.startswith("# stream_contract")] == [
+        f"# stream_contract = {STREAM_CONTRACT}"
+    ]

@@ -702,3 +702,15 @@ def test_circuit_csv(monkeypatch):
     values = [float(v) for v in lines[1].split(",")]
     assert len(values) == 12
     assert abs(values[-2] - 0.45) < 1e-15  # t_fit column
+
+
+@pytest.mark.parametrize("method", ["analytic", "stepped"])
+def test_pattern_beyond_the_medium_inputs_is_rejected(method):
+    medium = gaussian_transmission_matrix(4, 6, seed=2)
+    pattern = PhasePattern(np.zeros(3), "k", [0, 2, 6])
+    with pytest.raises(ValueError, match="outside the medium"):
+        shaped_input(pattern, medium.n_in)
+    with pytest.raises(ValueError, match="outside the medium"):
+        optimize_pattern(medium, pattern, 0, method, 4)
+    inside = PhasePattern(np.zeros(3), "k", [0, 2, 5])
+    assert optimize_pattern(medium, inside, 0, method, 4).segment_to_channel.tolist() == [0, 2, 5]

@@ -664,3 +664,13 @@ def test_montecarlo_validation():
     bad_circuit = ideal_circuit(0.9, math.pi)
     with pytest.raises(EmbeddabilityError):
         montecarlo_counts(bad_circuit, source, 100, seed=1)
+
+
+def test_check_embeddable_allows_rounding_above_one_only():
+    from specklesim.twophoton import check_embeddable
+
+    for sigma in (0.0, 0.5, 1.0, 1.0 + 1e-10):
+        check_embeddable(sigma)
+    for sigma in (1.0 + 2e-9, 1.5):
+        with pytest.raises(EmbeddabilityError, match="not embeddable"):
+            check_embeddable(sigma)
