@@ -62,5 +62,4 @@ from .experiments import (
     fit_visibility_cosine,
     run_alpha_scan,
     run_enhancement_study,
-    run_hom_reproduction,
 )

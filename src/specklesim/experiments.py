@@ -60,8 +60,7 @@ __all__ = [
     "build_medium",
     "build_source",
     "program_circuit",
-    "optimize_single_targets",
-    "realize_circuit",
+    "program_circuits",
     "reference_delay",
     "analytic_visibility",
     "montecarlo_visibility",
@@ -75,7 +74,6 @@ __all__ = [
     "run_classical_scan",
     "run_hom_scan",
     "run_alpha_scan",
-    "run_hom_reproduction",
     "focusing_enhancement",
     "run_enhancement_study",
     "dip_half_width",
@@ -110,30 +108,30 @@ def program_circuit(
     method: str = "analytic",
     steps: int = 8,
 ) -> tuple[PhasePattern, PhasePattern, ProgrammedCircuit]:
-    """Optimize four patterns, combine them with ``alpha``, read the circuit."""
-    single_targets = optimize_single_targets(medium, segments, m, n, method, steps)
-    return realize_circuit(medium, single_targets, m, n, alpha)
+    """The one-phase case of :func:`program_circuits`."""
+    return program_circuits(medium, segments, m, n, [alpha], method, steps)[0]
 
 
-def optimize_single_targets(
-    medium: TransmissionMatrix, segments: int, m: int, n: int, method: str = "analytic", steps: int = 8
-) -> tuple[PhasePattern, ...]:
-    """The four single-target patterns ``(k->m, k->n, l->m, l->n)``.
+def program_circuits(
+    medium: TransmissionMatrix, segments: int, m: int, n: int, alphas, method: str = "analytic", steps: int = 8
+) -> list[tuple[PhasePattern, PhasePattern, ProgrammedCircuit]]:
+    """Program the splitter at every phase in ``alphas``.
 
-    None of them depends on the programmed phase, so a scan over
-    ``alpha`` optimizes them once and calls :func:`realize_circuit` per
-    point.
+    The four single-target patterns ``(k->m, k->n, l->m, l->n)`` do not
+    depend on the phase, so they are optimized once; each phase then
+    combines them and reads back its circuit.  Returns
+    ``(pattern_k, pattern_l, circuit)`` per phase.
     """
-    templates = mode_templates(segments)
-    return tuple(optimize_pattern(medium, t, target, method, steps) for t in templates for target in (m, n))
-
-
-def realize_circuit(
-    medium: TransmissionMatrix, single_targets: tuple[PhasePattern, ...], m: int, n: int, alpha: float
-) -> tuple[PhasePattern, PhasePattern, ProgrammedCircuit]:
-    """Combine the four single-target patterns with ``alpha`` and read the circuit."""
-    pattern_k, pattern_l = combine_patterns(*single_targets, alpha)
-    return pattern_k, pattern_l, effective_circuit(medium, pattern_k, pattern_l, m, n, alpha)
+    single_targets = [
+        optimize_pattern(medium, template, target, method, steps)
+        for template in mode_templates(segments)
+        for target in (m, n)
+    ]
+    programmed = []
+    for alpha in alphas:
+        pattern_k, pattern_l = combine_patterns(*single_targets, alpha)
+        programmed.append((pattern_k, pattern_l, effective_circuit(medium, pattern_k, pattern_l, m, n, alpha)))
+    return programmed
 
 
 def reference_delay(source: PhotonPairSource) -> float:
@@ -221,10 +219,19 @@ class AlphaScanResult:
             raise ValueError(f"v0_fit = {self.v0_fit} is not a physical visibility amplitude")
 
 
-def _program(config: ScenarioConfig, medium: TransmissionMatrix, alpha: float):
-    return program_circuit(
-        medium, config.segments, config.output_m, config.output_n, alpha, config.method, config.steps
+def _program(config: ScenarioConfig, master_seed: int, alphas):
+    """:func:`program_circuits` on the configured medium, outputs and shaping."""
+    medium = build_medium(config, master_seed)
+    return program_circuits(
+        medium, config.segments, config.output_m, config.output_n, alphas, config.method, config.steps
     )
+
+
+def _circuits(config: ScenarioConfig, master_seed: int, alphas) -> list[ProgrammedCircuit]:
+    """The configured circuit at each phase: ideal, or shaped into the medium."""
+    if config.circuit == "shaped":
+        return [circuit for _, _, circuit in _program(config, master_seed, alphas)]
+    return [ideal_circuit(config.t, alpha) for alpha in alphas]
 
 
 def _csv(header: str, rows) -> str:
@@ -261,7 +268,7 @@ def run_optimize(config: ScenarioConfig, master_seed: int = 0) -> tuple[PhasePat
 
 def run_program(config: ScenarioConfig, master_seed: int = 0) -> tuple[ProgrammedCircuit, dict[str, str]]:
     """Program the splitter at ``config.alpha`` and read back its circuit."""
-    pattern_k, pattern_l, circuit = _program(config, build_medium(config, master_seed), config.alpha)
+    [(pattern_k, pattern_l, circuit)] = _program(config, master_seed, [config.alpha])
     couplings = np.ravel(circuit.sub_matrix).view(np.float64)  # mk, ml, nk, nl as (real, imaginary) pairs
     fit = (circuit.alpha_set, circuit.alpha_fit, circuit.t_fit, circuit.largest_singular_value)
     header = "t_mk_re,t_mk_im,t_ml_re,t_ml_im,t_nk_re,t_nk_im,t_nl_re,t_nl_im,alpha_set,alpha_fit,t_fit,sigma_max"
@@ -280,7 +287,7 @@ class ClassicalScanResult(NamedTuple):
 
 def run_classical_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[ClassicalScanResult, dict]:
     """Two-beam intensity scan of the programmed circuit, with sine fits per output."""
-    _, _, circuit = _program(config, build_medium(config, master_seed), config.alpha)
+    [(_, _, circuit)] = _program(config, master_seed, [config.alpha])
     scan = classical_scan(circuit, config.delta_theta_grid)
     fit_m = fit_sine(scan.delta_theta, scan.intensity_m)
     fit_n = fit_sine(scan.delta_theta, scan.intensity_n)
@@ -296,22 +303,24 @@ class HomScanResult(NamedTuple):
     visibility: VisibilityResult  # at the delay nearest zero, against the far-delay baseline
 
 
-def _hom_scan(circuit: ProgrammedCircuit, source: PhotonPairSource, delays) -> tuple[HomScanResult, str]:
-    scan = hom_scan(circuit, source, delays)
+def run_hom_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[HomScanResult, dict[str, str]]:
+    """Delay scan of the configured circuit (ideal, or shaped at ``config.alpha``).
+
+    The ideal 50:50 splitter (``t = 1/sqrt(2)``, ``alpha = pi``) with the
+    ``broadband`` and ``filtered`` presets gives the two reference dips:
+    their depths reproduce the preset overlaps and their widths scale
+    with the inverse bandwidths (:func:`dip_half_width`).
+    """
+    [circuit] = _circuits(config, master_seed, [config.alpha])
+    source = build_source(config)
+    scan = hom_scan(circuit, source, config.delay_grid)
     baseline = hom_scan(circuit, source, [reference_delay(source)]).coincidence_rate[0]
     vis = visibility(scan.coincidence_rate[int(np.argmin(np.abs(scan.delays)))], baseline)
     rows = zip(scan.delays, scan.coincidence_rate, scan.singles_m, scan.singles_n)
-    return HomScanResult(scan, vis), _csv("delay_s,coincidence,singles_m,singles_n", rows)
-
-
-def run_hom_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[HomScanResult, dict[str, str]]:
-    """Delay scan of the configured circuit (ideal, or shaped at ``config.alpha``)."""
-    if config.circuit == "shaped":
-        _, _, circuit = _program(config, build_medium(config, master_seed), config.alpha)
-    else:
-        circuit = ideal_circuit(config.t, config.alpha)
-    result, scan_csv = _hom_scan(circuit, build_source(config), config.delay_grid)
-    return result, {"scan.csv": scan_csv, "summary.csv": _csv("visibility", [(result.visibility.v,)])}
+    return HomScanResult(scan, vis), {
+        "scan.csv": _csv("delay_s,coincidence,singles_m,singles_n", rows),
+        "summary.csv": _csv("visibility", [(vis.v,)]),
+    }
 
 
 def run_alpha_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[AlphaScanResult, dict[str, str]]:
@@ -325,14 +334,7 @@ def run_alpha_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[AlphaS
     only their combination depends on ``alpha``.
     """
     source = build_source(config)
-    alphas = [float(alpha) for alpha in config.alpha_grid]
-    if config.circuit == "shaped":
-        medium = build_medium(config, master_seed)
-        m, n = config.output_m, config.output_n
-        single_targets = optimize_single_targets(medium, config.segments, m, n, config.method, config.steps)
-        circuits = (realize_circuit(medium, single_targets, m, n, alpha)[2] for alpha in alphas)
-    else:
-        circuits = (ideal_circuit(config.t, alpha) for alpha in alphas)
+    circuits = _circuits(config, master_seed, [float(alpha) for alpha in config.alpha_grid])
     visibilities = []
     std_errs = []
     for index, circuit in enumerate(circuits):
@@ -356,28 +358,6 @@ def run_alpha_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[AlphaS
         "visibility.csv": _csv("alpha_rad,visibility,std_err", rows),
         "fit.csv": _csv("v0_fit,v0_std_err", [(v0, v0_err)]),
     }
-
-
-def run_hom_reproduction(
-    config: ScenarioConfig, master_seed: int = 0
-) -> tuple[dict[str, CoincidenceScan], dict[str, str]]:
-    """Delay scans of an ideal 50:50 circuit for two source presets.
-
-    The broadband and filtered presets differ in overlap and bandwidth;
-    the dip depths reproduce the overlaps and the dip widths scale with
-    the inverse bandwidths.
-    """
-    circuit = ideal_circuit(1.0 / math.sqrt(2.0), math.pi)
-    scans: dict[str, CoincidenceScan] = {}
-    summary = []
-    files: dict[str, str] = {}
-    for name in ("broadband", "filtered"):
-        source = source_preset(name, mean_pairs_per_pulse=config.mean_pairs_per_pulse)
-        result, files[f"hom_{name}.csv"] = _hom_scan(circuit, source, config.delay_grid)
-        scans[name] = result.scan
-        summary.append((name, result.visibility.v, dip_half_width(result.scan)))
-    files["summary.csv"] = _csv("preset,visibility,half_width_s", summary)
-    return scans, files
 
 
 def dip_half_width(scan: CoincidenceScan) -> float:
@@ -486,7 +466,7 @@ def emit_scenario(
     scenario: str,
     master_seed: int,
     files: dict[str, str | bytes],
-    config: ScenarioConfig | None,
+    config: ScenarioConfig,
     force: bool = False,
 ) -> Path:
     """Write data files with deterministic names, then their manifest.
@@ -514,9 +494,7 @@ def emit_scenario(
         "numpy": np.__version__,
         "master_seed": master_seed,
     }
-    text = "".join(f"# {key} = {value}\n" for key, value in provenance.items())
-    if config is not None:
-        text += format_config(config)
+    text = "".join(f"# {key} = {value}\n" for key, value in provenance.items()) + format_config(config)
     # a manifest vouches for a complete run; the old one goes before any data changes
     manifest_path.unlink(missing_ok=True)
     for name, data in files.items():

@@ -17,7 +17,7 @@ from specklesim.experiments import (
     reference_delay,
     run_alpha_scan,
     run_enhancement_study,
-    run_hom_reproduction,
+    run_hom_scan,
 )
 from specklesim.medium import gaussian_transmission_matrix
 from specklesim.rng import child_seed, rng_for
@@ -183,13 +183,13 @@ def test_criterion_06_enhancement_law():
 
 
 def test_criterion_07_source_presets():
-    scans, _ = run_hom_reproduction(ScenarioConfig())
     circuit = ideal_circuit(1.0 / math.sqrt(2.0), math.pi)
     widths = {}
     worst_vis = 0.0
     for name, expected in (("broadband", 0.64), ("filtered", 0.86)):
         source = source_preset(name)
-        scan = scans[name]
+        config = ScenarioConfig(circuit="ideal", t=1.0 / math.sqrt(2.0), alpha=math.pi, source=name)
+        scan = run_hom_scan(config)[0].scan
         baseline = hom_scan(circuit, source, [reference_delay(source)]).coincidence_rate[0]
         center = int(np.argmin(np.abs(scan.delays)))
         vis = scan.coincidence_rate[center] / baseline - 1.0

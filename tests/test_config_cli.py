@@ -584,6 +584,13 @@ def test_table_subcommands_write_exactly_the_runner_files(tmp_path, capsys, subc
     assert written == expected
 
 
+def test_every_runner_is_reachable_from_the_cli():
+    # the CLI is a thin table over experiments: a runner outside the table
+    # (probabilities has its own branch in cli._run) writes files nobody can ask for
+    runners = {name for name in experiments.__all__ if name.startswith("run_")}
+    assert runners - {"run_probabilities"} == {runner for runner, _ in _SCENARIOS.values()}
+
+
 # sha256 of artifacts at artifact version 0.3.1.  None of them goes through
 # a BLAS reduction, so their bytes do not depend on the linear-algebra build.
 _PINNED_ARTIFACTS = [

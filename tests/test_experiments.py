@@ -16,11 +16,11 @@ from specklesim.experiments import (
     focusing_enhancement,
     montecarlo_visibility,
     program_circuit,
+    program_circuits,
     reference_delay,
     run_alpha_scan,
     run_classical_scan,
     run_enhancement_study,
-    run_hom_reproduction,
     run_hom_scan,
     run_optimize,
     run_program,
@@ -178,6 +178,15 @@ def test_shaped_alpha_scan_optimizes_once_and_matches_per_point_programming(monk
     assert files["visibility.csv"] == "\n".join(["alpha_rad,visibility,std_err", *rows]) + "\n"
     assert files["fit.csv"] == f"v0_fit,v0_std_err\n{v0:.17g},{v0_err:.17g}\n"
 
+    alphas = [float(alpha) for alpha in config.alpha_grid]
+    per_phase = program_circuits(medium, 16, 2, 5, alphas, method, config.steps)
+    assert len(per_phase) == len(alphas)
+    for alpha, programmed in zip(alphas, per_phase):
+        single = program_circuit(medium, 16, 2, 5, alpha, method, config.steps)
+        for got, want in zip(programmed[:2], single[:2]):
+            assert got.phases.tobytes() == want.phases.tobytes()
+        assert programmed[2].sub_matrix.tobytes() == single[2].sub_matrix.tobytes()
+
 
 # ---------------------------------------------------------------------------
 # hom reproduction
@@ -185,11 +194,10 @@ def test_shaped_alpha_scan_optimizes_once_and_matches_per_point_programming(monk
 
 
 def test_hom_reproduction_preset_visibilities_and_widths():
-    config = ScenarioConfig()
-    scans, _ = run_hom_reproduction(config, master_seed=0)
     widths = {}
     for name, expected in (("broadband", 0.64), ("filtered", 0.86)):
-        scan = scans[name]
+        config = ScenarioConfig(circuit="ideal", t=1.0 / math.sqrt(2.0), alpha=math.pi, source=name)
+        scan = run_hom_scan(config, master_seed=0)[0].scan
         source = source_preset(name)
         baseline = hom_scan(
             ideal_circuit(1.0 / math.sqrt(2.0), math.pi), source, [reference_delay(source)]

@@ -695,7 +695,7 @@ def test_pattern_csv_17_digits(monkeypatch):
 def test_circuit_csv(monkeypatch):
     circuit = ideal_circuit(0.45, math.pi / 3)
     pattern = PhasePattern(np.zeros(1), "k", np.array([0]))
-    monkeypatch.setattr(experiments, "program_circuit", lambda *args: (pattern, pattern, circuit))
+    monkeypatch.setattr(experiments, "program_circuits", lambda *args: [(pattern, pattern, circuit)])
     _, files = run_program(ScenarioConfig(n_out=2, segments=1))
     lines = files["circuit.csv"].splitlines()
     assert lines[0].startswith("t_mk_re,")
