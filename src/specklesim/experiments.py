@@ -407,23 +407,32 @@ def focusing_enhancement(
 
     The optimized target intensity divided by the mean unshaped speckle
     intensity ``|T f0|^2`` over all outputs, ``f0`` being the zero-phase
-    template field.  Only the target row is read.  ``f0`` has unit norm
-    and Gaussian entries have variance ``1/n_in``, so every other row's
-    ``|row . f0|^2`` is exponential with mean ``1/n_in``, independent of
-    the target row, and their sum is exactly Gamma(``n_out - 1``, scale
-    ``1/n_in``): one draw from the medium seed's background substream.
-    The background is that draw plus the target row's own unshaped
-    ``|row . f0|^2``, over ``n_out``.  Reading row ``target`` draws the
-    rows before it too; they are ignored.  The law needs i.i.d. Gaussian
-    entries, so a unitary medium is rejected.
+    template field, ``1/sqrt(n_in)`` on every channel.  Only the target
+    row ``t`` is read.
+    Under ``"analytic"`` every segment's phase conjugates its channel, so
+    the optimum is exactly ``(sum_c |t_c|)^2 / n_in``; ``"stepped"``
+    still runs the feedback emulation of :func:`optimize_pattern`.
+    ``f0`` has unit norm and Gaussian entries have variance ``1/n_in``,
+    so every other row's ``|row . f0|^2`` is exponential with mean
+    ``1/n_in``, independent of the target row, and their sum is exactly
+    Gamma(``n_out - 1``, scale ``1/n_in``): one draw from the medium
+    seed's background substream.  The background is that draw plus the
+    target row's own unshaped ``|sum_c t_c|^2 / n_in``, over ``n_out``.
+    Reading row ``target`` draws the rows before it too; they are
+    ignored.  The law needs i.i.d. Gaussian entries, so a unitary medium
+    is rejected.
     """
     if medium.kind is not MatrixKind.GAUSSIAN:
         raise ValueError(f"focusing_enhancement needs a gaussian medium, got {medium.kind.value}")
-    template = PhasePattern(np.zeros(medium.n_in), "k", np.arange(medium.n_in))
-    pattern = optimize_pattern(medium, template, target, method, steps)
+    row = medium.rows(target)
+    if method == "analytic":
+        shaped = np.add.reduce(np.abs(row)) ** 2 / medium.n_in
+    else:
+        template = PhasePattern(np.zeros(medium.n_in), "k", np.arange(medium.n_in))
+        shaped = target_intensity(medium, optimize_pattern(medium, template, target, method, steps), target)
     others = rng_for(medium.seed, Stream.BACKGROUND).gamma(medium.n_out - 1, 1.0 / medium.n_in)
-    background = (target_intensity(medium, template, target) + others) / medium.n_out
-    return target_intensity(medium, pattern, target) / background
+    background = (abs(np.add.reduce(row)) ** 2 / medium.n_in + others) / medium.n_out
+    return float(shaped / background)
 
 
 def run_enhancement_study(
@@ -433,8 +442,10 @@ def run_enhancement_study(
 
     For each segment count, ``config.seeds`` fresh media are drawn and
     their :func:`focusing_enhancement` at ``output_m`` is averaged.  Each
-    medium draws rows up to ``output_m`` only; the unshaped background
-    of the other outputs is one draw from its exact Gamma law.  The
+    medium draws rows up to ``output_m`` only.  Analytic shaping reads
+    the optimum from its closed form ``(sum_c |t_c|)^2 / n_in``; stepped
+    shaping runs the feedback emulation.  The unshaped background of the
+    other outputs is one draw from its exact Gamma law.  The
     prediction for ``N`` phase-only segments is ``1 + (pi/4) (N - 1)``.
     """
     rows: list[EnhancementRow] = []

@@ -16,7 +16,7 @@ import numpy as np
 from .config import ScenarioConfig, format_config, parse_config
 from .experiments import analytic_visibility, emit_scenario, focusing_enhancement, program_circuit, run_alpha_scan
 from .medium import gaussian_transmission_matrix, haar_unitary, load_matrix, save_matrix, transmit
-from .rng import rng_for
+from .rng import Stream, rng_for
 from .shaping import ideal_circuit, mode_templates, optimize_pattern, phase_distance, shaped_input, target_intensity
 from .twophoton import (
     EmbeddabilityError,
@@ -197,15 +197,20 @@ def _check_programmed_phase() -> None:
 
 def _check_enhancement() -> None:
     media = [gaussian_transmission_matrix(256, 64, 3000 + seed) for seed in range(10)]
-    gamma_route = float(np.mean([focusing_enhancement(medium, 0) for medium in media]))
-    # oracle: the background summed over every row of each drawn medium
     template = mode_templates(64)[0]
     flat = shaped_input(template, 64)
-    whole_route = float(np.mean([
-        target_intensity(medium, optimize_pattern(medium, template, 0), 0)
-        / np.mean(np.abs(medium.entries @ flat) ** 2)
-        for medium in media
-    ]))
+    gamma_ratios, whole_ratios = [], []
+    for medium in media:
+        ratio = focusing_enhancement(medium, 0)
+        optimum = target_intensity(medium, optimize_pattern(medium, template, 0), 0)
+        # oracle: the optimized pattern read back, over the same Gamma draw's background
+        others = rng_for(medium.seed, Stream.BACKGROUND).gamma(medium.n_out - 1, 1.0 / medium.n_in)
+        shaped = ratio * (target_intensity(medium, template, 0) + others) / medium.n_out
+        _require(abs(shaped / optimum - 1.0) < 1e-12, f"closed-form optimum {shaped} vs pattern route {optimum}")
+        gamma_ratios.append(ratio)
+        # oracle: the background summed over every row of the drawn medium
+        whole_ratios.append(optimum / np.mean(np.abs(medium.entries @ flat) ** 2))
+    gamma_route, whole_route = float(np.mean(gamma_ratios)), float(np.mean(whole_ratios))
     _require(abs(gamma_route / whole_route - 1.0) < 0.1, f"enhancement {gamma_route} vs whole medium {whole_route}")
     law = 1.0 + (math.pi / 4.0) * 63
     for route, value in (("gamma", gamma_route), ("whole-medium", whole_route)):

@@ -591,8 +591,9 @@ def test_every_runner_is_reachable_from_the_cli():
     assert runners - {"run_probabilities"} == {runner for runner, _ in _SCENARIOS.values()}
 
 
-# sha256 of artifacts at artifact version 0.3.1.  None of them goes through
-# a BLAS reduction, so their bytes do not depend on the linear-algebra build.
+# sha256 of artifacts at artifact version 0.3.1, and of enhancement.csv at
+# 0.7.0.  None of them goes through a BLAS reduction, so their bytes do not
+# depend on the linear-algebra build.
 _PINNED_ARTIFACTS = [
     (
         ["gen-medium"], "n_out = 24\nn_in = 12\nsegments = 6\n", "medium.tmat",
@@ -605,6 +606,10 @@ _PINNED_ARTIFACTS = [
     (
         ["probabilities", "--t", "0.3", "--alpha", "pi/2"], "", "outcomes.csv",
         "d94146cc867dbb64d2ca66dfbeb9f905ef99d909b20cf4e4b2a3c8f0d199a4cf",
+    ),
+    (
+        ["enhancement-study"], "n_out = 16\nsegment_counts = 2,4\nseeds = 2\n", "enhancement.csv",
+        "50bcf7ee121b6321f6e55216a4874c8aaef2b8a16ae3b9f062d83f28b0d1f487",
     ),
 ]
 

@@ -27,7 +27,7 @@ from specklesim.experiments import (
 )
 from specklesim.config import parse_config
 from specklesim.medium import gaussian_transmission_matrix, haar_unitary
-from specklesim.rng import rng_for
+from specklesim.rng import Stream, rng_for
 from specklesim.shaping import (
     DegenerateFitError,
     ideal_circuit,
@@ -327,6 +327,30 @@ def test_gamma_background_has_the_whole_medium_law(n_out, n_in, replicates):
 def test_one_output_background_is_the_targets_own_term():
     medium = gaussian_transmission_matrix(1, 64, seed=9)
     assert focusing_enhancement(medium, 0) == pytest.approx(_whole_medium_enhancement(medium, 0), rel=1e-12)
+
+
+def _pattern_route_enhancement(medium, target, method):
+    """The oracle route: optimize a pattern and read both intensities back, with the same Gamma draw."""
+    template = mode_templates(medium.n_in)[0]
+    others = rng_for(medium.seed, Stream.BACKGROUND).gamma(medium.n_out - 1, 1.0 / medium.n_in)
+    background = (target_intensity(medium, template, target) + others) / medium.n_out
+    return target_intensity(medium, optimize_pattern(medium, template, target, method), target) / background
+
+
+@pytest.mark.parametrize("method", ["analytic", "stepped"])
+@pytest.mark.parametrize("target", [0, 5])
+@pytest.mark.parametrize("n_in", [1, 2, 7, 64, 960])
+def test_enhancement_closed_form_matches_the_pattern_route(n_in, target, method):
+    medium = gaussian_transmission_matrix(8, n_in, seed=100 + n_in)
+    expected = _pattern_route_enhancement(medium, target, method)
+    assert focusing_enhancement(medium, target, method) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("method", ["analytic", "stepped"])
+@pytest.mark.parametrize("target", [-1, 8])
+def test_enhancement_rejects_a_target_out_of_range(method, target):
+    with pytest.raises(ValueError):
+        focusing_enhancement(gaussian_transmission_matrix(8, 16, seed=2), target, method)
 
 
 def test_enhancement_rejects_a_unitary_medium():
