@@ -18,6 +18,10 @@ stderr; data goes to files in the output directory or, for
 ``probabilities``, to stdout.  Identical ``(argv, config, seed)`` always
 produce identical outputs.  ``--threads`` is accepted and checked, but
 all work runs on one thread today.
+
+The argument parser is built on the first :func:`main` call and reused by
+every later call in the process; each call parses into a fresh namespace,
+so nothing carries over from one call to the next.
 """
 
 from __future__ import annotations
@@ -62,6 +66,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_parser: _Parser | None = None  # built by the first _run call, not at import
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="specklesim", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
@@ -100,8 +107,10 @@ def console_main() -> None:
 
 
 def _run(argv: list[str]) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     if args.subcommand is None:
         raise _UsageError(f"missing subcommand; choose one of: {', '.join(SUBCOMMANDS)}")
     if args.subcommand == "selftest":

@@ -118,20 +118,21 @@ def program_circuits(
     """Program the splitter at every phase in ``alphas``.
 
     The four single-target patterns ``(k->m, k->n, l->m, l->n)`` do not
-    depend on the phase, so they are optimized once; each phase then
-    combines them and reads back its circuit.  Returns
-    ``(pattern_k, pattern_l, circuit)`` per phase.
+    depend on the phase, so they are optimized once.  One
+    :func:`combine_patterns` call and one :func:`effective_circuit` call
+    then take the whole phase grid, doing their phase-independent work
+    (checks, mode ``k``'s pattern and field, the two output rows) once.
+    Returns ``(pattern_k, pattern_l, circuit)`` per phase; every phase
+    shares the same ``pattern_k``.
     """
     single_targets = [
         optimize_pattern(medium, template, target, method, steps)
         for template in mode_templates(segments)
         for target in (m, n)
     ]
-    programmed = []
-    for alpha in alphas:
-        pattern_k, pattern_l = combine_patterns(*single_targets, alpha)
-        programmed.append((pattern_k, pattern_l, effective_circuit(medium, pattern_k, pattern_l, m, n, alpha)))
-    return programmed
+    pattern_k, patterns_l = combine_patterns(*single_targets, alphas)
+    circuits = effective_circuit(medium, pattern_k, patterns_l, m, n, alphas)
+    return [(pattern_k, pattern_l, circuit) for pattern_l, circuit in zip(patterns_l, circuits)]
 
 
 def reference_delay(source: PhotonPairSource) -> float:

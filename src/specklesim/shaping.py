@@ -220,8 +220,8 @@ def combine_patterns(
     p_kn: PhasePattern,
     p_lm: PhasePattern,
     p_ln: PhasePattern,
-    alpha: float,
-) -> tuple[PhasePattern, PhasePattern]:
+    alpha,
+):
     """Merge four single-target patterns into one pattern per input mode.
 
     Per segment the two parent phasors are added and only the argument is
@@ -233,15 +233,23 @@ def combine_patterns(
 
     Where the two parent phasors cancel exactly, the tie breaks to the
     first parent's phase.
+
+    ``alpha`` is one phase or a 1-d grid of phases.  The sibling checks
+    and mode ``k``'s pattern, which carries no ``alpha``, are done once
+    per call.  For one phase the result is ``(pattern_k, pattern_l)``;
+    for a grid it is ``(pattern_k, [pattern_l per phase])``, so a single
+    phase is the case of a one-point grid.
     """
     _check_siblings(p_km, p_kn)
     _check_siblings(p_lm, p_ln)
-    combined_k = _phasor_sum_phase(p_km.phases, p_kn.phases, 0.0)
-    combined_l = _phasor_sum_phase(p_lm.phases, p_ln.phases, alpha)
-    return (
-        PhasePattern(combined_k, p_km.input_mode_id, p_km.segment_to_channel.copy()),
-        PhasePattern(combined_l, p_lm.input_mode_id, p_lm.segment_to_channel.copy()),
+    combined_k = PhasePattern(
+        _phasor_sum_phase(p_km.phases, p_kn.phases, 0.0), p_km.input_mode_id, p_km.segment_to_channel.copy()
     )
+    combined_l = [
+        PhasePattern(_phasor_sum_phase(p_lm.phases, p_ln.phases, a), p_lm.input_mode_id, p_lm.segment_to_channel.copy())
+        for a in np.atleast_1d(alpha)
+    ]
+    return combined_k, (combined_l if np.ndim(alpha) else combined_l[0])
 
 
 def _phasor_sum_phase(first: np.ndarray, second: np.ndarray, offset: float) -> np.ndarray:
@@ -298,11 +306,11 @@ def ideal_circuit(t: float, alpha: float) -> ProgrammedCircuit:
 def effective_circuit(
     matrix: TransmissionMatrix,
     pattern_k: PhasePattern,
-    pattern_l: PhasePattern,
+    pattern_l,
     m: int,
     n: int,
-    alpha_set: float,
-) -> ProgrammedCircuit:
+    alpha_set,
+):
     """Read back the 2x2 circuit realized by two combined patterns.
 
     Each input mode is driven with a unit-power field spread evenly over
@@ -310,21 +318,37 @@ def effective_circuit(
     form the sub-matrix, from which :class:`ProgrammedCircuit` derives
     its fit.  On a unitary medium the block must also pass
     :func:`~specklesim.twophoton.check_embeddable`.
+
+    As with :func:`combine_patterns`, ``alpha_set`` is one phase or a 1-d
+    grid; for a grid, ``pattern_l`` is a matching list of patterns and a
+    list of circuits is returned.  The output checks, mode ``k``'s field
+    and the two output rows are computed once per call; every phase
+    still gets its own ``2 x n_in @ n_in x 2`` product.
     """
     if m == n:
         raise ValueError("output modes m and n must differ")
     _check_target(matrix, m)
     _check_target(matrix, n)
-    overlap = np.intersect1d(pattern_k.segment_to_channel, pattern_l.segment_to_channel)
-    if overlap.size:
-        raise ValueError(f"input modes share medium channels {overlap[:4].tolist()}")
-    inputs = np.column_stack(
-        [shaped_input(pattern_k, matrix.n_in), shaped_input(pattern_l, matrix.n_in)]
-    )
-    circuit = ProgrammedCircuit(matrix.rows([m, n]) @ inputs, alpha_set)
-    if matrix.kind is MatrixKind.UNITARY:
-        check_embeddable(circuit.largest_singular_value)
-    return circuit
+    alphas = np.atleast_1d(alpha_set)
+    patterns_l = pattern_l if np.ndim(alpha_set) else [pattern_l]
+    if len(patterns_l) != len(alphas):
+        raise ValueError(f"{len(patterns_l)} patterns for mode l, but {len(alphas)} phases")
+    field_k = shaped_input(pattern_k, matrix.n_in)
+    driven_k = np.zeros(matrix.n_in, dtype=bool)
+    driven_k[pattern_k.segment_to_channel] = True
+    rows = matrix.rows([m, n])
+    circuits = []
+    for pattern, alpha in zip(patterns_l, alphas):
+        field_l = shaped_input(pattern, matrix.n_in)
+        shared = pattern.segment_to_channel[driven_k[pattern.segment_to_channel]]
+        if shared.size:
+            raise ValueError(f"input modes share medium channels {np.sort(shared)[:4].tolist()}")
+        inputs = np.column_stack([field_k, field_l])
+        circuit = ProgrammedCircuit(rows @ inputs, alpha)
+        if matrix.kind is MatrixKind.UNITARY:
+            check_embeddable(circuit.largest_singular_value)
+        circuits.append(circuit)
+    return circuits if np.ndim(alpha_set) else circuits[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,12 +395,19 @@ def fit_sine(x, y) -> tuple[float, float, float]:
 
     Returns ``(offset, amplitude, phase)`` with ``amplitude >= 0``.
 
-    Closed form: with ``sin x``, ``cos x`` and ``y`` centred on their
-    means, the offset drops out and the sine and cosine coefficients
-    solve the 2x2 normal equations, whose entries are read off one 3x3
-    Gram product of the centred columns.  Each column is shifted by its
-    first entry before centring, so a constant column centres to exact
-    zeros: a flat ``y`` fits with amplitude exactly 0 and phase 0.
+    Closed form: with ``sin x`` and ``cos x`` centred on their means, the
+    offset drops out and the sine and cosine coefficients solve the 2x2
+    normal equations of the centred columns, by Cramer's rule.  Each
+    column, ``y`` included, is shifted by its first entry first, so a
+    constant column becomes exact zeros: a flat ``y`` fits with amplitude
+    exactly 0 and phase 0.
+
+    Everything that depends on ``x`` alone (the centred columns, the
+    normal equations and the determinant rule below) is folded into
+    weights that are kept for the last ``x`` seen, keyed by its bytes.
+    A scan that fits many responses on one phase grid computes them
+    once, and each call does only one product of its shifted ``y`` with
+    the weights.
 
     Raises ``ValueError`` for fewer than 3 samples and
     :class:`DegenerateFitError` unless the determinant ``det`` of the
@@ -392,21 +423,46 @@ def fit_sine(x, y) -> tuple[float, float, float]:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
+    _, weights, mean_sin, mean_cos = _sine_design(x)
+    # the weights are centred, so y's own centring would change a and b only by rounding
+    a, b, total = (weights @ (y - y[0])).tolist()
+    offset = (float(y[0]) + total / y.size) - a * mean_sin - b * mean_cos
+    return offset, math.hypot(a, b), math.atan2(b, a)
+
+
+# (bytes of x, weights, mean of sin x, mean of cos x) of the last design; a plain
+# tuple, swapped whole and never mutated, so concurrent fits at worst recompute it
+_last_design: tuple | None = None
+
+
+def _sine_design(x: np.ndarray) -> tuple:
+    """The x-only part of :func:`fit_sine`, reused while ``x`` keeps its bytes.
+
+    The weights' rows give ``a``, ``b`` and the sum of ``y`` from ``y - y[0]``.
+    """
+    global _last_design
+    key = x.tobytes()
+    design = _last_design
+    if design is not None and design[0] == key:
+        return design
     if x.size < 3:
         raise ValueError(f"need at least 3 samples to fit a sinusoid, got {x.size}")
-    columns = np.array([np.sin(x), np.cos(x), y])
+    columns = np.array([np.sin(x), np.cos(x)])
     shift = columns[:, :1].copy()
     columns -= shift
     means = np.add.reduce(columns, axis=1, keepdims=True) / x.size
     columns -= means
-    (ss, sc, sy), (_, cc, cy), _ = (columns @ columns.T).tolist()
+    (ss, sc), (_, cc) = (columns @ columns.T).tolist()
     det = ss * cc - sc * sc
     if not det > _FIT_RCOND * (ss + cc) ** 2:
         raise DegenerateFitError("sinusoid fit is degenerate (singular normal equations)")
-    a = (cc * sy - sc * cy) / det
-    b = (ss * cy - sc * sy) / det
-    mean_sin, mean_cos, mean_y = (shift + means).ravel().tolist()
-    return mean_y - a * mean_sin - b * mean_cos, math.hypot(a, b), math.atan2(b, a)
+    # Cramer's rule for the 2x2 normal equations, applied to the columns once
+    sin_c, cos_c = columns
+    weights = np.vstack([(cc * sin_c - sc * cos_c) / det, (ss * cos_c - sc * sin_c) / det, np.ones(x.size)])
+    weights.flags.writeable = False
+    design = (key, weights, *(shift + means).ravel().tolist())
+    _last_design = design
+    return design
 
 
 def phase_distance(a: float, b: float) -> float:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specklesim
-from specklesim import experiments
+from specklesim import cli, experiments
 from specklesim.cli import _SCENARIOS, main
 from specklesim.config import ConfigError, ScenarioConfig, format_config, parse_angle, parse_config, parse_grid
 from specklesim.medium import gaussian_transmission_matrix, load_matrix
@@ -335,6 +335,38 @@ def test_bad_flag(capsys):
 
 def test_bad_threads(capsys):
     assert main(["probabilities", "--t", "0.1", "--alpha", "0", "--threads", "0"]) == 1
+
+
+def test_one_parser_serves_every_call_and_keeps_no_state(tmp_path, monkeypatch, capsys):
+    builds = []
+    real_build = cli._build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or real_build())
+    namespaces = []
+    real_parse = cli._Parser.parse_args
+
+    def parse(self, argv):
+        namespaces.append(real_parse(self, argv))
+        return namespaces[-1]
+
+    monkeypatch.setattr(cli._Parser, "parse_args", parse)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("circuit = ideal\nalpha_grid = 0:pi:3\n")
+    scan = ["alpha-scan", "--config", str(cfg), "--out", str(tmp_path), "--force"]
+
+    assert main(["probabilities", "--t", "0.3", "--alpha", "pi/2", "--quiet"]) == 0
+    assert main(scan) == 0
+    assert builds == [1]
+    assert vars(namespaces[0])["t"] == 0.3 and namespaces[0].quiet
+    assert "t" not in vars(namespaces[1]) and "alpha" not in vars(namespaces[1]) and not namespaces[1].quiet
+    out = capsys.readouterr().out
+    assert "probabilities sum to 1" not in out and "alpha scan done" in out  # --quiet did not stick
+
+    assert main([*scan, "--nope"]) == 1
+    assert "unrecognized arguments: --nope" in capsys.readouterr().err
+    assert main(scan) == 0
+    assert "alpha scan done" in capsys.readouterr().out
+    assert builds == [1]
 
 
 def test_gen_medium_round_trip(tmp_path, capsys):

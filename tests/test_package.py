@@ -37,3 +37,14 @@ def test_no_module_imports_a_private_name_of_another():
                 names = [a.name for a in node.names if a.name.startswith("_") and not a.name.endswith("__")]
                 private += [f"{path.name}: {node.module}.{name}" for name in names]
     assert private == []
+
+
+@pytest.mark.parametrize("name", ["specklesim", *(f"specklesim.{name}" for name in _MODULES)])
+def test_no_module_level_callable_carries_wrapped(name):
+    # perfbench's tracer swaps module attributes for wrappers and restores
+    # them by identity; it treats a callable with __wrapped__ as a wrapper it
+    # failed to remove.  A functools.cache, lru_cache or wraps on a module
+    # function therefore breaks the traced benchmark run: cache by hand.
+    module = importlib.import_module(name)
+    wrapped = [attr for attr, value in vars(module).items() if callable(value) and hasattr(value, "__wrapped__")]
+    assert wrapped == [], f"{name} has module-level callables with __wrapped__: {wrapped}"

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specklesim import experiments
+from specklesim import experiments, shaping
 from specklesim.config import parse_grid
 from specklesim.experiments import ScenarioConfig, run_classical_scan, run_optimize, run_program
 from specklesim.medium import MatrixKind, TransmissionMatrix, gaussian_transmission_matrix, haar_unitary
 from specklesim.rng import rng_for
+from specklesim.twophoton import EmbeddabilityError
 from specklesim.shaping import (
     DegenerateFitError,
     PhasePattern,
@@ -388,6 +389,73 @@ def test_combine_rejects_mismatched_mappings():
         combine_patterns(p_a, p_other, p_l, p_l, 0.0)
 
 
+def single_target_patterns(medium, segments, method):
+    return [
+        optimize_pattern(medium, template, target, method)
+        for template in mode_templates(segments)
+        for target in (0, 1)
+    ]
+
+
+@pytest.mark.parametrize("points", [1, 9])
+@pytest.mark.parametrize("method", ["analytic", "stepped"])
+@pytest.mark.parametrize("kind", ["gaussian", "unitary"])
+def test_phase_grid_matches_per_phase_programming(kind, method, points):
+    # one grid call per step gives the bits of one call per phase, and the
+    # sub-matrix is the plain two-row product of the shaped input fields
+    medium = gaussian_transmission_matrix(48, 64, seed=61) if kind == "gaussian" else haar_unitary(64, seed=61)
+    patterns = single_target_patterns(medium, 24, method)
+    alphas = np.linspace(0.0, math.pi, points)
+    pattern_k, patterns_l = combine_patterns(*patterns, alphas)
+    circuits = effective_circuit(medium, pattern_k, patterns_l, 0, 1, alphas)
+    assert len(patterns_l) == len(circuits) == points
+    for alpha, pattern_l, circuit in zip(alphas, patterns_l, circuits):
+        single_k, single_l = combine_patterns(*patterns, alpha)
+        single = effective_circuit(medium, single_k, single_l, 0, 1, alpha)
+        assert pattern_k.phases.tobytes() == single_k.phases.tobytes()
+        assert pattern_l.phases.tobytes() == single_l.phases.tobytes()
+        assert circuit.sub_matrix.tobytes() == single.sub_matrix.tobytes()
+        assert circuit.alpha_set == single.alpha_set == alpha
+        fields = np.column_stack([shaped_input(single_k, 64), shaped_input(single_l, 64)])
+        assert circuit.sub_matrix.tobytes() == (medium.entries[[0, 1]] @ fields).tobytes()
+
+
+def test_phase_grid_rejects_shared_channels_with_the_sorted_first_four():
+    medium = gaussian_transmission_matrix(8, 32, seed=4)
+    pattern_k = PhasePattern(np.zeros(8), "k", np.arange(8))
+    clean = PhasePattern(np.zeros(3), "l", np.array([10, 11, 12]))
+    shared = PhasePattern(np.zeros(6), "l", np.array([7, 6, 20, 5, 3, 1]))
+    message = re.escape("input modes share medium channels [1, 3, 5, 6]")
+    with pytest.raises(ValueError, match=message):
+        effective_circuit(medium, pattern_k, [clean, shared], 0, 1, [0.0, 1.0])
+    with pytest.raises(ValueError, match=message):
+        effective_circuit(medium, pattern_k, shared, 0, 1, 1.0)
+    with pytest.raises(ValueError, match="2 patterns for mode l, but 3 phases"):
+        effective_circuit(medium, pattern_k, [clean, clean], 0, 1, [0.0, 1.0, 2.0])
+
+
+def test_phase_grid_checks_every_phase_of_a_unitary_medium(monkeypatch):
+    checked = []
+
+    def check(sigma):
+        checked.append(sigma)
+        if len(checked) == 3:
+            raise EmbeddabilityError("not embeddable")
+
+    monkeypatch.setattr(shaping, "check_embeddable", check)
+    alphas = [0.0, 1.0, 2.0]
+    medium = gaussian_transmission_matrix(8, 32, seed=4)
+    pattern_k, patterns_l = combine_patterns(*single_target_patterns(medium, 8, "analytic"), alphas)
+    effective_circuit(medium, pattern_k, patterns_l, 0, 1, alphas)
+    assert checked == []
+    medium = haar_unitary(32, seed=4)
+    pattern_k, patterns_l = combine_patterns(*single_target_patterns(medium, 8, "analytic"), alphas)
+    with pytest.raises(EmbeddabilityError):
+        effective_circuit(medium, pattern_k, patterns_l, 0, 1, alphas)
+    circuits = [effective_circuit(medium, pattern_k, l, 0, 1, a) for l, a in zip(patterns_l[:2], alphas)]
+    assert checked[:2] == checked[3:] == [c.largest_singular_value for c in circuits]
+
+
 # ---------------------------------------------------------------------------
 # effective_circuit
 # ---------------------------------------------------------------------------
@@ -488,12 +556,7 @@ def test_effective_circuit_validation():
 
 
 def programmed_patterns(medium, segments, alpha):
-    template_k, template_l = mode_templates(segments)
-    p_km = optimize_pattern(medium, template_k, 0)
-    p_kn = optimize_pattern(medium, template_k, 1)
-    p_lm = optimize_pattern(medium, template_l, 0)
-    p_ln = optimize_pattern(medium, template_l, 1)
-    return combine_patterns(p_km, p_kn, p_lm, p_ln, alpha)
+    return combine_patterns(*single_target_patterns(medium, segments, "analytic"), alpha)
 
 
 def test_classical_scan_pi_antiphase():
@@ -667,6 +730,49 @@ def test_fit_sine_flat_response_has_zero_amplitude():
         x = np.arange(steps) * TWO_PI / steps
         for level in (0.1, 1.7, 12.345):
             assert fit_sine(x, np.full(steps, level)) == (level, 0.0, 0.0)
+
+
+def fit_bits(x, y):
+    return np.array(fit_sine(x, y)).tobytes()
+
+
+def test_fit_sine_reused_design_gives_the_bits_of_a_first_call(monkeypatch):
+    x = np.arange(8) * TWO_PI / 8
+    other = parse_grid("0:2pi:25")
+    ys = [1.0 + np.sin(x + phase) + 0.01 * phase * np.cos(3.0 * x) for phase in (0.3, -2.0, 1.1)]
+    first = []
+    for y in ys:
+        monkeypatch.setattr(shaping, "_last_design", None)
+        first.append(fit_bits(x, y))
+    design = shaping._last_design
+    assert design is not None and design[0] == x.tobytes()
+    assert [fit_bits(x, y) for y in ys] == first
+    assert shaping._last_design is design  # one design served every call
+    fit_sine(other, np.cos(other))  # another grid takes the slot
+    assert [fit_bits(list(x), y) for y in ys] == first
+    monkeypatch.setattr(shaping, "_last_design", None)
+    fresh = fit_bits(other[:8], ys[1])
+    grid = x.copy()
+    monkeypatch.setattr(shaping, "_last_design", None)
+    fit_sine(grid, ys[0])  # the slot now holds the design of x
+    grid[:] = other[:8]  # same array and length, new values: the design must follow the bytes
+    assert fit_bits(grid, ys[1]) == fresh
+
+
+def test_fit_sine_degenerate_design_raises_on_first_and_repeated_calls(monkeypatch):
+    good = np.arange(8) * TWO_PI / 8
+    monkeypatch.setattr(shaping, "_last_design", None)
+    for x in (np.full(8, 0.7), TWO_PI * np.arange(8.0)):
+        for _ in range(2):
+            with pytest.raises(DegenerateFitError):
+                fit_sine(x, np.arange(8.0))
+        fit_sine(good, np.sin(good))
+        with pytest.raises(DegenerateFitError):
+            fit_sine(x, np.arange(8.0))
+    with pytest.raises(ValueError, match="at least 3 samples"):
+        fit_sine(good[:2], good[:2])
+    with pytest.raises(ValueError, match="equal length"):
+        fit_sine(good, good[:7])
 
 
 # ---------------------------------------------------------------------------
