@@ -17,7 +17,6 @@ from .medium import (
     haar_unitary,
     load_matrix,
     save_matrix,
-    transmit,
 )
 from .shaping import (
     ClassicalScan,
@@ -45,16 +44,14 @@ from .twophoton import (
     embeddability_bound,
     hom_scan,
     montecarlo_counts,
-    outcome_distribution,
     outcome_probabilities,
     overlap_from_delay,
     pair_outcome_components,
     permanent,
     source_preset,
-    two_photon_coincidence,
-    unitary_completion,
     visibility,
 )
+from .oracles import outcome_distribution, transmit, two_photon_coincidence, unitary_completion
 from .experiments import (
     AlphaScanResult,
     EnhancementRow,

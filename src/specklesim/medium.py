@@ -34,7 +34,6 @@ __all__ = [
     "TransmissionMatrix",
     "gaussian_transmission_matrix",
     "haar_unitary",
-    "transmit",
     "matrix_bytes",
     "save_matrix",
     "load_matrix",
@@ -166,20 +165,6 @@ def haar_unitary(n: int, seed: int) -> TransmissionMatrix:
     phase = np.where(mag > 0, diag / np.where(mag > 0, mag, 1.0), 1.0)
     entries = q * phase
     return TransmissionMatrix(entries=entries, kind=MatrixKind.UNITARY, seed=seed)
-
-
-def transmit(matrix: TransmissionMatrix, field: np.ndarray) -> np.ndarray:
-    """Propagate an input field vector through the medium.
-
-    ``field`` must have length ``matrix.n_in`` and finite entries; the
-    result is the output field vector of length ``matrix.n_out``.
-    """
-    field = np.asarray(field, dtype=np.complex128)
-    if field.ndim != 1 or field.shape[0] != matrix.n_in:
-        raise ValueError(f"input field has length {field.shape}, expected ({matrix.n_in},)")
-    if not np.all(np.isfinite(field.view(np.float64))):
-        raise ValueError("input field must be finite")
-    return matrix.entries @ field
 
 
 def _fill_normal(rng: np.random.Generator, scale: float, out: np.ndarray) -> np.ndarray:

@@ -15,18 +15,17 @@ import numpy as np
 
 from .config import ScenarioConfig, format_config, parse_config
 from .experiments import analytic_visibility, emit_scenario, focusing_enhancement, program_circuit, run_alpha_scan
-from .medium import gaussian_transmission_matrix, haar_unitary, load_matrix, save_matrix, transmit
+from .medium import gaussian_transmission_matrix, haar_unitary, load_matrix, save_matrix
+from .oracles import outcome_distribution, transmit, two_photon_coincidence
 from .rng import Stream, rng_for
 from .shaping import ideal_circuit, mode_templates, optimize_pattern, phase_distance, shaped_input, target_intensity
 from .twophoton import (
     EmbeddabilityError,
     embeddability_bound,
     montecarlo_counts,
-    outcome_distribution,
     outcome_probabilities,
     permanent,
     source_preset,
-    two_photon_coincidence,
 )
 
 __all__ = ["run_selftest"]

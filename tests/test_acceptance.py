@@ -20,6 +20,7 @@ from specklesim.experiments import (
     run_hom_scan,
 )
 from specklesim.medium import gaussian_transmission_matrix
+from specklesim.oracles import outcome_distribution
 from specklesim.rng import child_seed, rng_for
 from specklesim.shaping import (
     classical_scan,
@@ -35,7 +36,6 @@ from specklesim.twophoton import (
     EmbeddabilityError,
     embeddability_bound,
     hom_scan,
-    outcome_distribution,
     outcome_probabilities,
     source_preset,
 )

@@ -17,8 +17,8 @@ from specklesim.medium import (
     load_matrix,
     matrix_bytes,
     save_matrix,
-    transmit,
 )
+from specklesim.oracles import transmit
 from specklesim.rng import rng_for
 
 

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import re
 from pathlib import Path
@@ -37,6 +38,44 @@ def test_no_module_imports_a_private_name_of_another():
                 names = [a.name for a in node.names if a.name.startswith("_") and not a.name.endswith("__")]
                 private += [f"{path.name}: {node.module}.{name}" for name in names]
     assert private == []
+
+
+def _imported_modules(node):
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or "", *(f"{node.module or ''}.{alias.name}" for alias in node.names)]
+    return [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
+
+
+def test_only_selftest_and_the_exports_reach_the_oracles():
+    # production code uses closed forms; the brute-force routes are oracles
+    # for the tests and selftest, so no production module imports them
+    package = Path(specklesim.__file__).parent
+    oracles = ast.parse((package / "oracles.py").read_text())
+    moved = {node.name for node in oracles.body if isinstance(node, ast.FunctionDef)}
+    importers, named = set(), []
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if any(module.rpartition(".")[2] == "oracles" for module in _imported_modules(node)):
+                importers.add(path.name)
+            identifier = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if identifier in moved and path.name not in ("oracles.py", "selftest.py", "__init__.py"):
+                named.append(f"{path.name}:{node.lineno}: {identifier}")
+    assert importers == {"__init__.py", "selftest.py"}
+    assert named == []
+
+
+def test_every_benchmark_boundary_resolves():
+    # perfbench traces the functions in BOUNDARIES and drops any it cannot
+    # find from the per-layer metrics without failing; spans.py is read only.
+    path = Path(__file__).parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for layer, funcs in spans.BOUNDARIES.items():
+        module = importlib.import_module(f"specklesim.{layer}")
+        missing += [f"{layer}.{func}" for func in funcs if not callable(getattr(module, func, None))]
+    assert missing == []
 
 
 @pytest.mark.parametrize("name", ["specklesim", *(f"specklesim.{name}" for name in _MODULES)])

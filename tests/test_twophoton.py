@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from specklesim.medium import haar_unitary
+from specklesim.oracles import outcome_distribution, two_photon_coincidence, unitary_completion
 from specklesim.rng import rng_for
 from specklesim.shaping import ProgrammedCircuit, ideal_circuit
 from specklesim.twophoton import (
@@ -18,15 +19,12 @@ from specklesim.twophoton import (
     embeddability_bound,
     hom_scan,
     montecarlo_counts,
-    outcome_distribution,
     outcome_probabilities,
     overlap_from_delay,
     pair_outcome_components,
     permanent,
     rms_bandwidth_from_filter_fwhm,
     source_preset,
-    two_photon_coincidence,
-    unitary_completion,
     visibility,
 )
 
