@@ -60,7 +60,6 @@ __all__ = [
     "build_medium",
     "build_source",
     "program_circuit",
-    "program_circuits",
     "reference_delay",
     "analytic_visibility",
     "montecarlo_visibility",
@@ -76,7 +75,6 @@ __all__ = [
     "run_alpha_scan",
     "focusing_enhancement",
     "run_enhancement_study",
-    "dip_half_width",
     "emit_scenario",
 ]
 
@@ -100,39 +98,22 @@ def build_source(config: ScenarioConfig) -> PhotonPairSource:
 
 
 def program_circuit(
-    medium: TransmissionMatrix,
-    segments: int,
-    m: int,
-    n: int,
-    alpha: float,
-    method: str = "analytic",
-    steps: int = 8,
-) -> tuple[PhasePattern, PhasePattern, ProgrammedCircuit]:
-    """The one-phase case of :func:`program_circuits`."""
-    return program_circuits(medium, segments, m, n, [alpha], method, steps)[0]
-
-
-def program_circuits(
-    medium: TransmissionMatrix, segments: int, m: int, n: int, alphas, method: str = "analytic", steps: int = 8
-) -> list[tuple[PhasePattern, PhasePattern, ProgrammedCircuit]]:
-    """Program the splitter at every phase in ``alphas``.
+    medium: TransmissionMatrix, segments: int, m: int, n: int, alpha, method: str = "analytic", steps: int = 8
+) -> tuple[PhasePattern, PhasePattern, ProgrammedCircuit | list[ProgrammedCircuit]]:
+    """Program the splitter at one phase ``alpha`` or along a 1-d grid of phases.
 
     The four single-target patterns ``(k->m, k->n, l->m, l->n)`` do not
-    depend on the phase, so they are optimized once.  One
-    :func:`combine_patterns` call and one :func:`effective_circuit` call
-    then take the whole phase grid, doing their phase-independent work
-    (checks, mode ``k``'s pattern and field, the two output rows) once.
-    Returns ``(pattern_k, pattern_l, circuit)`` per phase; every phase
-    shares the same ``pattern_k``.
+    depend on the phase, so they are optimized once.  Returns
+    ``(pattern_k, pattern_l, circuit)``; for a grid, ``pattern_l`` stacks
+    one phase row per phase and ``circuit`` is a list of circuits.
     """
     single_targets = [
         optimize_pattern(medium, template, target, method, steps)
         for template in mode_templates(segments)
         for target in (m, n)
     ]
-    pattern_k, patterns_l = combine_patterns(*single_targets, alphas)
-    circuits = effective_circuit(medium, pattern_k, patterns_l, m, n, alphas)
-    return [(pattern_k, pattern_l, circuit) for pattern_l, circuit in zip(patterns_l, circuits)]
+    pattern_k, pattern_l = combine_patterns(*single_targets, alpha)
+    return pattern_k, pattern_l, effective_circuit(medium, pattern_k, pattern_l, m, n, alpha)
 
 
 def reference_delay(source: PhotonPairSource) -> float:
@@ -220,18 +201,17 @@ class AlphaScanResult:
             raise ValueError(f"v0_fit = {self.v0_fit} is not a physical visibility amplitude")
 
 
-def _program(config: ScenarioConfig, master_seed: int, alphas):
-    """:func:`program_circuits` on the configured medium, outputs and shaping."""
+def _program(config: ScenarioConfig, master_seed: int, alpha):
+    """:func:`program_circuit` on the configured medium, outputs and shaping."""
     medium = build_medium(config, master_seed)
-    return program_circuits(
-        medium, config.segments, config.output_m, config.output_n, alphas, config.method, config.steps
-    )
+    m, n = config.output_m, config.output_n
+    return program_circuit(medium, config.segments, m, n, alpha, config.method, config.steps)
 
 
 def _circuits(config: ScenarioConfig, master_seed: int, alphas) -> list[ProgrammedCircuit]:
     """The configured circuit at each phase: ideal, or shaped into the medium."""
     if config.circuit == "shaped":
-        return [circuit for _, _, circuit in _program(config, master_seed, alphas)]
+        return _program(config, master_seed, alphas)[2]
     return [ideal_circuit(config.t, alpha) for alpha in alphas]
 
 
@@ -269,7 +249,7 @@ def run_optimize(config: ScenarioConfig, master_seed: int = 0) -> tuple[PhasePat
 
 def run_program(config: ScenarioConfig, master_seed: int = 0) -> tuple[ProgrammedCircuit, dict[str, str]]:
     """Program the splitter at ``config.alpha`` and read back its circuit."""
-    [(pattern_k, pattern_l, circuit)] = _program(config, master_seed, [config.alpha])
+    pattern_k, pattern_l, circuit = _program(config, master_seed, config.alpha)
     couplings = np.ravel(circuit.sub_matrix).view(np.float64)  # mk, ml, nk, nl as (real, imaginary) pairs
     fit = (circuit.alpha_set, circuit.alpha_fit, circuit.t_fit, circuit.largest_singular_value)
     header = "t_mk_re,t_mk_im,t_ml_re,t_ml_im,t_nk_re,t_nk_im,t_nl_re,t_nl_im,alpha_set,alpha_fit,t_fit,sigma_max"
@@ -288,7 +268,7 @@ class ClassicalScanResult(NamedTuple):
 
 def run_classical_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[ClassicalScanResult, dict]:
     """Two-beam intensity scan of the programmed circuit, with sine fits per output."""
-    [(_, _, circuit)] = _program(config, master_seed, [config.alpha])
+    _, _, circuit = _program(config, master_seed, config.alpha)
     scan = classical_scan(circuit, config.delta_theta_grid)
     fit_m = fit_sine(scan.delta_theta, scan.intensity_m)
     fit_n = fit_sine(scan.delta_theta, scan.intensity_n)
@@ -310,7 +290,7 @@ def run_hom_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[HomScanR
     The ideal 50:50 splitter (``t = 1/sqrt(2)``, ``alpha = pi``) with the
     ``broadband`` and ``filtered`` presets gives the two reference dips:
     their depths reproduce the preset overlaps and their widths scale
-    with the inverse bandwidths (:func:`dip_half_width`).
+    with the inverse bandwidths.
     """
     [circuit] = _circuits(config, master_seed, [config.alpha])
     source = build_source(config)
@@ -335,7 +315,7 @@ def run_alpha_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[AlphaS
     only their combination depends on ``alpha``.
     """
     source = build_source(config)
-    circuits = _circuits(config, master_seed, [float(alpha) for alpha in config.alpha_grid])
+    circuits = _circuits(config, master_seed, config.alpha_grid)
     visibilities = []
     std_errs = []
     for index, circuit in enumerate(circuits):
@@ -359,38 +339,6 @@ def run_alpha_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[AlphaS
         "visibility.csv": _csv("alpha_rad,visibility,std_err", rows),
         "fit.csv": _csv("v0_fit,v0_std_err", [(v0, v0_err)]),
     }
-
-
-def dip_half_width(scan: CoincidenceScan) -> float:
-    """Half width at half depth of a coincidence dip, by interpolation.
-
-    The baseline is the average of the scan's end points; the dip depth
-    is measured at the deepest sample and the crossings of the half-depth
-    level are located by linear interpolation on both flanks.
-    """
-    c = scan.coincidence_rate
-    tau = scan.delays
-    baseline = 0.5 * (c[0] + c[-1])
-    bottom = int(np.argmin(c))
-    depth = baseline - c[bottom]
-    if depth <= 0:
-        raise ValueError("scan has no dip")
-    level = baseline - 0.5 * depth
-    left = _crossing(tau, c, bottom, -1, level)
-    right = _crossing(tau, c, bottom, +1, level)
-    return 0.5 * (right - left)
-
-
-def _crossing(tau: np.ndarray, c: np.ndarray, start: int, step: int, level: float) -> float:
-    i = start
-    while 0 <= i + step < c.size and c[i + step] < level:
-        i += step
-    j = i + step
-    if not 0 <= j < c.size:
-        raise ValueError("dip is not resolved inside the scan window")
-    # linear interpolation between the bracketing samples
-    frac = (level - c[i]) / (c[j] - c[i])
-    return float(tau[i] + frac * (tau[j] - tau[i]))
 
 
 @dataclass(frozen=True)

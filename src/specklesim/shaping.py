@@ -9,7 +9,8 @@ capabilities, built on top of each other:
    turning a speckle grain into a bright enhanced spot.
 2. :func:`combine_patterns` merges two single-target patterns per input
    mode into one phase-only pattern that feeds both outputs at once, with
-   a programmable phase ``alpha`` inserted on one path.
+   a programmable phase ``alpha`` inserted on one path.  A grid of phases
+   takes the same path: mode ``l``'s pattern stacks one row per phase.
 3. :func:`effective_circuit` reads back the resulting 2x2 field matrix
    between the two shaped inputs and the two target outputs once; the
    returned :class:`ProgrammedCircuit` fits the programmed-splitter form
@@ -77,6 +78,8 @@ def _wrap_phase(values: np.ndarray) -> np.ndarray:
 class PhasePattern:
     """Per-segment modulator phases for one input mode.
 
+    ``phases[..., s]`` is segment ``s``'s phase; a stack of rows, such as
+    ``(points, segments)`` for mode ``l`` over a phase grid, shares one mapping.
     ``segment_to_channel[s]`` is the medium input channel driven by
     segment ``s``; mappings of different input modes must be disjoint.
     """
@@ -90,9 +93,9 @@ class PhasePattern:
         channels = np.asarray(self.segment_to_channel, dtype=np.int64)
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "segment_to_channel", channels)
-        if phases.ndim != 1 or phases.size == 0:
+        if phases.ndim == 0 or phases.shape[-1] == 0:
             raise ValueError("pattern needs at least one segment")
-        if channels.shape != phases.shape:
+        if channels.shape != phases.shape[-1:]:
             raise ValueError("segment_to_channel must map every segment")
         if not np.all((phases >= 0.0) & (phases < TWO_PI)):  # NaN fails both comparisons
             raise ValueError("phases must lie in [0, 2*pi)")
@@ -104,7 +107,7 @@ class PhasePattern:
 
     @property
     def n_segments(self) -> int:
-        return self.phases.size
+        return self.phases.shape[-1]
 
 
 def mode_templates(n_segments: int) -> list[PhasePattern]:
@@ -122,13 +125,13 @@ def mode_templates(n_segments: int) -> list[PhasePattern]:
 
 
 def shaped_input(pattern: PhasePattern, n_in: int) -> np.ndarray:
-    """Unit-power input field realizing a pattern.
+    """Unit-power input field realizing a pattern, ``(..., n_in)`` for a stack of rows.
 
     Total power 1 is spread evenly over the pattern's segments, so
     programmed-circuit amplitudes are comparable across segment counts.
     """
-    field = np.zeros(n_in, dtype=np.complex128)
-    field[_check_channels(pattern, n_in)] = np.exp(1j * pattern.phases) / math.sqrt(pattern.n_segments)
+    field = np.zeros((*pattern.phases.shape[:-1], n_in), dtype=np.complex128)
+    field[..., _check_channels(pattern, n_in)] = np.exp(1j * pattern.phases) / math.sqrt(pattern.n_segments)
     return field
 
 
@@ -188,6 +191,8 @@ def optimize_pattern(
     target carries the medium's channel-0 phase there, and the target
     intensity never drops below its template value.
     """
+    if template.phases.ndim != 1:
+        raise ValueError(f"template must hold one phase row, got phases of shape {template.phases.shape}")
     _check_target(matrix, target_output)
     channels = _check_channels(template, matrix.n_in)
     row = matrix.rows(target_output)
@@ -234,25 +239,22 @@ def combine_patterns(
     Where the two parent phasors cancel exactly, the tie breaks to the
     first parent's phase.
 
-    ``alpha`` is one phase or a 1-d grid of phases.  The sibling checks
-    and mode ``k``'s pattern, which carries no ``alpha``, are done once
-    per call.  For one phase the result is ``(pattern_k, pattern_l)``;
-    for a grid it is ``(pattern_k, [pattern_l per phase])``, so a single
-    phase is the case of a one-point grid.
+    ``alpha`` is one phase or a grid; mode ``l``'s pattern has one phase
+    row per phase (``phases`` of shape ``(*alpha.shape, segments)``) and
+    mode ``k``'s, which carries no ``alpha``, one row.
     """
     _check_siblings(p_km, p_kn)
     _check_siblings(p_lm, p_ln)
     combined_k = PhasePattern(
         _phasor_sum_phase(p_km.phases, p_kn.phases, 0.0), p_km.input_mode_id, p_km.segment_to_channel.copy()
     )
-    combined_l = [
-        PhasePattern(_phasor_sum_phase(p_lm.phases, p_ln.phases, a), p_lm.input_mode_id, p_lm.segment_to_channel.copy())
-        for a in np.atleast_1d(alpha)
-    ]
-    return combined_k, (combined_l if np.ndim(alpha) else combined_l[0])
+    offsets = np.asarray(alpha, dtype=float)[..., None]
+    return combined_k, PhasePattern(
+        _phasor_sum_phase(p_lm.phases, p_ln.phases, offsets), p_lm.input_mode_id, p_lm.segment_to_channel.copy()
+    )
 
 
-def _phasor_sum_phase(first: np.ndarray, second: np.ndarray, offset: float) -> np.ndarray:
+def _phasor_sum_phase(first: np.ndarray, second: np.ndarray, offset) -> np.ndarray:
     total = np.exp(1j * first) + np.exp(1j * (second + offset))
     return _wrap_phase(np.where(total == 0, first, np.angle(total)))
 
@@ -306,7 +308,7 @@ def ideal_circuit(t: float, alpha: float) -> ProgrammedCircuit:
 def effective_circuit(
     matrix: TransmissionMatrix,
     pattern_k: PhasePattern,
-    pattern_l,
+    pattern_l: PhasePattern,
     m: int,
     n: int,
     alpha_set,
@@ -316,39 +318,35 @@ def effective_circuit(
     Each input mode is driven with a unit-power field spread evenly over
     its segments; the four complex couplings to outputs ``m`` and ``n``
     form the sub-matrix, from which :class:`ProgrammedCircuit` derives
-    its fit.  On a unitary medium the block must also pass
+    its fit.  On a unitary medium every block must also pass
     :func:`~specklesim.twophoton.check_embeddable`.
 
-    As with :func:`combine_patterns`, ``alpha_set`` is one phase or a 1-d
-    grid; for a grid, ``pattern_l`` is a matching list of patterns and a
-    list of circuits is returned.  The output checks, mode ``k``'s field
-    and the two output rows are computed once per call; every phase
-    still gets its own ``2 x n_in @ n_in x 2`` product.
+    As in :func:`combine_patterns`, ``alpha_set`` is one phase or a grid
+    with one phase row of ``pattern_l`` each, and gives one circuit or a
+    list.  Every block comes from one product of the two output rows with
+    the stacked input fields.
     """
     if m == n:
         raise ValueError("output modes m and n must differ")
     _check_target(matrix, m)
     _check_target(matrix, n)
-    alphas = np.atleast_1d(alpha_set)
-    patterns_l = pattern_l if np.ndim(alpha_set) else [pattern_l]
-    if len(patterns_l) != len(alphas):
-        raise ValueError(f"{len(patterns_l)} patterns for mode l, but {len(alphas)} phases")
-    field_k = shaped_input(pattern_k, matrix.n_in)
+    alphas = np.asarray(alpha_set, dtype=float)
+    if alphas.shape != pattern_l.phases.shape[:-1]:
+        raise ValueError(f"alpha_set has shape {alphas.shape}, but pattern_l phase rows {pattern_l.phases.shape[:-1]}")
+    field_k, field_l = np.broadcast_arrays(shaped_input(pattern_k, matrix.n_in), shaped_input(pattern_l, matrix.n_in))
+    fields = np.stack([field_k, field_l], axis=-1)
     driven_k = np.zeros(matrix.n_in, dtype=bool)
     driven_k[pattern_k.segment_to_channel] = True
-    rows = matrix.rows([m, n])
-    circuits = []
-    for pattern, alpha in zip(patterns_l, alphas):
-        field_l = shaped_input(pattern, matrix.n_in)
-        shared = pattern.segment_to_channel[driven_k[pattern.segment_to_channel]]
-        if shared.size:
-            raise ValueError(f"input modes share medium channels {np.sort(shared)[:4].tolist()}")
-        inputs = np.column_stack([field_k, field_l])
-        circuit = ProgrammedCircuit(rows @ inputs, alpha)
+    shared = pattern_l.segment_to_channel[driven_k[pattern_l.segment_to_channel]]
+    if shared.size:
+        raise ValueError(f"input modes share medium channels {np.sort(shared)[:4].tolist()}")
+    blocks = matrix.rows([m, n]) @ fields
+    circuits = np.empty(alphas.shape, dtype=object)
+    for index in np.ndindex(alphas.shape):
+        circuits[index] = ProgrammedCircuit(blocks[index], alphas[index])
         if matrix.kind is MatrixKind.UNITARY:
-            check_embeddable(circuit.largest_singular_value)
-        circuits.append(circuit)
-    return circuits if np.ndim(alpha_set) else circuits[0]
+            check_embeddable(circuits[index].largest_singular_value)
+    return circuits.tolist()  # a 0-d array gives its one circuit, a 1-d grid a list
 
 
 @dataclass(frozen=True, eq=False)

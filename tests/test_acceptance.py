@@ -8,11 +8,11 @@ import math
 import time
 
 import numpy as np
+from hom_dips import dip_half_width
 
 from specklesim.cli import main
 from specklesim.experiments import (
     ScenarioConfig,
-    dip_half_width,
     montecarlo_visibility,
     reference_delay,
     run_alpha_scan,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hom_dips import dip_half_width
 
 from specklesim import experiments
 from specklesim.experiments import (
@@ -10,13 +11,11 @@ from specklesim.experiments import (
     analytic_visibility,
     build_medium,
     build_source,
-    dip_half_width,
     emit_scenario,
     fit_visibility_cosine,
     focusing_enhancement,
     montecarlo_visibility,
     program_circuit,
-    program_circuits,
     reference_delay,
     run_alpha_scan,
     run_classical_scan,
@@ -179,13 +178,13 @@ def test_shaped_alpha_scan_optimizes_once_and_matches_per_point_programming(monk
     assert files["fit.csv"] == f"v0_fit,v0_std_err\n{v0:.17g},{v0_err:.17g}\n"
 
     alphas = [float(alpha) for alpha in config.alpha_grid]
-    per_phase = program_circuits(medium, 16, 2, 5, alphas, method, config.steps)
-    assert len(per_phase) == len(alphas)
-    for alpha, programmed in zip(alphas, per_phase):
-        single = program_circuit(medium, 16, 2, 5, alpha, method, config.steps)
-        for got, want in zip(programmed[:2], single[:2]):
-            assert got.phases.tobytes() == want.phases.tobytes()
-        assert programmed[2].sub_matrix.tobytes() == single[2].sub_matrix.tobytes()
+    pattern_k, pattern_l, circuits = program_circuit(medium, 16, 2, 5, alphas, method, config.steps)
+    assert pattern_l.phases.shape == (len(alphas), 16) and len(circuits) == len(alphas)
+    for alpha, phases_l, circuit in zip(alphas, pattern_l.phases, circuits):
+        single_k, single_l, single = program_circuit(medium, 16, 2, 5, alpha, method, config.steps)
+        assert pattern_k.phases.tobytes() == single_k.phases.tobytes()
+        assert phases_l.tobytes() == single_l.phases.tobytes()
+        assert circuit.sub_matrix.tobytes() == single.sub_matrix.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +221,25 @@ def test_hom_scan_runs_one_ulp_above_the_embeddability_bound():
     assert 1.0 < sigma <= 1.0 + 1e-9
     result, _ = run_hom_scan(config, master_seed=0)
     assert abs(result.visibility.v + 0.86) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "runner, phases", [(run_alpha_scan, (9,)), (run_program, ()), (run_classical_scan, ()), (run_hom_scan, (1,))]
+)
+def test_shaped_runners_program_through_one_program_circuit_call(monkeypatch, runner, phases):
+    # the benchmark traces experiments.program_circuit as one layer, so every
+    # shaped runner programs its phase or its whole phase grid in one call
+    config = ScenarioConfig(n_out=64, segments=16, output_m=2, output_n=5, circuit="shaped")
+    calls = []
+    original = experiments.program_circuit
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[4]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "program_circuit", counting)
+    runner(config, master_seed=1)
+    assert calls == [phases]
 
 
 def test_shaped_hom_scan_matches_read_back_closed_form():

@@ -15,6 +15,7 @@ from specklesim.twophoton import EmbeddabilityError
 from specklesim.shaping import (
     DegenerateFitError,
     PhasePattern,
+    ProgrammedCircuit,
     classical_scan,
     combine_patterns,
     effective_circuit,
@@ -52,6 +53,35 @@ def test_pattern_validation():
         PhasePattern(np.zeros(5), "k", np.array([7, 1, 2, 3, 7]))  # repeated at the two ends only
     with pytest.raises(ValueError):
         PhasePattern(np.array([]), "k", np.array([], dtype=int))
+
+
+def test_pattern_stacks_phase_rows_over_one_mapping():
+    channels = np.array([6, 2, 9, 4])
+    stack = PhasePattern(np.linspace(0.0, 6.0, 12).reshape(3, 4), "l", channels)
+    assert stack.phases.shape == (3, 4) and stack.n_segments == 4
+    fields = shaped_input(stack, 10)
+    assert fields.shape == (3, 10)
+    for phases, field in zip(stack.phases, fields):
+        assert field.tobytes() == shaped_input(PhasePattern(phases, "l", channels), 10).tobytes()
+    with pytest.raises(ValueError, match=re.escape("phases must lie in [0, 2*pi)")):
+        PhasePattern(np.array([[0.0, 1.0], [2.0, 7.0]]), "l", np.array([0, 1]))
+    with pytest.raises(ValueError, match="injective"):
+        PhasePattern(np.zeros((3, 2)), "l", np.array([5, 5]))
+
+
+@pytest.mark.parametrize(
+    "shape, channels",
+    [((3, 4), np.arange(3)), ((4, 3), np.arange(4)), ((3, 4), np.arange(12).reshape(3, 4))],
+)
+def test_pattern_mapping_must_match_the_last_axis(shape, channels):
+    with pytest.raises(ValueError, match="segment_to_channel must map every segment"):
+        PhasePattern(np.zeros(shape), "l", channels)
+
+
+@pytest.mark.parametrize("phases", [np.zeros((3, 0)), np.float64(1.0)])
+def test_pattern_rejects_an_empty_last_axis(phases):
+    with pytest.raises(ValueError, match="pattern needs at least one segment"):
+        PhasePattern(phases, "l", np.array([], dtype=int))
 
 
 def _unique_and_isfinite_verdict(phases, channels):
@@ -302,6 +332,16 @@ def test_optimize_validation():
         optimize_pattern(medium, wide, 0)  # channels exceed n_in
 
 
+@pytest.mark.parametrize("method", ["analytic", "stepped"])
+def test_optimize_rejects_a_stacked_template(method):
+    # with as many segments as steps the stepped scan's arrays broadcast, and
+    # only the check names the problem
+    medium = gaussian_transmission_matrix(4, 8, seed=1)
+    stack = PhasePattern(np.zeros((2, 4)), "k", np.arange(4))
+    with pytest.raises(ValueError, match=re.escape("template must hold one phase row, got phases of shape (2, 4)")):
+        optimize_pattern(medium, stack, 0, method, 4)
+
+
 # ---------------------------------------------------------------------------
 # combine_patterns
 # ---------------------------------------------------------------------------
@@ -401,19 +441,22 @@ def single_target_patterns(medium, segments, method):
 @pytest.mark.parametrize("method", ["analytic", "stepped"])
 @pytest.mark.parametrize("kind", ["gaussian", "unitary"])
 def test_phase_grid_matches_per_phase_programming(kind, method, points):
-    # one grid call per step gives the bits of one call per phase, and the
-    # sub-matrix is the plain two-row product of the shaped input fields
+    # one stacked grid call gives every phase row the bits of one call per
+    # phase, and the sub-matrix is the plain two-row product of the shaped
+    # input fields
     medium = gaussian_transmission_matrix(48, 64, seed=61) if kind == "gaussian" else haar_unitary(64, seed=61)
     patterns = single_target_patterns(medium, 24, method)
     alphas = np.linspace(0.0, math.pi, points)
-    pattern_k, patterns_l = combine_patterns(*patterns, alphas)
-    circuits = effective_circuit(medium, pattern_k, patterns_l, 0, 1, alphas)
-    assert len(patterns_l) == len(circuits) == points
-    for alpha, pattern_l, circuit in zip(alphas, patterns_l, circuits):
+    pattern_k, pattern_l = combine_patterns(*patterns, alphas)
+    circuits = effective_circuit(medium, pattern_k, pattern_l, 0, 1, alphas)
+    assert pattern_k.phases.shape == (24,)
+    assert pattern_l.phases.shape == (points, 24) and len(circuits) == points
+    for alpha, phases_l, circuit in zip(alphas, pattern_l.phases, circuits):
         single_k, single_l = combine_patterns(*patterns, alpha)
         single = effective_circuit(medium, single_k, single_l, 0, 1, alpha)
+        assert single_l.phases.shape == (24,) and isinstance(single, ProgrammedCircuit)
         assert pattern_k.phases.tobytes() == single_k.phases.tobytes()
-        assert pattern_l.phases.tobytes() == single_l.phases.tobytes()
+        assert phases_l.tobytes() == single_l.phases.tobytes()
         assert circuit.sub_matrix.tobytes() == single.sub_matrix.tobytes()
         assert circuit.alpha_set == single.alpha_set == alpha
         fields = np.column_stack([shaped_input(single_k, 64), shaped_input(single_l, 64)])
@@ -423,15 +466,26 @@ def test_phase_grid_matches_per_phase_programming(kind, method, points):
 def test_phase_grid_rejects_shared_channels_with_the_sorted_first_four():
     medium = gaussian_transmission_matrix(8, 32, seed=4)
     pattern_k = PhasePattern(np.zeros(8), "k", np.arange(8))
-    clean = PhasePattern(np.zeros(3), "l", np.array([10, 11, 12]))
-    shared = PhasePattern(np.zeros(6), "l", np.array([7, 6, 20, 5, 3, 1]))
+    channels = np.array([7, 6, 20, 5, 3, 1])
     message = re.escape("input modes share medium channels [1, 3, 5, 6]")
     with pytest.raises(ValueError, match=message):
-        effective_circuit(medium, pattern_k, [clean, shared], 0, 1, [0.0, 1.0])
+        effective_circuit(medium, pattern_k, PhasePattern(np.zeros((2, 6)), "l", channels), 0, 1, [0.0, 1.0])
     with pytest.raises(ValueError, match=message):
-        effective_circuit(medium, pattern_k, shared, 0, 1, 1.0)
-    with pytest.raises(ValueError, match="2 patterns for mode l, but 3 phases"):
-        effective_circuit(medium, pattern_k, [clean, clean], 0, 1, [0.0, 1.0, 2.0])
+        effective_circuit(medium, pattern_k, PhasePattern(np.zeros(6), "l", channels), 0, 1, 1.0)
+
+
+def test_phase_grid_rejects_phase_rows_that_do_not_match_the_phases():
+    medium = gaussian_transmission_matrix(8, 32, seed=4)
+    pattern_k = PhasePattern(np.zeros(8), "k", np.arange(8))
+    rows = PhasePattern(np.zeros((2, 3)), "l", np.array([10, 11, 12]))
+    one = PhasePattern(np.zeros(3), "l", np.array([10, 11, 12]))
+    for pattern_l, alpha_set, shapes in (
+        (rows, [0.0, 1.0, 2.0], "(3,), but pattern_l phase rows (2,)"),
+        (rows, 1.0, "(), but pattern_l phase rows (2,)"),
+        (one, [1.0], "(1,), but pattern_l phase rows ()"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"alpha_set has shape {shapes}")):
+            effective_circuit(medium, pattern_k, pattern_l, 0, 1, alpha_set)
 
 
 def test_phase_grid_checks_every_phase_of_a_unitary_medium(monkeypatch):
@@ -445,14 +499,15 @@ def test_phase_grid_checks_every_phase_of_a_unitary_medium(monkeypatch):
     monkeypatch.setattr(shaping, "check_embeddable", check)
     alphas = [0.0, 1.0, 2.0]
     medium = gaussian_transmission_matrix(8, 32, seed=4)
-    pattern_k, patterns_l = combine_patterns(*single_target_patterns(medium, 8, "analytic"), alphas)
-    effective_circuit(medium, pattern_k, patterns_l, 0, 1, alphas)
+    pattern_k, pattern_l = combine_patterns(*single_target_patterns(medium, 8, "analytic"), alphas)
+    effective_circuit(medium, pattern_k, pattern_l, 0, 1, alphas)
     assert checked == []
     medium = haar_unitary(32, seed=4)
-    pattern_k, patterns_l = combine_patterns(*single_target_patterns(medium, 8, "analytic"), alphas)
+    pattern_k, pattern_l = combine_patterns(*single_target_patterns(medium, 8, "analytic"), alphas)
     with pytest.raises(EmbeddabilityError):
-        effective_circuit(medium, pattern_k, patterns_l, 0, 1, alphas)
-    circuits = [effective_circuit(medium, pattern_k, l, 0, 1, a) for l, a in zip(patterns_l[:2], alphas)]
+        effective_circuit(medium, pattern_k, pattern_l, 0, 1, alphas)
+    rows = [PhasePattern(phases, "l", pattern_l.segment_to_channel) for phases in pattern_l.phases[:2]]
+    circuits = [effective_circuit(medium, pattern_k, row, 0, 1, a) for row, a in zip(rows, alphas)]
     assert checked[:2] == checked[3:] == [c.largest_singular_value for c in circuits]
 
 
@@ -801,7 +856,7 @@ def test_pattern_csv_17_digits(monkeypatch):
 def test_circuit_csv(monkeypatch):
     circuit = ideal_circuit(0.45, math.pi / 3)
     pattern = PhasePattern(np.zeros(1), "k", np.array([0]))
-    monkeypatch.setattr(experiments, "program_circuits", lambda *args: [(pattern, pattern, circuit)])
+    monkeypatch.setattr(experiments, "program_circuit", lambda *args: (pattern, pattern, circuit))
     _, files = run_program(ScenarioConfig(n_out=2, segments=1))
     lines = files["circuit.csv"].splitlines()
     assert lines[0].startswith("t_mk_re,")
