@@ -99,13 +99,13 @@ def build_source(config: ScenarioConfig) -> PhotonPairSource:
 
 def program_circuit(
     medium: TransmissionMatrix, segments: int, m: int, n: int, alpha, method: str = "analytic", steps: int = 8
-) -> tuple[PhasePattern, PhasePattern, ProgrammedCircuit | list[ProgrammedCircuit]]:
+) -> tuple[PhasePattern, PhasePattern, ProgrammedCircuit]:
     """Program the splitter at one phase ``alpha`` or along a 1-d grid of phases.
 
     The four single-target patterns ``(k->m, k->n, l->m, l->n)`` do not
     depend on the phase, so they are optimized once.  Returns
     ``(pattern_k, pattern_l, circuit)``; for a grid, ``pattern_l`` stacks
-    one phase row per phase and ``circuit`` is a list of circuits.
+    one phase row per phase and ``circuit`` one block per phase.
     """
     single_targets = [
         optimize_pattern(medium, template, target, method, steps)
@@ -128,11 +128,11 @@ def reference_delay(source: PhotonPairSource) -> float:
 def analytic_visibility(circuit: ProgrammedCircuit, source: PhotonPairSource) -> VisibilityResult:
     """Noiseless visibility: zero-delay rate against the far-delay baseline.
 
-    This is ``counting = analytic``.  It reads :func:`hom_scan`, so it is
-    the ``mu -> 0`` limit and ignores multi-pair emission.
+    This is ``counting = analytic``, for one circuit or a whole grid.  It
+    reads :func:`hom_scan`: the ``mu -> 0`` limit, without multi-pair emission.
     """
     scan = hom_scan(circuit, source, [0.0, reference_delay(source)])
-    return visibility(scan.coincidence_rate[0], scan.coincidence_rate[1])
+    return visibility(scan.coincidence_rate[..., 0], scan.coincidence_rate[..., 1])
 
 
 def montecarlo_visibility(
@@ -208,11 +208,11 @@ def _program(config: ScenarioConfig, master_seed: int, alpha):
     return program_circuit(medium, config.segments, m, n, alpha, config.method, config.steps)
 
 
-def _circuits(config: ScenarioConfig, master_seed: int, alphas) -> list[ProgrammedCircuit]:
-    """The configured circuit at each phase: ideal, or shaped into the medium."""
+def _circuit(config: ScenarioConfig, master_seed: int, alpha) -> ProgrammedCircuit:
+    """The configured circuit at one phase or over a grid: ideal, or shaped into the medium."""
     if config.circuit == "shaped":
-        return _program(config, master_seed, alphas)[2]
-    return [ideal_circuit(config.t, alpha) for alpha in alphas]
+        return _program(config, master_seed, alpha)[2]
+    return ideal_circuit(config.t, alpha)
 
 
 def _csv(header: str, rows) -> str:
@@ -292,7 +292,7 @@ def run_hom_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[HomScanR
     their depths reproduce the preset overlaps and their widths scale
     with the inverse bandwidths.
     """
-    [circuit] = _circuits(config, master_seed, [config.alpha])
+    circuit = _circuit(config, master_seed, config.alpha)
     source = build_source(config)
     scan = hom_scan(circuit, source, config.delay_grid)
     baseline = hom_scan(circuit, source, [reference_delay(source)]).coincidence_rate[0]
@@ -307,30 +307,27 @@ def run_hom_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[HomScanR
 def run_alpha_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[AlphaScanResult, dict[str, str]]:
     """Scan the programmed phase and fit the visibility cosine law.
 
-    For every ``alpha`` on the grid the circuit is programmed (ideally or
-    by shaping the configured medium), its coincidence rate is measured
-    at zero delay and at the far reference delay, and the visibility is
-    recorded.  The scan is then summarized by the one-parameter cosine
-    fit.  A shaped scan optimizes its four single-target patterns once;
-    only their combination depends on ``alpha``.
+    The circuit is programmed over the whole grid (ideally or by shaping
+    the configured medium), and each phase's visibility compares its
+    coincidence rate at zero delay with the far reference delay: in one
+    call for analytic counting, per block and point seed for Monte Carlo.
+    A one-parameter cosine fit summarizes the scan.  A shaped scan
+    optimizes its four single-target patterns once, for the whole grid.
     """
     source = build_source(config)
-    circuits = _circuits(config, master_seed, config.alpha_grid)
-    visibilities = []
-    std_errs = []
-    for index, circuit in enumerate(circuits):
-        if config.counting == "analytic":
-            result = analytic_visibility(circuit, source)
-        else:
-            point_seed = child_seed(master_seed, ChildSeed.ALPHA_POINT, index)
-            result = montecarlo_visibility(circuit, source, config.pulses_per_point, point_seed)
-        visibilities.append(result.v)
-        std_errs.append(result.std_err)
+    circuit = _circuit(config, master_seed, config.alpha_grid)
+    if config.counting == "analytic":
+        visibilities, std_errs = analytic_visibility(circuit, source).v, np.zeros(config.alpha_grid.shape)
+    else:
+        points = [ProgrammedCircuit(block, alpha) for block, alpha in zip(circuit.sub_matrix, circuit.alpha_set)]
+        seeds = [child_seed(master_seed, ChildSeed.ALPHA_POINT, index) for index in range(len(points))]
+        results = [montecarlo_visibility(p, source, config.pulses_per_point, s) for p, s in zip(points, seeds)]
+        visibilities, std_errs = [r.v for r in results], [r.std_err for r in results]
     v0, v0_err = fit_visibility_cosine(config.alpha_grid, visibilities)
     scan = AlphaScanResult(
         alphas=config.alpha_grid,
-        visibilities=np.array(visibilities),
-        std_errs=np.array(std_errs),
+        visibilities=visibilities,
+        std_errs=std_errs,
         v0_fit=v0,
         v0_std_err=v0_err,
     )

@@ -11,9 +11,9 @@ capabilities, built on top of each other:
    mode into one phase-only pattern that feeds both outputs at once, with
    a programmable phase ``alpha`` inserted on one path.  A grid of phases
    takes the same path: mode ``l``'s pattern stacks one row per phase.
-3. :func:`effective_circuit` reads back the resulting 2x2 field matrix
-   between the two shaped inputs and the two target outputs once; the
-   returned :class:`ProgrammedCircuit` fits the programmed-splitter form
+3. :func:`effective_circuit` reads back the resulting 2x2 field matrix,
+   one block per phase, between the shaped inputs and the target outputs;
+   the returned :class:`ProgrammedCircuit` fits the programmed-splitter form
    ``t * [[1, 1], [1, exp(i*alpha)]]``, and :func:`classical_scan` and the
    two-photon statistics read that circuit, never the medium again.
 
@@ -109,6 +109,10 @@ class PhasePattern:
     def n_segments(self) -> int:
         return self.phases.shape[-1]
 
+    def _check_one_row(self, name: str) -> None:
+        if self.phases.ndim != 1:
+            raise ValueError(f"{name} must hold one phase row, got phases of shape {self.phases.shape}")
+
 
 def mode_templates(n_segments: int) -> list[PhasePattern]:
     """Zero-phase templates for modes ``k`` and ``l`` on contiguous disjoint channel blocks.
@@ -142,7 +146,8 @@ def _check_channels(pattern: PhasePattern, n_in: int) -> np.ndarray:
 
 
 def target_intensity(matrix: TransmissionMatrix, pattern: PhasePattern, target_output: int) -> float:
-    """Intensity at one output channel for a shaped unit-power input."""
+    """Intensity at one output channel for a shaped unit-power input of one phase row."""
+    pattern._check_one_row("pattern")
     _check_target(matrix, target_output)
     field = shaped_input(pattern, matrix.n_in)
     return float(abs(matrix.rows(target_output) @ field) ** 2)
@@ -191,8 +196,7 @@ def optimize_pattern(
     target carries the medium's channel-0 phase there, and the target
     intensity never drops below its template value.
     """
-    if template.phases.ndim != 1:
-        raise ValueError(f"template must hold one phase row, got phases of shape {template.phases.shape}")
+    template._check_one_row("template")
     _check_target(matrix, target_output)
     channels = _check_channels(template, matrix.n_in)
     row = matrix.rows(target_output)
@@ -268,41 +272,47 @@ def _check_siblings(a: PhasePattern, b: PhasePattern) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ProgrammedCircuit:
-    """Effective 2x2 field matrix carved out of the medium.
+    """Effective 2x2 field matrix carved out of the medium, at one phase or over a grid.
 
-    ``sub_matrix[i, j]`` couples shaped input mode ``j`` (k, l) to output
-    mode ``i`` (m, n).  The fit is derived from the block: ``t_fit`` is the
-    least-squares common amplitude of the programmed-splitter form (the
-    mean of the four magnitudes) and ``alpha_fit`` the gauge-invariant
-    relative phase ``arg(a*d / (b*c))`` in [-pi, pi], the only phase left
-    after factoring out per-input and per-output phases.
+    ``sub_matrix[..., i, j]`` couples shaped input mode ``j`` (k, l) to
+    output mode ``i`` (m, n) at each phase of ``alpha_set``.  Each block's
+    fit: ``t_fit`` is the least-squares common amplitude of the
+    programmed-splitter form (the mean of the four magnitudes) and
+    ``alpha_fit`` the gauge-invariant relative phase ``arg(a*d / (b*c))``
+    in [-pi, pi], the only phase left after factoring out per-input and
+    per-output phases.  Fits are floats for one circuit, arrays over a grid.
     """
 
     sub_matrix: np.ndarray
-    alpha_set: float
-    t_fit: float = field(init=False)
-    alpha_fit: float = field(init=False)
-    largest_singular_value: float = field(init=False)
+    alpha_set: float | np.ndarray
+    t_fit: float | np.ndarray = field(init=False)
+    alpha_fit: float | np.ndarray = field(init=False)
+    largest_singular_value: float | np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         sub = np.asarray(self.sub_matrix, dtype=np.complex128)
-        if sub.shape != (2, 2):
-            raise ValueError(f"sub_matrix must be 2x2, got {sub.shape}")
+        alphas = np.asarray(self.alpha_set, dtype=float)
+        if sub.shape != (*alphas.shape, 2, 2):
+            raise ValueError(f"sub_matrix must be {(*alphas.shape, 2, 2)}, 2x2 per alpha_set entry, got {sub.shape}")
         if not np.all(np.isfinite(sub.view(np.float64))):
             raise ValueError("sub_matrix must be finite")
-        (a, b), (c, d) = sub
+        # fits run on a 1-d stack, so a grid keeps each phase's bits; [()] makes one circuit's fits floats
+        a, b, c, d = sub.reshape(-1, 4).T
         object.__setattr__(self, "sub_matrix", sub)
-        object.__setattr__(self, "alpha_set", float(self.alpha_set))
-        object.__setattr__(self, "t_fit", float(np.mean(np.abs(sub))))
-        object.__setattr__(self, "alpha_fit", float(np.angle(a * d * np.conj(b * c))))
-        object.__setattr__(self, "largest_singular_value", float(np.linalg.svd(sub, compute_uv=False)[0]))
+        for name, values in (
+            ("alpha_set", alphas),
+            ("t_fit", np.abs(sub.reshape(-1, 4)).mean(axis=1)),
+            ("alpha_fit", np.angle(a * d * np.conj(b * c))),
+            ("largest_singular_value", np.linalg.svd(sub.reshape(-1, 2, 2), compute_uv=False)[:, 0]),
+        ):
+            object.__setattr__(self, name, values.reshape(alphas.shape)[()])
 
 
-def ideal_circuit(t: float, alpha: float) -> ProgrammedCircuit:
-    """Exactly programmed splitter ``t * [[1, 1], [1, exp(i*alpha)]]``."""
+def ideal_circuit(t: float, alpha) -> ProgrammedCircuit:
+    """Exactly programmed splitter ``t * [[1, 1], [1, exp(i*alpha)]]``, at one phase or over a grid."""
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    return ProgrammedCircuit(t * np.array([[1.0, 1.0], [1.0, np.exp(1j * alpha)]]), alpha)
+    return ProgrammedCircuit(t * np.exp(1j * np.multiply.outer(alpha, [[0.0, 0.0], [0.0, 1.0]])), alpha)
 
 
 def effective_circuit(
@@ -312,27 +322,22 @@ def effective_circuit(
     m: int,
     n: int,
     alpha_set,
-):
+) -> ProgrammedCircuit:
     """Read back the 2x2 circuit realized by two combined patterns.
 
     Each input mode is driven with a unit-power field spread evenly over
     its segments; the four complex couplings to outputs ``m`` and ``n``
     form the sub-matrix, from which :class:`ProgrammedCircuit` derives
-    its fit.  On a unitary medium every block must also pass
+    its fit.  ``alpha_set`` is one phase or a grid with one phase row of
+    ``pattern_l`` each; every block comes from one product of the two
+    output rows with the stacked input fields.  On a unitary medium the
+    circuit's largest singular value must pass
     :func:`~specklesim.twophoton.check_embeddable`.
-
-    As in :func:`combine_patterns`, ``alpha_set`` is one phase or a grid
-    with one phase row of ``pattern_l`` each, and gives one circuit or a
-    list.  Every block comes from one product of the two output rows with
-    the stacked input fields.
     """
     if m == n:
         raise ValueError("output modes m and n must differ")
     _check_target(matrix, m)
     _check_target(matrix, n)
-    alphas = np.asarray(alpha_set, dtype=float)
-    if alphas.shape != pattern_l.phases.shape[:-1]:
-        raise ValueError(f"alpha_set has shape {alphas.shape}, but pattern_l phase rows {pattern_l.phases.shape[:-1]}")
     field_k, field_l = np.broadcast_arrays(shaped_input(pattern_k, matrix.n_in), shaped_input(pattern_l, matrix.n_in))
     fields = np.stack([field_k, field_l], axis=-1)
     driven_k = np.zeros(matrix.n_in, dtype=bool)
@@ -340,13 +345,10 @@ def effective_circuit(
     shared = pattern_l.segment_to_channel[driven_k[pattern_l.segment_to_channel]]
     if shared.size:
         raise ValueError(f"input modes share medium channels {np.sort(shared)[:4].tolist()}")
-    blocks = matrix.rows([m, n]) @ fields
-    circuits = np.empty(alphas.shape, dtype=object)
-    for index in np.ndindex(alphas.shape):
-        circuits[index] = ProgrammedCircuit(blocks[index], alphas[index])
-        if matrix.kind is MatrixKind.UNITARY:
-            check_embeddable(circuits[index].largest_singular_value)
-    return circuits.tolist()  # a 0-d array gives its one circuit, a 1-d grid a list
+    circuit = ProgrammedCircuit(matrix.rows([m, n]) @ fields, alpha_set)
+    if matrix.kind is MatrixKind.UNITARY:
+        check_embeddable(float(np.max(circuit.largest_singular_value)))
+    return circuit
 
 
 @dataclass(frozen=True, eq=False)

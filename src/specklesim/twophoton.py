@@ -217,27 +217,28 @@ def pair_outcome_components(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``(|ab|^2, |cd|^2, |ad|^2 + |bc|^2)`` for distinguishable photons.  The
     mean photon number at m, ``|a|^2 + |b|^2 = 2 p20 + p11 + p10``, does not
     depend on distinguishability and fixes ``p10`` (likewise ``p01``);
-    ``p00`` completes the sum.  Raises :class:`EmbeddabilityError` if
-    :func:`check_embeddable` rejects ``block``.
+    ``p00`` completes the sum.  A stack ``(..., 2, 2)`` gives ``(..., 6)``
+    rows with each block's own bits.  Raises :class:`EmbeddabilityError`
+    if :func:`check_embeddable` rejects any block.
     """
     m = np.asarray(block, dtype=np.complex128)
-    if m.shape != (2, 2):
+    if m.shape[-2:] != (2, 2):
         raise ValueError(f"block must be 2x2, got shape {m.shape}")
-    check_embeddable(float(np.linalg.svd(m, compute_uv=False)[0]))
-    (a, b), (c, d) = m
-    bunch_m = abs(a * b) ** 2
-    bunch_n = abs(c * d) ** 2
-    power_m = abs(a) ** 2 + abs(b) ** 2
-    power_n = abs(c) ** 2 + abs(d) ** 2
+    check_embeddable(float(np.max(np.linalg.svd(m, compute_uv=False))))
+    a, b, c, d = m.reshape(-1, 4).T
+    bunch_m = np.abs(a * b) ** 2
+    bunch_n = np.abs(c * d) ** 2
+    power_m = np.abs(a) ** 2 + np.abs(b) ** 2
+    power_n = np.abs(c) ** 2 + np.abs(d) ** 2
 
-    def outcomes(p20: float, p02: float, p11: float) -> np.ndarray:
+    def outcomes(p20: np.ndarray, p02: np.ndarray, p11: np.ndarray) -> np.ndarray:
         p10 = power_m - 2.0 * p20 - p11
         p01 = power_n - 2.0 * p02 - p11
-        return np.array([p20, p02, p11, p10, p01, 1.0 - (p20 + p02 + p11 + p10 + p01)])
+        return np.stack([p20, p02, p11, p10, p01, 1.0 - (p20 + p02 + p11 + p10 + p01)], axis=-1)
 
-    ind = outcomes(2.0 * bunch_m, 2.0 * bunch_n, abs(a * d + b * c) ** 2)
-    dist = outcomes(bunch_m, bunch_n, abs(a * d) ** 2 + abs(b * c) ** 2)
-    return ind, dist
+    ind = outcomes(2.0 * bunch_m, 2.0 * bunch_n, np.abs(a * d + b * c) ** 2)
+    dist = outcomes(bunch_m, bunch_n, np.abs(a * d) ** 2 + np.abs(b * c) ** 2)
+    return ind.reshape(*m.shape[:-2], 6), dist.reshape(*m.shape[:-2], 6)
 
 
 # ---------------------------------------------------------------------------
@@ -341,33 +342,34 @@ def overlap_from_delay(source: PhotonPairSource, delay_s):
 
 @dataclass(frozen=True)
 class VisibilityResult:
-    """Normalized dip/peak depth ``v = (r_indist - r_dist) / r_dist``."""
+    """Normalized dip/peak depth ``v = (r_indist - r_dist) / r_dist``, a float or an array over a stack."""
 
-    v: float = field(init=False)
-    r_dist: float
-    r_indist: float
+    v: float | np.ndarray = field(init=False)
+    r_dist: float | np.ndarray
+    r_indist: float | np.ndarray
     std_err: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.r_dist <= 0:
+        if np.any(self.r_dist <= 0):
             raise UndefinedVisibilityError(f"r_dist = {self.r_dist} must be positive")
         if self.std_err < 0:
             raise ValueError("std_err must be nonnegative")
         object.__setattr__(self, "v", (self.r_indist - self.r_dist) / self.r_dist)
 
 
-def visibility(r_indist: float, r_dist: float, std_err: float = 0.0) -> VisibilityResult:
+def visibility(r_indist, r_dist, std_err: float = 0.0) -> VisibilityResult:
     """Visibility from interfering and reference coincidence rates.
 
     Negative values are dips, positive values peaks; ``r_dist`` must be
-    positive or the visibility is undefined.
+    positive or the visibility is undefined.  Takes floats or arrays.
     """
-    return VisibilityResult(r_dist=float(r_dist), r_indist=float(r_indist), std_err=std_err)
+    r_indist, r_dist = (np.asarray(rate, dtype=float)[()] for rate in (r_indist, r_dist))
+    return VisibilityResult(r_dist=r_dist, r_indist=r_indist, std_err=std_err)
 
 
 @dataclass(frozen=True, eq=False)
 class CoincidenceScan:
-    """Coincidence and singles rates versus relative delay."""
+    """Coincidence and singles rates versus relative delay, ``(..., delays)`` for a stack."""
 
     delays: np.ndarray
     coincidence_rate: np.ndarray
@@ -384,14 +386,14 @@ class CoincidenceScan:
             raise ValueError("delays must be finite")
         for name in ("coincidence_rate", "singles_m", "singles_n"):
             arr = getattr(self, name)
-            if arr.shape != (n,):
+            if arr.shape[-1:] != (n,):
                 raise ValueError(f"{name} must have the same length as delays")
             if not np.all((arr >= 0) & (arr < np.inf)):
                 raise ValueError(f"{name} must be finite and nonnegative")
 
 
 def hom_scan(circuit: "ProgrammedCircuit", source: PhotonPairSource, delays) -> CoincidenceScan:
-    """Noiseless Hong-Ou-Mandel delay scan of a programmed circuit.
+    """Noiseless Hong-Ou-Mandel delay scan of a programmed circuit, one row per phase of a grid.
 
     At each delay the pair overlap follows :func:`overlap_from_delay`;
     coincidence and singles rates are the corresponding per-pulse outcome
@@ -410,10 +412,10 @@ def hom_scan(circuit: "ProgrammedCircuit", source: PhotonPairSource, delays) -> 
         raise ValueError("delays must be a non-empty 1-d array")
     ind, dist = pair_outcome_components(circuit.sub_matrix)
     x = overlap_from_delay(source, delays)[:, None]
-    probs = x * ind[None, :] + (1.0 - x) * dist[None, :]
+    probs = x * ind[..., None, :] + (1.0 - x) * dist[..., None, :]
     scale = source.mean_pairs_per_pulse * _PULSE_RATE_HZ
     click_m, click_n, both = (
-        scale * probs[:, clicks].sum(axis=1) for clicks in (_CLICKS_M, _CLICKS_N, _CLICKS_M & _CLICKS_N)
+        scale * probs[..., clicks].sum(axis=-1) for clicks in (_CLICKS_M, _CLICKS_N, _CLICKS_M & _CLICKS_N)
     )
     return CoincidenceScan(delays=delays, coincidence_rate=both, singles_m=click_m, singles_n=click_n)
 

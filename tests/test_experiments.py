@@ -178,13 +178,15 @@ def test_shaped_alpha_scan_optimizes_once_and_matches_per_point_programming(monk
     assert files["fit.csv"] == f"v0_fit,v0_std_err\n{v0:.17g},{v0_err:.17g}\n"
 
     alphas = [float(alpha) for alpha in config.alpha_grid]
-    pattern_k, pattern_l, circuits = program_circuit(medium, 16, 2, 5, alphas, method, config.steps)
-    assert pattern_l.phases.shape == (len(alphas), 16) and len(circuits) == len(alphas)
-    for alpha, phases_l, circuit in zip(alphas, pattern_l.phases, circuits):
+    pattern_k, pattern_l, circuit = program_circuit(medium, 16, 2, 5, alphas, method, config.steps)
+    assert pattern_l.phases.shape == (len(alphas), 16) and circuit.sub_matrix.shape == (len(alphas), 2, 2)
+    for index, alpha in enumerate(alphas):
         single_k, single_l, single = program_circuit(medium, 16, 2, 5, alpha, method, config.steps)
         assert pattern_k.phases.tobytes() == single_k.phases.tobytes()
-        assert phases_l.tobytes() == single_l.phases.tobytes()
-        assert circuit.sub_matrix.tobytes() == single.sub_matrix.tobytes()
+        assert pattern_l.phases[index].tobytes() == single_l.phases.tobytes()
+        assert circuit.sub_matrix[index].tobytes() == single.sub_matrix.tobytes()
+        for name in ("alpha_set", "t_fit", "alpha_fit", "largest_singular_value"):
+            assert getattr(circuit, name)[index].tobytes() == np.float64(getattr(single, name)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +226,7 @@ def test_hom_scan_runs_one_ulp_above_the_embeddability_bound():
 
 
 @pytest.mark.parametrize(
-    "runner, phases", [(run_alpha_scan, (9,)), (run_program, ()), (run_classical_scan, ()), (run_hom_scan, (1,))]
+    "runner, phases", [(run_alpha_scan, (9,)), (run_program, ()), (run_classical_scan, ()), (run_hom_scan, ())]
 )
 def test_shaped_runners_program_through_one_program_circuit_call(monkeypatch, runner, phases):
     # the benchmark traces experiments.program_circuit as one layer, so every

@@ -15,7 +15,6 @@ from specklesim.twophoton import EmbeddabilityError
 from specklesim.shaping import (
     DegenerateFitError,
     PhasePattern,
-    ProgrammedCircuit,
     classical_scan,
     combine_patterns,
     effective_circuit,
@@ -342,6 +341,16 @@ def test_optimize_rejects_a_stacked_template(method):
         optimize_pattern(medium, stack, 0, method, 4)
 
 
+@pytest.mark.parametrize("rows", [1, 2, 8])
+def test_target_intensity_rejects_a_stacked_pattern(rows):
+    # a stack of 8 rows on 8 inputs used to end in numpy's bare TypeError
+    medium = gaussian_transmission_matrix(4, 8, seed=1)
+    stack = PhasePattern(np.zeros((rows, 4)), "k", np.arange(4))
+    message = re.escape(f"pattern must hold one phase row, got phases of shape ({rows}, 4)")
+    with pytest.raises(ValueError, match=message):
+        target_intensity(medium, stack, 0)
+
+
 # ---------------------------------------------------------------------------
 # combine_patterns
 # ---------------------------------------------------------------------------
@@ -437,6 +446,9 @@ def single_target_patterns(medium, segments, method):
     ]
 
 
+CIRCUIT_FITS = ("t_fit", "alpha_fit", "largest_singular_value")
+
+
 @pytest.mark.parametrize("points", [1, 9])
 @pytest.mark.parametrize("method", ["analytic", "stepped"])
 @pytest.mark.parametrize("kind", ["gaussian", "unitary"])
@@ -448,19 +460,22 @@ def test_phase_grid_matches_per_phase_programming(kind, method, points):
     patterns = single_target_patterns(medium, 24, method)
     alphas = np.linspace(0.0, math.pi, points)
     pattern_k, pattern_l = combine_patterns(*patterns, alphas)
-    circuits = effective_circuit(medium, pattern_k, pattern_l, 0, 1, alphas)
+    circuit = effective_circuit(medium, pattern_k, pattern_l, 0, 1, alphas)
     assert pattern_k.phases.shape == (24,)
-    assert pattern_l.phases.shape == (points, 24) and len(circuits) == points
-    for alpha, phases_l, circuit in zip(alphas, pattern_l.phases, circuits):
+    assert pattern_l.phases.shape == (points, 24) and circuit.sub_matrix.shape == (points, 2, 2)
+    for index, alpha in enumerate(alphas):
         single_k, single_l = combine_patterns(*patterns, alpha)
         single = effective_circuit(medium, single_k, single_l, 0, 1, alpha)
-        assert single_l.phases.shape == (24,) and isinstance(single, ProgrammedCircuit)
+        assert single_l.phases.shape == (24,) and single.sub_matrix.shape == (2, 2)
         assert pattern_k.phases.tobytes() == single_k.phases.tobytes()
-        assert phases_l.tobytes() == single_l.phases.tobytes()
-        assert circuit.sub_matrix.tobytes() == single.sub_matrix.tobytes()
-        assert circuit.alpha_set == single.alpha_set == alpha
+        assert pattern_l.phases[index].tobytes() == single_l.phases.tobytes()
+        assert circuit.sub_matrix[index].tobytes() == single.sub_matrix.tobytes()
+        assert circuit.alpha_set[index] == single.alpha_set == alpha
+        for name in CIRCUIT_FITS:
+            assert isinstance(getattr(single, name), float)
+            assert getattr(circuit, name)[index].tobytes() == np.float64(getattr(single, name)).tobytes()
         fields = np.column_stack([shaped_input(single_k, 64), shaped_input(single_l, 64)])
-        assert circuit.sub_matrix.tobytes() == (medium.entries[[0, 1]] @ fields).tobytes()
+        assert circuit.sub_matrix[index].tobytes() == (medium.entries[[0, 1]] @ fields).tobytes()
 
 
 def test_phase_grid_rejects_shared_channels_with_the_sorted_first_four():
@@ -480,35 +495,32 @@ def test_phase_grid_rejects_phase_rows_that_do_not_match_the_phases():
     rows = PhasePattern(np.zeros((2, 3)), "l", np.array([10, 11, 12]))
     one = PhasePattern(np.zeros(3), "l", np.array([10, 11, 12]))
     for pattern_l, alpha_set, shapes in (
-        (rows, [0.0, 1.0, 2.0], "(3,), but pattern_l phase rows (2,)"),
-        (rows, 1.0, "(), but pattern_l phase rows (2,)"),
-        (one, [1.0], "(1,), but pattern_l phase rows ()"),
+        (rows, [0.0, 1.0, 2.0], "(3, 2, 2), 2x2 per alpha_set entry, got (2, 2, 2)"),
+        (rows, 1.0, "(2, 2), 2x2 per alpha_set entry, got (2, 2, 2)"),
+        (one, [1.0], "(1, 2, 2), 2x2 per alpha_set entry, got (2, 2)"),
     ):
-        with pytest.raises(ValueError, match=re.escape(f"alpha_set has shape {shapes}")):
+        with pytest.raises(ValueError, match=re.escape(f"sub_matrix must be {shapes}")):
             effective_circuit(medium, pattern_k, pattern_l, 0, 1, alpha_set)
 
 
 def test_phase_grid_checks_every_phase_of_a_unitary_medium(monkeypatch):
+    # one check on the grid's largest singular value covers every phase
     checked = []
-
-    def check(sigma):
-        checked.append(sigma)
-        if len(checked) == 3:
-            raise EmbeddabilityError("not embeddable")
-
-    monkeypatch.setattr(shaping, "check_embeddable", check)
-    alphas = [0.0, 1.0, 2.0]
+    monkeypatch.setattr(shaping, "check_embeddable", checked.append)
+    alphas = [2.5, 1.0, 0.0]
     medium = gaussian_transmission_matrix(8, 32, seed=4)
     pattern_k, pattern_l = combine_patterns(*single_target_patterns(medium, 8, "analytic"), alphas)
     effective_circuit(medium, pattern_k, pattern_l, 0, 1, alphas)
     assert checked == []
     medium = haar_unitary(32, seed=4)
     pattern_k, pattern_l = combine_patterns(*single_target_patterns(medium, 8, "analytic"), alphas)
-    with pytest.raises(EmbeddabilityError):
-        effective_circuit(medium, pattern_k, pattern_l, 0, 1, alphas)
-    rows = [PhasePattern(phases, "l", pattern_l.segment_to_channel) for phases in pattern_l.phases[:2]]
+    effective_circuit(medium, pattern_k, pattern_l, 0, 1, alphas)
+    assert len(checked) == 1 and isinstance(checked[0], float)
+    rows = [PhasePattern(phases, "l", pattern_l.segment_to_channel) for phases in pattern_l.phases]
     circuits = [effective_circuit(medium, pattern_k, row, 0, 1, a) for row, a in zip(rows, alphas)]
-    assert checked[:2] == checked[3:] == [c.largest_singular_value for c in circuits]
+    sigmas = [circuit.largest_singular_value for circuit in circuits]
+    assert len(set(sigmas)) == 3 and max(sigmas) != sigmas[0]
+    assert checked == [max(sigmas), *sigmas]
 
 
 # ---------------------------------------------------------------------------

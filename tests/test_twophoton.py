@@ -175,13 +175,44 @@ def test_closed_form_components_match_oracle_on_random_contractions(block, x):
 
 
 @settings(derandomize=True, deadline=None)
-@given(contractions(sigma=st.floats(1.0 + 2e-9, 2.0)))
-def test_both_routes_reject_blocks_beyond_the_embeddability_bound(block):
+@given(contractions(sigma=st.floats(1.0 + 2e-9, 2.0)), st.lists(contractions(), max_size=4), st.data())
+def test_both_routes_reject_blocks_beyond_the_embeddability_bound(block, embeddable, data):
     assert np.linalg.svd(block, compute_uv=False)[0] > 1.0 + 1e-9
     with pytest.raises(EmbeddabilityError):
         pair_outcome_components(block)
     with pytest.raises(EmbeddabilityError):
         outcome_distribution(block, 1.0)
+    # one block beyond the bound anywhere in a stack rejects the whole stack
+    embeddable.insert(data.draw(st.integers(0, len(embeddable))), block)
+    with pytest.raises(EmbeddabilityError):
+        pair_outcome_components(np.stack(embeddable))
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    st.lists(contractions(), min_size=1, max_size=5),
+    st.floats(0.0, 1.0),
+    st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), min_size=1, max_size=5),
+)
+def test_a_stack_gives_the_bits_of_its_blocks(blocks, t, alphas):
+    stack = np.stack(blocks)
+    ind, dist = pair_outcome_components(stack)
+    source = source_preset("filtered")
+    delays = np.linspace(-2e-12, 2e-12, 5)
+    scan = hom_scan(ProgrammedCircuit(stack, np.zeros(len(blocks))), source, delays)
+    assert ind.shape == dist.shape == (len(blocks), 6) and scan.coincidence_rate.shape == (len(blocks), 5)
+    for index, block in enumerate(blocks):
+        one_ind, one_dist = pair_outcome_components(block)
+        assert ind[index].tobytes() == one_ind.tobytes() and dist[index].tobytes() == one_dist.tobytes()
+        one = hom_scan(ProgrammedCircuit(block, 0.0), source, delays)
+        for name in ("coincidence_rate", "singles_m", "singles_n"):
+            assert getattr(scan, name)[index].tobytes() == getattr(one, name).tobytes()
+    grid = ideal_circuit(t, alphas)
+    for index, alpha in enumerate(alphas):
+        one = ideal_circuit(t, alpha)
+        assert grid.sub_matrix[index].tobytes() == one.sub_matrix.tobytes()
+        for name in ("alpha_set", "t_fit", "alpha_fit", "largest_singular_value"):
+            assert getattr(grid, name)[index].tobytes() == np.float64(getattr(one, name)).tobytes()
 
 
 def test_closed_form_components_require_a_2x2_block():
