@@ -317,12 +317,17 @@ def run_alpha_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[AlphaS
     source = build_source(config)
     circuit = _circuit(config, master_seed, config.alpha_grid)
     if config.counting == "analytic":
-        visibilities, std_errs = analytic_visibility(circuit, source).v, np.zeros(config.alpha_grid.shape)
+        visibilities = analytic_visibility(circuit, source).v
+        std_errs = np.zeros(config.alpha_grid.shape)
     else:
-        points = [ProgrammedCircuit(block, alpha) for block, alpha in zip(circuit.sub_matrix, circuit.alpha_set)]
-        seeds = [child_seed(master_seed, ChildSeed.ALPHA_POINT, index) for index in range(len(points))]
-        results = [montecarlo_visibility(p, source, config.pulses_per_point, s) for p, s in zip(points, seeds)]
-        visibilities, std_errs = [r.v for r in results], [r.std_err for r in results]
+        visibilities = []
+        std_errs = []
+        for index, alpha in enumerate(config.alpha_grid):
+            point = ProgrammedCircuit(circuit.sub_matrix[index], alpha)
+            point_seed = child_seed(master_seed, ChildSeed.ALPHA_POINT, index)
+            result = montecarlo_visibility(point, source, config.pulses_per_point, point_seed)
+            visibilities.append(result.v)
+            std_errs.append(result.std_err)
     v0, v0_err = fit_visibility_cosine(config.alpha_grid, visibilities)
     scan = AlphaScanResult(
         alphas=config.alpha_grid,

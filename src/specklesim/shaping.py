@@ -307,6 +307,10 @@ class ProgrammedCircuit:
         ):
             object.__setattr__(self, name, values.reshape(alphas.shape)[()])
 
+    def _check_one_block(self, name: str) -> None:
+        if self.sub_matrix.shape != (2, 2):
+            raise ValueError(f"{name} must hold one 2x2 block, got sub_matrix of shape {self.sub_matrix.shape}")
+
 
 def ideal_circuit(t: float, alpha) -> ProgrammedCircuit:
     """Exactly programmed splitter ``t * [[1, 1], [1, exp(i*alpha)]]``, at one phase or over a grid."""
@@ -373,13 +377,14 @@ class ClassicalScan:
 
 
 def classical_scan(circuit: ProgrammedCircuit, delta_theta) -> ClassicalScan:
-    """Classical two-beam interference scan of a programmed circuit.
+    """Classical two-beam interference scan of one programmed 2x2 circuit, not a stack.
 
     Equal-power coherent fields enter both input modes with a relative
     phase ``delta_theta``; the intensities ``|a + b exp(i*delta_theta)|^2``
     and ``|c + d exp(i*delta_theta)|^2`` at outputs ``m`` and ``n`` trace
     sinusoids whose relative phase reveals the programmed ``alpha``.
     """
+    circuit._check_one_block("circuit")
     grid = np.asarray(delta_theta, dtype=float)
     (a, b), (c, d) = circuit.sub_matrix
     rotation = np.exp(1j * grid)

@@ -340,7 +340,7 @@ def overlap_from_delay(source: PhotonPairSource, delay_s):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VisibilityResult:
     """Normalized dip/peak depth ``v = (r_indist - r_dist) / r_dist``, a float or an array over a stack."""
 
@@ -423,7 +423,7 @@ def hom_scan(circuit: "ProgrammedCircuit", source: PhotonPairSource, delays) -> 
 def montecarlo_counts(
     circuit: "ProgrammedCircuit", source: PhotonPairSource, n_pulses: int, seed: int, *, delay_s: float = 0.0
 ) -> tuple[int, int, int]:
-    """Sampled click statistics over a train of pump pulses.
+    """Sampled click statistics of one 2x2 circuit, not a stack, over a train of pump pulses.
 
     Per pulse the pair count is Poisson with the source mean; each pair
     propagates through the circuit independently (no spectral correlation
@@ -446,6 +446,7 @@ def montecarlo_counts(
     if int(n_pulses) != n_pulses or n_pulses < 1:
         raise ValueError(f"n_pulses must be a positive integer, got {n_pulses}")
     check_seed(seed)
+    circuit._check_one_block("circuit")
     mu = source.mean_pairs_per_pulse
     x = overlap_from_delay(source, delay_s)
     ind, dist = pair_outcome_components(circuit.sub_matrix)

@@ -663,6 +663,13 @@ def test_classical_scan_rejects_empty_grid():
         classical_scan(effective_circuit(medium, pattern_k, pattern_l, 0, 1, 0.0), [])
 
 
+@pytest.mark.parametrize("alphas", [[0.0], [0.0, 1.0], [0.0, math.pi / 2, math.pi]])
+def test_classical_scan_rejects_a_stacked_circuit(alphas):
+    # unpacking a stack's first axis as the block's rows would mix phases
+    with pytest.raises(ValueError, match=r"circuit must hold one 2x2 block, got sub_matrix of shape \("):
+        classical_scan(ideal_circuit(0.45, alphas), [0.0, 1.0])
+
+
 def test_effective_circuit_rejects_shared_channels():
     medium = gaussian_transmission_matrix(8, 8, seed=4)
     pattern = PhasePattern(np.zeros(2), "k", np.array([0, 1]))

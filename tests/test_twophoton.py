@@ -695,6 +695,14 @@ def test_montecarlo_validation():
         montecarlo_counts(bad_circuit, source, 100, seed=1)
 
 
+@pytest.mark.parametrize("alphas", [[0.0], [0.0, 1.0], [0.0, math.pi / 2, math.pi]])
+def test_montecarlo_counts_rejects_a_stacked_circuit(alphas):
+    # a stack's rows would otherwise be flattened into one outcome distribution
+    stack = ideal_circuit(0.45, alphas)
+    with pytest.raises(ValueError, match=r"circuit must hold one 2x2 block, got sub_matrix of shape \("):
+        montecarlo_counts(stack, source_preset("filtered"), 100, seed=1)
+
+
 def test_check_embeddable_allows_rounding_above_one_only():
     from specklesim.twophoton import check_embeddable
 
