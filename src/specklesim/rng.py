@@ -20,14 +20,14 @@ import numpy as np
 
 _U64_MAX = 2**64 - 1
 
-STREAM_CONTRACT = 2  # version of the seed-to-draw rules; 2 takes the enhancement background from its Gamma law
+STREAM_CONTRACT = 3  # version of the seed-to-draw rules; 3 draws Monte Carlo pairs, not pulses
 
 
 @enum.unique
 class Stream(enum.IntEnum):  # rng_for(seed, tag, ...)
     GAUSSIAN = 0  # medium seed: a Gaussian medium, row-major, rows drawn as a prefix when first read
     UNITARY = 1  # medium seed: a Haar unitary's Ginibre matrix
-    MONTECARLO = 2  # counting seed, then chunk index: one 65536-pulse chunk of Monte Carlo counting
+    MONTECARLO = 2  # counting seed, then chunk index: a 65536-pulse chunk's pair total, then each pair's pulse and outcome
     BACKGROUND = 3  # medium seed: the enhancement background's Gamma draw
 
 

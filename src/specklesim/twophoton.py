@@ -59,7 +59,7 @@ _CENTER_WAVELENGTH_M = 790e-9  # signal and idler centre wavelength
 _PULSE_RATE_HZ = 76e6  # pump laser repetition rate
 
 _PERMANENT_MAX_SIDE = 20
-_MC_CHUNK = 1 << 16  # pulses per substream; fixed, part of the stream contract
+_MC_CHUNK = 1 << 16  # pulses per substream, and most pairs per draw; fixed, part of the stream contract
 
 
 class EmbeddabilityError(ValueError):
@@ -404,7 +404,7 @@ def hom_scan(circuit: "ProgrammedCircuit", source: PhotonPairSource, delays) -> 
 
     The rates are linear in ``mean_pairs_per_pulse``: this is the
     ``mu -> 0`` limit, which ignores multi-pair emission.
-    :func:`montecarlo_counts` draws Poisson pair numbers and shows the
+    :func:`montecarlo_counts` samples Poisson multi-pair emission and shows the
     multi-pair loss of visibility.
     """
     delays = np.asarray(delays, dtype=float)
@@ -435,13 +435,13 @@ def montecarlo_counts(
 
     Stream contract: pulses come in chunks of 65536, chunk ``c`` drawing
     from ``rng_for(seed, Stream.MONTECARLO, c)``; the fixed chunk size
-    fixes the stream and bounds memory.  A chunk makes one Poisson draw
-    of its pair counts.  Then, in round ``r = 0, 1, ...``, the ``n_r``
-    pulses holding more than ``r`` pairs, in pulse order, draw
-    ``random(n_r)`` (the pair is indistinguishable where the draw is
-    below the overlap) and then ``random(n_r)`` (the outcome, by inverse
-    transform of the cumulative six-outcome distribution).  Pulses
-    without a pair draw nothing after the Poisson draw.
+    fixes the stream and bounds memory.  A chunk of ``size`` pulses draws
+    its total pair count as one ``poisson(mu * size)`` variate, which by
+    Poisson splitting leaves the pulses' pair counts i.i.d. Poisson(mu).
+    Then, in pieces of at most 65536 pairs, a piece of ``n`` pairs draws
+    ``integers(size, size=n)`` (each pair's pulse) and then ``random(n)``
+    (its outcome, by inverse transform of the cumulative six-outcome
+    mixture ``x*ind/ind.sum() + (1-x)*dist/dist.sum()`` at overlap ``x``).
     """
     if int(n_pulses) != n_pulses or n_pulses < 1:
         raise ValueError(f"n_pulses must be a positive integer, got {n_pulses}")
@@ -450,36 +450,25 @@ def montecarlo_counts(
     mu = source.mean_pairs_per_pulse
     x = overlap_from_delay(source, delay_s)
     ind, dist = pair_outcome_components(circuit.sub_matrix)
-    cum_ind = _cumulative(ind)
-    cum_dist = _cumulative(dist)
+    cum = _cumulative(x * ind / ind.sum() + (1.0 - x) * dist / dist.sum())
 
     singles_m = singles_n = coincidences = 0
     n_pulses = int(n_pulses)
     for chunk_index, start in enumerate(range(0, n_pulses, _MC_CHUNK)):
         size = min(_MC_CHUNK, n_pulses - start)
         rng = rng_for(seed, Stream.MONTECARLO, chunk_index)
-        pairs = rng.poisson(mu, size)
-        # a pulse without a pair cannot click, so only pulses with pairs are kept
-        held = pairs[pairs > 0]
-        click_m = np.zeros(held.size, dtype=bool)
-        click_n = np.zeros(held.size, dtype=bool)
-        live, count, rounds = slice(None), held.size, 0
-        while count:
-            quantum = rng.random(count) < x
-            u = rng.random(count)
-            # searchsorted(cum, u, side="right") for each pulse's own cum: the
-            # count of its thresholds <= u, the last (1.0) never counting
-            outcome = np.zeros(count, dtype=np.intp)
-            for ci, cd in zip(cum_ind[:-1], cum_dist[:-1]):
-                outcome += np.where(quantum, ci, cd) <= u
-            click_m[live] |= _CLICKS_M[outcome]
-            click_n[live] |= _CLICKS_N[outcome]
-            rounds += 1
-            live = np.flatnonzero(held > rounds)
-            count = live.size
-        singles_m += int(click_m.sum())
-        singles_n += int(click_n.sum())
-        coincidences += int((click_m & click_n).sum())
+        click_m = np.zeros(size, dtype=bool)
+        click_n = np.zeros(size, dtype=bool)
+        pairs = int(rng.poisson(mu * size))
+        for done in range(0, pairs, _MC_CHUNK):
+            count = min(_MC_CHUNK, pairs - done)
+            pulse = rng.integers(size, size=count)
+            outcome = np.searchsorted(cum, rng.random(count), side="right")
+            click_m[pulse[_CLICKS_M[outcome]]] = True
+            click_n[pulse[_CLICKS_N[outcome]]] = True
+        singles_m += int(np.count_nonzero(click_m))
+        singles_n += int(np.count_nonzero(click_n))
+        coincidences += int(np.count_nonzero(click_m & click_n))
     return singles_m, singles_n, coincidences
 
 

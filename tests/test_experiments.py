@@ -475,7 +475,7 @@ def test_manifest_contents(tmp_path):
     manifest = (tmp_path / "alpha-scan_seed9.manifest.txt").read_text()
     assert "scenario = alpha-scan\n" in manifest
     assert "master_seed = 9\n" in manifest
-    assert f"# stream_contract = 2\n# numpy = {np.__version__}\n" in manifest
+    assert f"# stream_contract = 3\n# numpy = {np.__version__}\n" in manifest
     assert "segments = 960\n" in manifest
 
 
