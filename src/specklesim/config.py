@@ -137,9 +137,10 @@ class ScenarioConfig:
         for name, choices in _CHOICES.items():
             _require(getattr(self, name) in choices, name, f"one of {', '.join(choices)}", getattr(self, name))
         for name in _GRIDS:
-            grid = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            grid = np.atleast_1d(np.array(getattr(self, name), dtype=float))  # own copy, read-only below
             _require(grid.ndim == 1 and grid.size > 0 and bool(np.isfinite(grid).all()), name,
                      "a non-empty list of finite values", getattr(self, name))
+            grid.flags.writeable = False
             object.__setattr__(self, name, grid)
         counts = tuple(self.segment_counts)
         _require(len(counts) > 0 and all(_is_integer(c) for c in counts), "segment_counts",

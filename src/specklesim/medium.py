@@ -14,13 +14,14 @@ ensembles are provided:
   number conservation.
 
 All generation is deterministic in ``(kind, dims, seed)``, on the
-streams of :mod:`specklesim.rng`.  A Gaussian medium
-draws its rows when first read, as a prefix of its one row-major stream.
+streams of :mod:`specklesim.rng`.  A Gaussian medium draws its rows when
+first read, as a prefix of its one row-major stream.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import struct
 import threading
 from pathlib import Path
@@ -54,30 +55,30 @@ class TransmissionMatrix:
     channel ``j`` to output channel ``i``.  A Gaussian medium draws rows
     on demand as a prefix of its one row-major stream: :meth:`rows` draws
     up to the last row it reads and ``entries`` the rest, with the bytes
-    of one whole draw.  It holds only the rows drawn so far, so a medium
-    read at a few rows costs a few rows of memory.  A medium built from an
-    array holds every row.  Instances are immutable, and a lock guards the
-    draw, so they are safe to share across threads.
+    of one whole draw.  It holds exactly the rows drawn so far, so a medium
+    read at a few rows costs a few rows of memory; a medium built from an
+    array holds its own copy of every row.  The rows held are one read-only
+    array, so instances are immutable, and a lock guards the draw, so they
+    are safe to share across threads.
     """
 
-    def __init__(self, entries, kind: MatrixKind, seed: int, *, _stream=None) -> None:
-        entries = np.asarray(entries, dtype=np.complex128)
-        # _stream is (generator, scale, n_out): entries holds no row yet and
-        # the generator fills rows as they are read.
-        shape = (entries.shape[:1] if _stream is None else (_stream[2],)) + entries.shape[1:]
+    def __init__(self, entries, kind: MatrixKind, seed: int, *, _n_out: int | None = None, _fill=None) -> None:
+        # a copy of its own, which nothing outside can write; a Gaussian medium starts with no row, _fill draws them
+        entries = np.array(entries, dtype=np.complex128)
+        shape = entries.shape if _n_out is None else (_n_out, *entries.shape[1:])
         if len(shape) != 2 or min(shape) < 1:
             raise ValueError(f"entries must be a 2-d matrix with positive dims, got shape {shape}")
+        if not np.all(np.isfinite(entries.view(np.float64))):
+            raise ValueError("entries must all be finite")
         check_seed(seed)
-        self.kind = kind
+        entries.flags.writeable = False
+        self.kind = MatrixKind(kind)
         self.seed = seed
         self.n_out, self.n_in = shape
         self._entries = entries
-        self._stream = _stream
-        self._drawn = 0
+        self._fill = _fill
         self._lock = threading.Lock()
-        if _stream is None:
-            self._draw_to(self.n_out)
-        if kind is MatrixKind.UNITARY:
+        if self.kind is MatrixKind.UNITARY:
             if self.n_out != self.n_in:
                 raise ValueError("unitary ensemble requires a square matrix")
             gram = entries.conj().T @ entries
@@ -85,7 +86,7 @@ class TransmissionMatrix:
                 raise ValueError(f"matrix is not unitary within {_UNITARITY_TOL}")
 
     def __setattr__(self, name: str, value) -> None:
-        if name not in ("_drawn", "_entries") and name in self.__dict__:  # all set once, in __init__
+        if name != "_entries" and name in self.__dict__:  # all set once, in __init__
             raise AttributeError(f"cannot assign {name!r}: a medium is immutable")
         object.__setattr__(self, name, value)
 
@@ -101,25 +102,17 @@ class TransmissionMatrix:
         return self._draw_to(int(flat.max()) + 1)[flat.tolist()]
 
     def _draw_to(self, stop: int) -> np.ndarray:
-        """Draw rows up to ``stop``; returns a buffer whose first ``stop`` rows are drawn."""
+        """The held rows, after growing them to exactly ``stop`` if fewer are held."""
         with self._lock:
-            if stop <= self._drawn:
-                return self._entries
-            if stop > self._entries.shape[0]:
-                # Grow to at least twice the rows held, so reading row by row
-                # copies each row O(1) times; the full matrix is never
-                # allocated before it is read.
-                held = min(self.n_out, max(stop, 2 * self._entries.shape[0]))
-                grown = np.empty((held, self.n_in), dtype=np.complex128)
-                grown[: self._drawn] = self._entries[: self._drawn]
-                self._entries = grown
-            block = self._entries[self._drawn:stop]
-            if self._stream is not None:
-                _fill_normal(self._stream[0], self._stream[1], block)
-            if not np.all(np.isfinite(block.view(np.float64))):
-                raise ValueError("entries must all be finite")
-            self._drawn = stop
-            return self._entries
+            held = self._entries
+            if stop <= held.shape[0]:
+                return held
+            grown = np.empty((stop, self.n_in), dtype=np.complex128)
+            grown[: held.shape[0]] = held
+            self._fill(grown[held.shape[0]:])
+            grown.flags.writeable = False
+            self._entries = grown
+            return grown
 
 
 def gaussian_transmission_matrix(n_out: int, n_in: int, seed: int) -> TransmissionMatrix:
@@ -141,9 +134,10 @@ def gaussian_transmission_matrix(n_out: int, n_in: int, seed: int) -> Transmissi
     norm 1, so a lossless-on-average medium of any width produces O(1)
     programmed-circuit amplitudes.
     """
-    _check_dims(n_out, n_in)
-    stream = (rng_for(check_seed(seed), Stream.GAUSSIAN), np.sqrt(0.5 / n_in), n_out)
-    return TransmissionMatrix(np.empty((0, n_in)), MatrixKind.GAUSSIAN, seed, _stream=stream)
+    n_out, n_in = _check_dims(n_out, n_in)
+    # standard normals times sqrt(0.5 / n_in), 1 <= n_in < 2**32: always finite
+    fill = functools.partial(_fill_normal, rng_for(check_seed(seed), Stream.GAUSSIAN), np.sqrt(0.5 / n_in))
+    return TransmissionMatrix(np.empty((0, n_in)), MatrixKind.GAUSSIAN, seed, _n_out=n_out, _fill=fill)
 
 
 def haar_unitary(n: int, seed: int) -> TransmissionMatrix:
@@ -155,7 +149,7 @@ def haar_unitary(n: int, seed: int) -> TransmissionMatrix:
     output is biased and entry statistics drift away from the uniform
     measure.
     """
-    _check_dims(n, n)
+    n, _ = _check_dims(n, n)
     rng = rng_for(check_seed(seed), Stream.UNITARY)
     ginibre = _fill_normal(rng, np.sqrt(0.5), np.empty((n, n), dtype=np.complex128))
     q, r = np.linalg.qr(ginibre)
@@ -182,12 +176,13 @@ def _fill_normal(rng: np.random.Generator, scale: float, out: np.ndarray) -> np.
     return out
 
 
-def _check_dims(n_out: int, n_in: int) -> None:
+def _check_dims(n_out: int, n_in: int) -> tuple[int, int]:
     for name, value in (("n_out", n_out), ("n_in", n_in)):
         if int(value) != value or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if value > 2**32 - 1:
             raise ValueError(f"{name} too large: {value}")
+    return int(n_out), int(n_in)
 
 
 # ---------------------------------------------------------------------------
@@ -241,5 +236,5 @@ def load_matrix(path: str | Path) -> TransmissionMatrix:
     expected = 48 + 16 * n_out * n_in
     if len(blob) != expected:
         raise ValueError(f"{path}: payload size {len(blob) - 48} does not match dims {n_out}x{n_in}")
-    entries = np.frombuffer(blob, dtype="<c16", offset=48).reshape(n_out, n_in).copy()
+    entries = np.frombuffer(blob, dtype="<c16", offset=48).reshape(n_out, n_in)
     return TransmissionMatrix(entries=entries, kind=_CODE_KINDS[kind_code], seed=seed)

@@ -82,6 +82,7 @@ class PhasePattern:
     ``(points, segments)`` for mode ``l`` over a phase grid, shares one mapping.
     ``segment_to_channel[s]`` is the medium input channel driven by
     segment ``s``; mappings of different input modes must be disjoint.
+    Both arrays are read-only copies the pattern owns.
     """
 
     phases: np.ndarray
@@ -89,10 +90,11 @@ class PhasePattern:
     segment_to_channel: np.ndarray
 
     def __post_init__(self) -> None:
-        phases = np.asarray(self.phases, dtype=float)
-        channels = np.asarray(self.segment_to_channel, dtype=np.int64)
-        object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "segment_to_channel", channels)
+        phases = np.array(self.phases, dtype=float)  # own copies, which nothing outside can write
+        channels = np.array(self.segment_to_channel, dtype=np.int64)
+        for name, value in (("phases", phases), ("segment_to_channel", channels)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         if phases.ndim == 0 or phases.shape[-1] == 0:
             raise ValueError("pattern needs at least one segment")
         if channels.shape != phases.shape[-1:]:
@@ -203,7 +205,7 @@ def optimize_pattern(
     if method == "analytic":
         reference = np.angle(row[REFERENCE_CHANNEL])
         phases = _wrap_phase(reference - np.angle(row[channels]))
-        return PhasePattern(phases, template.input_mode_id, channels.copy())
+        return PhasePattern(phases, template.input_mode_id, channels)
     if method != "stepped":
         raise ValueError(f"unknown method {method!r}; expected 'analytic' or 'stepped'")
     if int(steps) != steps or steps < 3:
@@ -221,7 +223,7 @@ def optimize_pattern(
     # rotate onto the shared origin: the target field takes the channel-0 phase
     achieved = np.sum(coupling * np.exp(1j * phases))
     phases = _wrap_phase(phases + np.angle(row[REFERENCE_CHANNEL]) - np.angle(achieved))
-    return PhasePattern(phases, template.input_mode_id, channels.copy())
+    return PhasePattern(phases, template.input_mode_id, channels)
 
 
 def combine_patterns(
@@ -249,12 +251,10 @@ def combine_patterns(
     """
     _check_siblings(p_km, p_kn)
     _check_siblings(p_lm, p_ln)
-    combined_k = PhasePattern(
-        _phasor_sum_phase(p_km.phases, p_kn.phases, 0.0), p_km.input_mode_id, p_km.segment_to_channel.copy()
-    )
+    combined_k = PhasePattern(_phasor_sum_phase(p_km.phases, p_kn.phases, 0.0), p_km.input_mode_id, p_km.segment_to_channel)
     offsets = np.asarray(alpha, dtype=float)[..., None]
     return combined_k, PhasePattern(
-        _phasor_sum_phase(p_lm.phases, p_ln.phases, offsets), p_lm.input_mode_id, p_lm.segment_to_channel.copy()
+        _phasor_sum_phase(p_lm.phases, p_ln.phases, offsets), p_lm.input_mode_id, p_lm.segment_to_channel
     )
 
 
@@ -280,7 +280,8 @@ class ProgrammedCircuit:
     programmed-splitter form (the mean of the four magnitudes) and
     ``alpha_fit`` the gauge-invariant relative phase ``arg(a*d / (b*c))``
     in [-pi, pi], the only phase left after factoring out per-input and
-    per-output phases.  Fits are floats for one circuit, arrays over a grid.
+    per-output phases.  Fits are floats for one circuit, arrays over a grid;
+    its arrays are read-only copies the circuit owns.
     """
 
     sub_matrix: np.ndarray
@@ -290,14 +291,15 @@ class ProgrammedCircuit:
     largest_singular_value: float | np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        sub = np.asarray(self.sub_matrix, dtype=np.complex128)
-        alphas = np.asarray(self.alpha_set, dtype=float)
+        sub = np.array(self.sub_matrix, dtype=np.complex128)  # own copies, which nothing outside can write
+        alphas = np.array(self.alpha_set, dtype=float)
         if sub.shape != (*alphas.shape, 2, 2):
             raise ValueError(f"sub_matrix must be {(*alphas.shape, 2, 2)}, 2x2 per alpha_set entry, got {sub.shape}")
         if not np.all(np.isfinite(sub.view(np.float64))):
             raise ValueError("sub_matrix must be finite")
         # fits run on a 1-d stack, so a grid keeps each phase's bits; [()] makes one circuit's fits floats
         a, b, c, d = sub.reshape(-1, 4).T
+        sub.flags.writeable = False
         object.__setattr__(self, "sub_matrix", sub)
         for name, values in (
             ("alpha_set", alphas),
@@ -305,6 +307,7 @@ class ProgrammedCircuit:
             ("alpha_fit", np.angle(a * d * np.conj(b * c))),
             ("largest_singular_value", np.linalg.svd(sub.reshape(-1, 2, 2), compute_uv=False)[:, 0]),
         ):
+            values.flags.writeable = False
             object.__setattr__(self, name, values.reshape(alphas.shape)[()])
 
     def _check_one_block(self, name: str) -> None:

@@ -249,6 +249,16 @@ def test_grids_round_trip_bit_for_bit(grid):
     assert (":" in written) == (spaced.tobytes() == grid.tobytes())
 
 
+def test_config_grids_are_read_only_copies():
+    grid = np.linspace(0, np.pi, 9)
+    config = ScenarioConfig(alpha_grid=grid)
+    grid[0] = np.nan  # after validation: the config must not see it
+    assert np.isfinite(config.alpha_grid).all()
+    for name in ("alpha_grid", "delta_theta_grid", "delay_grid"):
+        with pytest.raises(ValueError):
+            getattr(config, name)[0] = np.nan
+
+
 def test_default_grids_are_written_compact_and_others_as_lists():
     text = format_config(ScenarioConfig(alpha_grid=[-0.0, 1.0, 2.0], delay_grid=_one_ulp_off(np.linspace(0, 1, 5), 2)))
     assert "\ndelta_theta_grid = 0:6.2831853071795862:25\n" in text

@@ -382,7 +382,7 @@ def test_enhancement_rejects_a_unitary_medium():
 def test_enhancement_draws_rows_up_to_the_target_only(target):
     medium = gaussian_transmission_matrix(4000, 64, seed=4)
     focusing_enhancement(medium, target)
-    assert medium._drawn == target + 1
+    assert medium._entries.shape[0] == target + 1
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,20 @@ def test_gaussian_invalid_dims():
         gaussian_transmission_matrix(2**40, 5, seed=1)
 
 
+def test_integral_float_dims_build_integer_media():
+    for medium in (
+        gaussian_transmission_matrix(4, 3.0, 1),
+        haar_unitary(3.0, 1),
+        gaussian_transmission_matrix(4.0, 3, 1),
+    ):
+        assert type(medium.n_out) is int and type(medium.n_in) is int
+        assert medium.entries.shape == (medium.n_out, medium.n_in)
+        assert len(matrix_bytes(medium)) == 48 + 16 * medium.n_out * medium.n_in
+    same_draw = gaussian_transmission_matrix(4.0, 3.0, 1).entries
+    assert same_draw.tobytes() == gaussian_transmission_matrix(4, 3, 1).entries.tobytes()
+    assert haar_unitary(3.0, 1).entries.tobytes() == haar_unitary(3, 1).entries.tobytes()
+
+
 def test_haar_dimension_one():
     u = haar_unitary(1, seed=123)
     assert abs(abs(u.entries[0, 0]) - 1.0) < 1e-12
@@ -202,6 +216,16 @@ def test_unitary_validation_rejects_nonunitary():
         TransmissionMatrix(np.eye(3)[:2], MatrixKind.UNITARY, seed=0)
 
 
+def test_kind_strings_become_the_enum_and_get_its_checks():
+    medium = TransmissionMatrix(np.eye(2), "unitary", 0)
+    assert medium.kind is MatrixKind.UNITARY
+    assert TransmissionMatrix(np.ones((2, 3)), "gaussian", 0).kind is MatrixKind.GAUSSIAN
+    with pytest.raises(ValueError, match="not unitary"):
+        TransmissionMatrix(5 * np.ones((2, 2)), "unitary", 0)
+    with pytest.raises(ValueError):
+        TransmissionMatrix(np.eye(2), "lossless", 0)
+
+
 def test_matrix_validation_rejects_nonfinite():
     bad = np.ones((2, 2), dtype=complex)
     bad[0, 0] = np.inf
@@ -326,9 +350,9 @@ def test_rows_are_a_prefix_of_the_whole_draw(data, n_out, n_in, seed):
 def test_two_rows_of_a_reference_medium_draw_two_rows():
     medium = gaussian_transmission_matrix(4000, 1920, seed=0)
     assert (medium.n_out, medium.n_in) == (4000, 1920)
-    assert medium._drawn == 0
+    assert medium._entries.shape[0] == 0
     picked = medium.rows([0, 1])
-    assert medium._drawn == 2
+    assert medium._entries.shape[0] == 2
     assert medium._entries.shape == (2, 1920)  # no buffer for the 3998 unread rows
     assert picked.tobytes() == _whole_draw(2, 1920, 0).tobytes()
 
@@ -338,7 +362,9 @@ def test_rows_read_one_by_one_hold_at_most_twice_the_rows_drawn():
     medium = gaussian_transmission_matrix(37, 4, seed=9)
     for row in range(37):
         assert medium.rows(row).tobytes() == whole[row].tobytes()
-        assert row + 1 <= medium._entries.shape[0] <= min(37, 2 * (row + 1))
+        held = medium._entries.shape[0]
+        assert row + 1 <= held <= min(37, 2 * (row + 1))
+        assert held == row + 1
     assert medium.entries.shape == (37, 4)
 
 
@@ -347,7 +373,7 @@ def test_rows_rejects_negative_out_of_range_and_empty(idx):
     medium = gaussian_transmission_matrix(5, 3, seed=1)
     with pytest.raises(ValueError):
         medium.rows(idx)
-    assert medium._drawn == 0
+    assert medium._entries.shape[0] == 0
 
 
 def test_threads_reading_different_rows_of_one_medium_get_the_whole_draw():
@@ -379,7 +405,43 @@ def test_threads_reading_different_rows_of_one_medium_get_the_whole_draw():
 
 def test_array_built_media_hold_every_row():
     u = haar_unitary(6, seed=3)
-    assert u._drawn == 6
+    assert u._entries.shape[0] == 6
     assert u.rows([4, 1]).tobytes() == u.entries[[4, 1]].tobytes()
     with pytest.raises(AttributeError):
         u.kind = MatrixKind.GAUSSIAN
+
+
+def _media_to_write_through(tmp_path):
+    gaussian = gaussian_transmission_matrix(5, 4, seed=21)
+    gaussian.rows(1)  # rows held, the rest drawn by entries
+    save_matrix(haar_unitary(4, seed=22), tmp_path / "u.tmat")
+    return {
+        "gaussian": gaussian,
+        "haar": haar_unitary(4, seed=22),
+        "array": TransmissionMatrix(np.ones((3, 2)), MatrixKind.GAUSSIAN, seed=0),
+        "loaded": load_matrix(tmp_path / "u.tmat"),
+    }
+
+
+@pytest.mark.parametrize("name", ["gaussian", "haar", "array", "loaded"])
+def test_writes_through_entries_or_rows_cannot_change_a_medium(tmp_path, name):
+    medium = _media_to_write_through(tmp_path)[name]
+    before = medium.entries.tobytes()
+    with pytest.raises(ValueError):
+        medium.entries[0, 0] = 99.0
+    with pytest.raises(ValueError):
+        medium.rows(0)[0] = 99.0
+    medium.rows([0, 1])[0, 0] = 99.0  # a fancy-indexed read is the caller's own copy
+    assert medium.entries.tobytes() == before
+    assert medium.rows(0).tobytes() == np.frombuffer(before, dtype=np.complex128)[: medium.n_in].tobytes()
+
+
+@pytest.mark.parametrize("kind", [MatrixKind.GAUSSIAN, MatrixKind.UNITARY])
+def test_writes_to_the_array_a_medium_was_built_from_cannot_change_it(kind):
+    source = gaussian_transmission_matrix(4, 4, seed=23) if kind is MatrixKind.GAUSSIAN else haar_unitary(4, seed=23)
+    built_from = source.entries.copy()
+    medium = TransmissionMatrix(built_from, kind, seed=23)
+    built_from[0, 0] = 99.0
+    built_from[3] = np.nan
+    assert medium.entries.tobytes() == source.entries.tobytes()
+    assert medium.rows(0).tobytes() == source.rows(0).tobytes()

@@ -54,6 +54,18 @@ def test_pattern_validation():
         PhasePattern(np.array([]), "k", np.array([], dtype=int))
 
 
+def test_pattern_holds_read_only_copies_of_its_arrays():
+    phases, channels = np.array([0.5, 1.0, 1.5]), np.array([4, 2, 0])
+    pattern = PhasePattern(phases, "k", channels)
+    phases[0] = 7.0  # out of range: the checked pattern must not see it
+    channels[1] = 4  # a repeat: likewise
+    assert pattern.phases.tolist() == [0.5, 1.0, 1.5]
+    assert pattern.segment_to_channel.tolist() == [4, 2, 0]
+    for array in (pattern.phases, pattern.segment_to_channel):
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
 def test_pattern_stacks_phase_rows_over_one_mapping():
     channels = np.array([6, 2, 9, 4])
     stack = PhasePattern(np.linspace(0.0, 6.0, 12).reshape(3, 4), "l", channels)
@@ -551,6 +563,26 @@ def test_ideal_circuit_reports_its_own_setting():
             circuit = ideal_circuit(t, alpha)
             assert abs(circuit.t_fit - t) < 1e-12
             assert abs(circuit.alpha_fit - alpha) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.0, np.array([0.0, 1.0, math.pi])])
+def test_circuit_holds_read_only_copies_and_fits_of_its_block(alpha):
+    circuit = ideal_circuit(0.45, alpha)
+    for name in ("sub_matrix", "alpha_set", "t_fit", "alpha_fit", "largest_singular_value"):
+        value = getattr(circuit, name)
+        if isinstance(value, np.ndarray):
+            with pytest.raises(ValueError):
+                value[...] = 0
+    block = circuit.sub_matrix.copy()
+    copied = shaping.ProgrammedCircuit(block, alpha)
+    block[...] = 0
+    assert copied.sub_matrix.tobytes() == circuit.sub_matrix.tobytes()
+    for name in ("t_fit", "alpha_fit", "largest_singular_value"):
+        assert np.array_equal(getattr(copied, name), getattr(circuit, name))
+    zeroed = ideal_circuit(0.45, 0.0)
+    with pytest.raises(ValueError):
+        zeroed.sub_matrix[:] = 0
+    assert zeroed.t_fit == 0.45 and abs(zeroed.largest_singular_value - 0.9) < 1e-12
 
 
 def test_effective_circuit_unitary_medium_is_contraction():
