@@ -184,7 +184,7 @@ def fit_visibility_cosine(alphas, visibilities) -> tuple[float, float]:
 
 @dataclass(frozen=True, eq=False)
 class AlphaScanResult:
-    """Programmability curve: visibility versus programmed phase."""
+    """Programmability curve: visibility versus programmed phase, as read-only copies."""
 
     alphas: np.ndarray
     visibilities: np.ndarray
@@ -194,7 +194,9 @@ class AlphaScanResult:
 
     def __post_init__(self) -> None:
         for name in ("alphas", "visibilities", "std_errs"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            value = np.array(getattr(self, name), dtype=float)  # own copies, which nothing outside can write
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         if not (self.alphas.shape == self.visibilities.shape == self.std_errs.shape):
             raise ValueError("alphas, visibilities and std_errs must share a shape")
         if abs(self.v0_fit) > 1.0 + 3.0 * self.v0_std_err + 1e-12:
@@ -267,7 +269,10 @@ class ClassicalScanResult(NamedTuple):
 
 
 def run_classical_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[ClassicalScanResult, dict]:
-    """Two-beam intensity scan of the programmed circuit, with sine fits per output."""
+    """Two-beam scan of the circuit shaped into the configured medium, with sine fits per output.
+
+    ``config.circuit`` is not read: even ``ideal`` gives the shaped circuit.
+    """
     _, _, circuit = _program(config, master_seed, config.alpha)
     scan = classical_scan(circuit, config.delta_theta_grid)
     fit_m = fit_sine(scan.delta_theta, scan.intensity_m)
@@ -281,22 +286,23 @@ def run_classical_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[Cl
 
 class HomScanResult(NamedTuple):
     scan: CoincidenceScan
-    visibility: VisibilityResult  # at the delay nearest zero, against the far-delay baseline
+    visibility: VisibilityResult  # at zero delay, against the far-delay baseline, for any delay grid
 
 
 def run_hom_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[HomScanResult, dict[str, str]]:
     """Delay scan of the configured circuit (ideal, or shaped at ``config.alpha``).
 
-    The ideal 50:50 splitter (``t = 1/sqrt(2)``, ``alpha = pi``) with the
-    ``broadband`` and ``filtered`` presets gives the two reference dips:
-    their depths reproduce the preset overlaps and their widths scale
-    with the inverse bandwidths.
+    The summary visibility is :func:`analytic_visibility`, at zero delay
+    whether or not ``config.delay_grid`` holds it.  The ideal 50:50
+    splitter (``t = 1/sqrt(2)``, ``alpha = pi``) with the ``broadband`` and
+    ``filtered`` presets gives the two reference dips: their depths
+    reproduce the preset overlaps and their widths scale with the inverse
+    bandwidths.
     """
     circuit = _circuit(config, master_seed, config.alpha)
     source = build_source(config)
     scan = hom_scan(circuit, source, config.delay_grid)
-    baseline = hom_scan(circuit, source, [reference_delay(source)]).coincidence_rate[0]
-    vis = visibility(scan.coincidence_rate[int(np.argmin(np.abs(scan.delays)))], baseline)
+    vis = analytic_visibility(circuit, source)
     rows = zip(scan.delays, scan.coincidence_rate, scan.singles_m, scan.singles_n)
     return HomScanResult(scan, vis), {
         "scan.csv": _csv("delay_s,coincidence,singles_m,singles_n", rows),

@@ -136,7 +136,7 @@ def gaussian_transmission_matrix(n_out: int, n_in: int, seed: int) -> Transmissi
     """
     n_out, n_in = _check_dims(n_out, n_in)
     # standard normals times sqrt(0.5 / n_in), 1 <= n_in < 2**32: always finite
-    fill = functools.partial(_fill_normal, rng_for(check_seed(seed), Stream.GAUSSIAN), np.sqrt(0.5 / n_in))
+    fill = functools.partial(_fill_normal, rng_for(seed, Stream.GAUSSIAN), np.sqrt(0.5 / n_in))
     return TransmissionMatrix(np.empty((0, n_in)), MatrixKind.GAUSSIAN, seed, _n_out=n_out, _fill=fill)
 
 
@@ -150,7 +150,7 @@ def haar_unitary(n: int, seed: int) -> TransmissionMatrix:
     measure.
     """
     n, _ = _check_dims(n, n)
-    rng = rng_for(check_seed(seed), Stream.UNITARY)
+    rng = rng_for(seed, Stream.UNITARY)
     ginibre = _fill_normal(rng, np.sqrt(0.5), np.empty((n, n), dtype=np.complex128))
     q, r = np.linalg.qr(ginibre)
     diag = np.diagonal(r)

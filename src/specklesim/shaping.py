@@ -150,7 +150,6 @@ def _check_channels(pattern: PhasePattern, n_in: int) -> np.ndarray:
 def target_intensity(matrix: TransmissionMatrix, pattern: PhasePattern, target_output: int) -> float:
     """Intensity at one output channel for a shaped unit-power input of one phase row."""
     pattern._check_one_row("pattern")
-    _check_target(matrix, target_output)
     field = shaped_input(pattern, matrix.n_in)
     return float(abs(matrix.rows(target_output) @ field) ** 2)
 
@@ -199,7 +198,6 @@ def optimize_pattern(
     intensity never drops below its template value.
     """
     template._check_one_row("template")
-    _check_target(matrix, target_output)
     channels = _check_channels(template, matrix.n_in)
     row = matrix.rows(target_output)
     if method == "analytic":
@@ -343,15 +341,12 @@ def effective_circuit(
     """
     if m == n:
         raise ValueError("output modes m and n must differ")
-    _check_target(matrix, m)
-    _check_target(matrix, n)
     field_k, field_l = np.broadcast_arrays(shaped_input(pattern_k, matrix.n_in), shaped_input(pattern_l, matrix.n_in))
     fields = np.stack([field_k, field_l], axis=-1)
-    driven_k = np.zeros(matrix.n_in, dtype=bool)
-    driven_k[pattern_k.segment_to_channel] = True
-    shared = pattern_l.segment_to_channel[driven_k[pattern_l.segment_to_channel]]
+    # each mapping is injective, so the overlap comes out sorted and unique without np.unique's pass
+    shared = np.intersect1d(pattern_k.segment_to_channel, pattern_l.segment_to_channel, assume_unique=True)
     if shared.size:
-        raise ValueError(f"input modes share medium channels {np.sort(shared)[:4].tolist()}")
+        raise ValueError(f"input modes share medium channels {shared[:4].tolist()}")
     circuit = ProgrammedCircuit(matrix.rows([m, n]) @ fields, alpha_set)
     if matrix.kind is MatrixKind.UNITARY:
         check_embeddable(float(np.max(circuit.largest_singular_value)))
@@ -360,7 +355,7 @@ def effective_circuit(
 
 @dataclass(frozen=True, eq=False)
 class ClassicalScan:
-    """Output intensities versus the relative phase of the two inputs."""
+    """Output intensities versus the relative phase of the two inputs, as read-only copies."""
 
     delta_theta: np.ndarray
     intensity_m: np.ndarray
@@ -368,7 +363,9 @@ class ClassicalScan:
 
     def __post_init__(self) -> None:
         for name in ("delta_theta", "intensity_m", "intensity_n"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            value = np.array(getattr(self, name), dtype=float)  # own copies, which nothing outside can write
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         if self.delta_theta.ndim != 1 or self.delta_theta.size == 0:
             raise ValueError("delta_theta grid must be a non-empty 1-d array")
         for name in ("intensity_m", "intensity_n"):
@@ -476,9 +473,4 @@ def _sine_design(x: np.ndarray) -> tuple:
 def phase_distance(a: float, b: float) -> float:
     """Circular distance between two phases, in [0, pi]."""
     return abs(float(np.angle(np.exp(1j * (np.asarray(a) - np.asarray(b))))))
-
-
-def _check_target(matrix: TransmissionMatrix, channel: int) -> None:
-    if not 0 <= channel < matrix.n_out:
-        raise ValueError(f"output channel {channel} out of range [0, {matrix.n_out})")
 

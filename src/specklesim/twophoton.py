@@ -22,12 +22,12 @@ For one photon in each input, this module provides:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .rng import Stream, check_seed, rng_for
+from .rng import Stream, rng_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .shaping import ProgrammedCircuit
@@ -342,34 +342,31 @@ def overlap_from_delay(source: PhotonPairSource, delay_s):
 
 @dataclass(frozen=True, eq=False)
 class VisibilityResult:
-    """Normalized dip/peak depth ``v = (r_indist - r_dist) / r_dist``, a float or an array over a stack."""
+    """A visibility ``v`` from :func:`visibility`, a float or an array over a stack, and its standard error."""
 
-    v: float | np.ndarray = field(init=False)
-    r_dist: float | np.ndarray
-    r_indist: float | np.ndarray
+    v: float | np.ndarray
     std_err: float = 0.0
 
     def __post_init__(self) -> None:
-        if np.any(self.r_dist <= 0):
-            raise UndefinedVisibilityError(f"r_dist = {self.r_dist} must be positive")
         if self.std_err < 0:
             raise ValueError("std_err must be nonnegative")
-        object.__setattr__(self, "v", (self.r_indist - self.r_dist) / self.r_dist)
 
 
 def visibility(r_indist, r_dist, std_err: float = 0.0) -> VisibilityResult:
-    """Visibility from interfering and reference coincidence rates.
+    """Normalized dip/peak depth ``v = (r_indist - r_dist) / r_dist`` of two coincidence rates.
 
-    Negative values are dips, positive values peaks; ``r_dist`` must be
-    positive or the visibility is undefined.  Takes floats or arrays.
+    Negative values are dips, positive values peaks.  Takes floats or arrays; raises
+    :class:`UndefinedVisibilityError` unless every reference rate ``r_dist`` is positive.
     """
     r_indist, r_dist = (np.asarray(rate, dtype=float)[()] for rate in (r_indist, r_dist))
-    return VisibilityResult(r_dist=r_dist, r_indist=r_indist, std_err=std_err)
+    if np.any(r_dist <= 0):
+        raise UndefinedVisibilityError(f"r_dist = {r_dist} must be positive")
+    return VisibilityResult((r_indist - r_dist) / r_dist, std_err)
 
 
 @dataclass(frozen=True, eq=False)
 class CoincidenceScan:
-    """Coincidence and singles rates versus relative delay, ``(..., delays)`` for a stack."""
+    """Coincidence and singles rates versus relative delay, ``(..., delays)`` for a stack, as read-only copies."""
 
     delays: np.ndarray
     coincidence_rate: np.ndarray
@@ -378,7 +375,9 @@ class CoincidenceScan:
 
     def __post_init__(self) -> None:
         for name in ("delays", "coincidence_rate", "singles_m", "singles_n"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            value = np.array(getattr(self, name), dtype=float)  # own copies, which nothing outside can write
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         n = self.delays.shape[0]
         if n == 0:
             raise ValueError("scan must contain at least one delay")
@@ -445,7 +444,6 @@ def montecarlo_counts(
     """
     if int(n_pulses) != n_pulses or n_pulses < 1:
         raise ValueError(f"n_pulses must be a positive integer, got {n_pulses}")
-    check_seed(seed)
     circuit._check_one_block("circuit")
     mu = source.mean_pairs_per_pulse
     x = overlap_from_delay(source, delay_s)

@@ -80,6 +80,18 @@ def test_alpha_scan_result_validation():
         )
 
 
+def test_alpha_scan_result_holds_read_only_copies_of_its_arrays():
+    alphas, visibilities = np.array([0.0, math.pi]), np.array([-0.5, 0.5])
+    result = AlphaScanResult(alphas, visibilities, np.zeros(2), v0_fit=-0.5, v0_std_err=0.0)
+    visibilities[0] = 7.0  # unphysical: the checked result must not see it
+    alphas[1] = np.nan  # likewise
+    assert result.visibilities.tolist() == [-0.5, 0.5]
+    assert result.alphas.tolist() == [0.0, math.pi]
+    for array in (result.alphas, result.visibilities, result.std_errs):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # alpha scan
 # ---------------------------------------------------------------------------
@@ -223,6 +235,19 @@ def test_hom_scan_runs_one_ulp_above_the_embeddability_bound():
     assert 1.0 < sigma <= 1.0 + 1e-9
     result, _ = run_hom_scan(config, master_seed=0)
     assert abs(result.visibility.v + 0.86) < 1e-6
+
+
+@pytest.mark.parametrize("name, overlap", [("broadband", 0.64), ("filtered", 0.86)])
+def test_hom_scan_summary_is_the_zero_delay_visibility_on_a_grid_without_zero(name, overlap):
+    # the grid's delay nearest zero, 1e-13 s, would read a shallower dip
+    config = parse_config(
+        f"circuit = ideal\nt = 0.7071067811865475\nalpha = pi\nsource = {name}\ndelay_grid = 1e-13:3e-12:5\n"
+    )
+    result, files = run_hom_scan(config, master_seed=0)
+    assert 0.0 not in result.scan.delays
+    expected = analytic_visibility(ideal_circuit(config.t, config.alpha), build_source(config)).v
+    assert float(files["summary.csv"].splitlines()[1]) == result.visibility.v == expected
+    assert abs(expected + overlap) < 1e-12
 
 
 @pytest.mark.parametrize(

@@ -363,6 +363,21 @@ def test_target_intensity_rejects_a_stacked_pattern(rows):
         target_intensity(medium, stack, 0)
 
 
+@pytest.mark.parametrize("call", ["optimize_pattern", "target_intensity", "effective_circuit m", "effective_circuit n"])
+def test_an_output_index_equal_to_n_out_is_rejected_by_the_medium_rows(call):
+    # TransmissionMatrix.rows owns the output range; shaping keeps no copy of the rule
+    medium = gaussian_transmission_matrix(4, 8, seed=1)
+    template_k, template_l = mode_templates(4)
+    with pytest.raises(ValueError, match=re.escape("must be a non-empty selection of [0, 4)")):
+        if call == "optimize_pattern":
+            optimize_pattern(medium, template_k, 4)
+        elif call == "target_intensity":
+            target_intensity(medium, template_k, 4)
+        else:
+            m, n = (4, 0) if call.endswith("m") else (0, 4)
+            effective_circuit(medium, template_k, template_l, m, n, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # combine_patterns
 # ---------------------------------------------------------------------------
@@ -693,6 +708,18 @@ def test_classical_scan_rejects_empty_grid():
     pattern_l = PhasePattern(np.zeros(2), "l", np.array([2, 3]))
     with pytest.raises(ValueError):
         classical_scan(effective_circuit(medium, pattern_k, pattern_l, 0, 1, 0.0), [])
+
+
+def test_classical_scan_holds_read_only_copies_of_its_arrays():
+    grid, intensity_m = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
+    scan = shaping.ClassicalScan(grid, intensity_m, np.array([3.0, 2.0, 1.0]))
+    intensity_m[0] = -1.0  # negative: the checked scan must not see it
+    grid[1] = np.nan  # likewise
+    assert scan.intensity_m.tolist() == [1.0, 2.0, 3.0]
+    assert scan.delta_theta.tolist() == [0.0, 1.0, 2.0]
+    for array in (scan.delta_theta, scan.intensity_m, scan.intensity_n):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
 
 
 @pytest.mark.parametrize("alphas", [[0.0], [0.0, 1.0], [0.0, math.pi / 2, math.pi]])

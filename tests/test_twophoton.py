@@ -505,6 +505,18 @@ def test_coincidence_scan_requires_finite_delays(delay):
         CoincidenceScan(delays=[0.0, delay], coincidence_rate=[1.0, 2.0], singles_m=[3.0, 4.0], singles_n=[5.0, 6.0])
 
 
+def test_coincidence_scan_holds_read_only_copies_of_its_arrays():
+    delays, rate = np.array([0.0, 1e-12]), np.array([1.0, 2.0])
+    scan = CoincidenceScan(delays=delays, coincidence_rate=rate, singles_m=[3.0, 4.0], singles_n=[5.0, 6.0])
+    rate[0] = -5.0  # negative: the checked scan must not see it
+    delays[0] = np.nan  # likewise
+    assert scan.coincidence_rate.tolist() == [1.0, 2.0]
+    assert scan.delays.tolist() == [0.0, 1e-12]
+    for array in (scan.delays, scan.coincidence_rate, scan.singles_m, scan.singles_n):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
 def test_hom_scan_rejects_bad_input():
     circuit = ideal_circuit(0.9, math.pi)  # sigma_max > 1
     source = source_preset("filtered")
@@ -747,6 +759,12 @@ def test_montecarlo_validation():
     bad_circuit = ideal_circuit(0.9, math.pi)
     with pytest.raises(EmbeddabilityError):
         montecarlo_counts(bad_circuit, source, 100, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_montecarlo_counts_rejects_seeds_outside_64_bits(seed):
+    with pytest.raises(ValueError, match="^seed must be a 64-bit unsigned integer"):
+        montecarlo_counts(ideal_circuit(0.5, math.pi), source_preset("filtered"), 100, seed=seed)
 
 
 @pytest.mark.parametrize("alphas", [[0.0], [0.0, 1.0], [0.0, math.pi / 2, math.pi]])
