@@ -28,7 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .twophoton import SOURCE_PRESETS, rms_bandwidth_from_filter_fwhm
+from .rng import check_integer, check_seed
+from .twophoton import SOURCE_PRESETS, check_grid, rms_bandwidth_from_filter_fwhm
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "format_config", "parse_angle", "parse_grid"]
 
@@ -73,10 +74,6 @@ _NUMBERS: dict[str, tuple[str, Callable[[float], bool]]] = {
 }
 _GRIDS = ("alpha_grid", "delta_theta_grid", "delay_grid")
 _OPTIONAL = ("n_in", "medium_seed", "overlap", "bandwidth_fwhm_nm", "mean_pairs_per_pulse")
-
-
-def _is_integer(value, low: float = 1, high: float = math.inf) -> bool:
-    return isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value and low <= value < high
 
 
 def _require(ok: bool, name: str, expected: str, value) -> None:
@@ -127,8 +124,7 @@ class ScenarioConfig:
         for name, (low, high, expected) in _INTEGERS.items():
             value = getattr(self, name)
             if value is not None or name not in _OPTIONAL:
-                _require(_is_integer(value, low, high), name, expected, value)
-                object.__setattr__(self, name, int(value))
+                object.__setattr__(self, name, check_integer(name, value, low, high, expected))
         for name, (expected, test) in _NUMBERS.items():
             value = getattr(self, name)
             if value is not None or name not in _OPTIONAL:
@@ -137,15 +133,10 @@ class ScenarioConfig:
         for name, choices in _CHOICES.items():
             _require(getattr(self, name) in choices, name, f"one of {', '.join(choices)}", getattr(self, name))
         for name in _GRIDS:
-            grid = np.atleast_1d(np.array(getattr(self, name), dtype=float))  # own copy, read-only below
-            _require(grid.ndim == 1 and grid.size > 0 and bool(np.isfinite(grid).all()), name,
-                     "a non-empty list of finite values", getattr(self, name))
-            grid.flags.writeable = False
-            object.__setattr__(self, name, grid)
-        counts = tuple(self.segment_counts)
-        _require(len(counts) > 0 and all(_is_integer(c) for c in counts), "segment_counts",
-                 "a non-empty list of positive integers", self.segment_counts)
-        object.__setattr__(self, "segment_counts", tuple(int(c) for c in counts))
+            object.__setattr__(self, name, check_grid(name, getattr(self, name)))
+        counts = tuple(check_integer("segment_counts", count) for count in self.segment_counts)
+        _require(len(counts) > 0, "segment_counts", "a non-empty list of positive integers", self.segment_counts)
+        object.__setattr__(self, "segment_counts", counts)
         out_dir = os.fspath(self.out_dir)
         # the text form strips the value, ends it at '#' and at a line break
         _require("#" not in out_dir and out_dir == out_dir.strip() and len(out_dir.splitlines()) <= 1,
@@ -171,7 +162,7 @@ class ScenarioConfig:
         return self.n_in if self.n_in is not None else 2 * self.segments
 
     def resolved_medium_seed(self, master_seed: int) -> int:
-        return self.medium_seed if self.medium_seed is not None else int(master_seed)
+        return self.medium_seed if self.medium_seed is not None else check_seed(master_seed)
 
 
 _ANGLE_RE = re.compile(r"([+-]?)([0-9]*\.?[0-9]*(?:e[+-]?[0-9]+)?)?pi(?:/([0-9]+\.?[0-9]*))?")

@@ -46,6 +46,7 @@ from .twophoton import (
     OutcomeDistribution,
     PhotonPairSource,
     VisibilityResult,
+    check_scan,
     hom_scan,
     montecarlo_counts,
     outcome_probabilities,
@@ -193,14 +194,9 @@ class AlphaScanResult:
     v0_std_err: float
 
     def __post_init__(self) -> None:
-        for name in ("alphas", "visibilities", "std_errs"):
-            value = np.array(getattr(self, name), dtype=float)  # own copies, which nothing outside can write
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
-        if not (self.alphas.shape == self.visibilities.shape == self.std_errs.shape):
-            raise ValueError("alphas, visibilities and std_errs must share a shape")
-        if abs(self.v0_fit) > 1.0 + 3.0 * self.v0_std_err + 1e-12:
-            raise ValueError(f"v0_fit = {self.v0_fit} is not a physical visibility amplitude")
+        check_scan(self, "alphas", "visibilities", "std_errs", signed=("visibilities",))
+        if not (0.0 <= self.v0_std_err < math.inf and abs(self.v0_fit) <= 1.0 + 3.0 * self.v0_std_err + 1e-12):
+            raise ValueError(f"v0_fit = {self.v0_fit} +- {self.v0_std_err} is not a physical visibility amplitude")
 
 
 def _program(config: ScenarioConfig, master_seed: int, alpha):

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rng import Stream, check_seed, rng_for
+from .rng import Stream, check_integer, check_seed, read_only_copy, rng_for
 
 __all__ = [
     "MatrixKind",
@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _UNITARITY_TOL = 1e-10
+_DIM_RULE = (1, 2**32, "positive integer below 2**32")  # check_integer's range and text for a channel count
 
 
 class MatrixKind(enum.Enum):
@@ -63,17 +64,15 @@ class TransmissionMatrix:
     """
 
     def __init__(self, entries, kind: MatrixKind, seed: int, *, _n_out: int | None = None, _fill=None) -> None:
-        # a copy of its own, which nothing outside can write; a Gaussian medium starts with no row, _fill draws them
-        entries = np.array(entries, dtype=np.complex128)
+        # a copy of its own; a Gaussian medium starts with no row, _fill draws them
+        entries = read_only_copy(entries, np.complex128)
         shape = entries.shape if _n_out is None else (_n_out, *entries.shape[1:])
         if len(shape) != 2 or min(shape) < 1:
             raise ValueError(f"entries must be a 2-d matrix with positive dims, got shape {shape}")
         if not np.all(np.isfinite(entries.view(np.float64))):
             raise ValueError("entries must all be finite")
-        check_seed(seed)
-        entries.flags.writeable = False
         self.kind = MatrixKind(kind)
-        self.seed = seed
+        self.seed = check_seed(seed)
         self.n_out, self.n_in = shape
         self._entries = entries
         self._fill = _fill
@@ -131,10 +130,11 @@ def gaussian_transmission_matrix(n_out: int, n_in: int, seed: int) -> Transmissi
     Each entry is circular complex Gaussian with mean 0 and total
     variance ``1/n_in``, i.e. real and imaginary parts are independent
     normal with variance ``1/(2 n_in)``.  Rows then have expected squared
-    norm 1, so a lossless-on-average medium of any width produces O(1)
-    programmed-circuit amplitudes.
+    norm 1, so programmed-circuit amplitudes are O(1) at any width.  The
+    medium is not lossless on average: a unit-power input leaves with
+    expected total power ``n_out / n_in``.
     """
-    n_out, n_in = _check_dims(n_out, n_in)
+    n_out, n_in = check_integer("n_out", n_out, *_DIM_RULE), check_integer("n_in", n_in, *_DIM_RULE)
     # standard normals times sqrt(0.5 / n_in), 1 <= n_in < 2**32: always finite
     fill = functools.partial(_fill_normal, rng_for(seed, Stream.GAUSSIAN), np.sqrt(0.5 / n_in))
     return TransmissionMatrix(np.empty((0, n_in)), MatrixKind.GAUSSIAN, seed, _n_out=n_out, _fill=fill)
@@ -149,7 +149,7 @@ def haar_unitary(n: int, seed: int) -> TransmissionMatrix:
     output is biased and entry statistics drift away from the uniform
     measure.
     """
-    n, _ = _check_dims(n, n)
+    n = check_integer("n", n, *_DIM_RULE)
     rng = rng_for(seed, Stream.UNITARY)
     ginibre = _fill_normal(rng, np.sqrt(0.5), np.empty((n, n), dtype=np.complex128))
     q, r = np.linalg.qr(ginibre)
@@ -174,15 +174,6 @@ def _fill_normal(rng: np.random.Generator, scale: float, out: np.ndarray) -> np.
     rng.standard_normal(out=floats)
     floats *= scale
     return out
-
-
-def _check_dims(n_out: int, n_in: int) -> tuple[int, int]:
-    for name, value in (("n_out", n_out), ("n_in", n_in)):
-        if int(value) != value or value < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if value > 2**32 - 1:
-            raise ValueError(f"{name} too large: {value}")
-    return int(n_out), int(n_in)
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,19 @@ path starts with a tag of :class:`Stream`, :class:`ChildSeed` or
 gives the same values on any machine, because streams are keyed by data,
 not by execution order.  A change that moves any draw bumps
 :data:`STREAM_CONTRACT`, which every manifest records.
+
+As the lowest module it also owns two argument rules that every other
+module shares: :func:`check_integer`, the one integer rule, and
+:func:`read_only_copy`, the one way a record takes its own arrays.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 
 import numpy as np
-
-_U64_MAX = 2**64 - 1
 
 STREAM_CONTRACT = 3  # version of the seed-to-draw rules; 3 draws Monte Carlo pairs, not pulses
 
@@ -43,21 +47,39 @@ class PointSeed(enum.IntEnum):  # child_seed(alpha point seed, tag): its two cou
     REFERENCE_DELAY = 1
 
 
+def check_integer(name: str, value, low: int = 1, high: float = math.inf, expected: str = "positive integer") -> int:
+    """``value`` as an ``int``: it must be a real, finite, integral number in ``[low, high)``.
+
+    Anything else raises ``ValueError`` naming ``name`` and what was ``expected``.
+    """
+    # int and float skip the slower ABC test; the range test fails NaN and both infinities, so int() never overflows
+    if isinstance(value, (int, float, numbers.Real)) and low <= value < high and int(value) == value:
+        return int(value)
+    raise ValueError(f"{name}: expected {expected}, got {value!r}")
+
+
 def check_seed(seed: int) -> int:
-    """Validate and return a 64-bit unsigned seed."""
-    seed = int(seed)
-    if not 0 <= seed <= _U64_MAX:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return seed
+    """A 64-bit unsigned seed as an ``int``, by :func:`check_integer`."""
+    return check_integer("seed", seed, 0, 2**64, "unsigned 64-bit integer")
+
+
+def read_only_copy(value, dtype=float) -> np.ndarray:
+    """A new ``dtype`` array of ``value`` that nothing can write, for records that own their arrays."""
+    array = np.array(value, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+def _sequence(seed: int, path: tuple) -> np.random.SeedSequence:
+    key = [check_integer("path", tag, 0, math.inf, "nonnegative integer") for tag in path]
+    return np.random.SeedSequence(check_seed(seed), spawn_key=key)
 
 
 def rng_for(seed: int, *path: int) -> np.random.Generator:
     """Return the deterministic generator for ``seed`` and a stream path."""
-    seq = np.random.SeedSequence(check_seed(seed), spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.PCG64(seq))
+    return np.random.Generator(np.random.PCG64(_sequence(seed, path)))
 
 
 def child_seed(seed: int, *path: int) -> int:
     """Derive a 64-bit child seed from a master seed and an integer path."""
-    seq = np.random.SeedSequence(check_seed(seed), spawn_key=tuple(int(p) for p in path))
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
+    return int(_sequence(seed, path).generate_state(1, dtype=np.uint64)[0])

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .medium import MatrixKind, TransmissionMatrix
-from .twophoton import check_embeddable
+from .rng import check_integer, read_only_copy
+from .twophoton import check_amplitude, check_embeddable, check_scan
 
 __all__ = [
     "DegenerateFitError",
@@ -90,11 +91,9 @@ class PhasePattern:
     segment_to_channel: np.ndarray
 
     def __post_init__(self) -> None:
-        phases = np.array(self.phases, dtype=float)  # own copies, which nothing outside can write
-        channels = np.array(self.segment_to_channel, dtype=np.int64)
-        for name, value in (("phases", phases), ("segment_to_channel", channels)):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        phases, channels = read_only_copy(self.phases), read_only_copy(self.segment_to_channel, np.int64)
+        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "segment_to_channel", channels)
         if phases.ndim == 0 or phases.shape[-1] == 0:
             raise ValueError("pattern needs at least one segment")
         if channels.shape != phases.shape[-1:]:
@@ -121,8 +120,7 @@ def mode_templates(n_segments: int) -> list[PhasePattern]:
 
     Mode ``k`` drives channels ``[0, n_segments)``, mode ``l`` ``[n_segments, 2*n_segments)``.
     """
-    if int(n_segments) != n_segments or n_segments < 1:
-        raise ValueError(f"n_segments must be a positive integer, got {n_segments}")
+    n_segments = check_integer("n_segments", n_segments)
     out = []
     for i, mode_id in enumerate(("k", "l")):
         channels = np.arange(i * n_segments, (i + 1) * n_segments, dtype=np.int64)
@@ -206,8 +204,7 @@ def optimize_pattern(
         return PhasePattern(phases, template.input_mode_id, channels)
     if method != "stepped":
         raise ValueError(f"unknown method {method!r}; expected 'analytic' or 'stepped'")
-    if int(steps) != steps or steps < 3:
-        raise ValueError(f"steps must be an integer >= 3, got {steps}")
+    steps = check_integer("steps", steps, 3, math.inf, "integer >= 3")
 
     amplitude = 1.0 / math.sqrt(template.n_segments)
     coupling = amplitude * row[channels]
@@ -289,15 +286,13 @@ class ProgrammedCircuit:
     largest_singular_value: float | np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        sub = np.array(self.sub_matrix, dtype=np.complex128)  # own copies, which nothing outside can write
-        alphas = np.array(self.alpha_set, dtype=float)
+        sub, alphas = read_only_copy(self.sub_matrix, np.complex128), read_only_copy(self.alpha_set)
         if sub.shape != (*alphas.shape, 2, 2):
             raise ValueError(f"sub_matrix must be {(*alphas.shape, 2, 2)}, 2x2 per alpha_set entry, got {sub.shape}")
         if not np.all(np.isfinite(sub.view(np.float64))):
             raise ValueError("sub_matrix must be finite")
         # fits run on a 1-d stack, so a grid keeps each phase's bits; [()] makes one circuit's fits floats
         a, b, c, d = sub.reshape(-1, 4).T
-        sub.flags.writeable = False
         object.__setattr__(self, "sub_matrix", sub)
         for name, values in (
             ("alpha_set", alphas),
@@ -305,8 +300,7 @@ class ProgrammedCircuit:
             ("alpha_fit", np.angle(a * d * np.conj(b * c))),
             ("largest_singular_value", np.linalg.svd(sub.reshape(-1, 2, 2), compute_uv=False)[:, 0]),
         ):
-            values.flags.writeable = False
-            object.__setattr__(self, name, values.reshape(alphas.shape)[()])
+            object.__setattr__(self, name, read_only_copy(values.reshape(alphas.shape))[()])
 
     def _check_one_block(self, name: str) -> None:
         if self.sub_matrix.shape != (2, 2):
@@ -315,8 +309,7 @@ class ProgrammedCircuit:
 
 def ideal_circuit(t: float, alpha) -> ProgrammedCircuit:
     """Exactly programmed splitter ``t * [[1, 1], [1, exp(i*alpha)]]``, at one phase or over a grid."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    check_amplitude(t)
     return ProgrammedCircuit(t * np.exp(1j * np.multiply.outer(alpha, [[0.0, 0.0], [0.0, 1.0]])), alpha)
 
 
@@ -362,18 +355,7 @@ class ClassicalScan:
     intensity_n: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("delta_theta", "intensity_m", "intensity_n"):
-            value = np.array(getattr(self, name), dtype=float)  # own copies, which nothing outside can write
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
-        if self.delta_theta.ndim != 1 or self.delta_theta.size == 0:
-            raise ValueError("delta_theta grid must be a non-empty 1-d array")
-        for name in ("intensity_m", "intensity_n"):
-            arr = getattr(self, name)
-            if arr.shape != self.delta_theta.shape:
-                raise ValueError(f"{name} must match the grid length")
-            if np.any(arr < 0):
-                raise ValueError(f"{name} must be nonnegative")
+        check_scan(self, "delta_theta", "intensity_m", "intensity_n")
 
 
 def classical_scan(circuit: ProgrammedCircuit, delta_theta) -> ClassicalScan:
@@ -463,8 +445,7 @@ def _sine_design(x: np.ndarray) -> tuple:
         raise DegenerateFitError("sinusoid fit is degenerate (singular normal equations)")
     # Cramer's rule for the 2x2 normal equations, applied to the columns once
     sin_c, cos_c = columns
-    weights = np.vstack([(cc * sin_c - sc * cos_c) / det, (ss * cos_c - sc * sin_c) / det, np.ones(x.size)])
-    weights.flags.writeable = False
+    weights = read_only_copy([(cc * sin_c - sc * cos_c) / det, (ss * cos_c - sc * sin_c) / det, np.ones(x.size)])
     design = (key, weights, *(shift + means).ravel().tolist())
     _last_design = design
     return design

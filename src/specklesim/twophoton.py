@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .rng import Stream, rng_for
+from .rng import Stream, check_integer, read_only_copy, rng_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .shaping import ProgrammedCircuit
@@ -125,6 +125,12 @@ def check_embeddable(sigma: float) -> None:
         raise EmbeddabilityError(f"largest singular value {sigma:.17g} exceeds 1: block is not embeddable")
 
 
+def check_amplitude(t: float) -> None:
+    """Raise ``ValueError`` unless the splitter amplitude ``t`` is nonnegative; NaN is not."""
+    if not t >= 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+
+
 def outcome_probabilities(t: float, alpha: float) -> OutcomeDistribution:
     """Closed-form outcome distribution for two indistinguishable photons.
 
@@ -154,8 +160,7 @@ def outcome_probabilities(t: float, alpha: float) -> OutcomeDistribution:
         (exactly the parameter region that would produce negative
         probabilities).
     """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    check_amplitude(t)
     bound = embeddability_bound(alpha)
     if t > bound:
         raise EmbeddabilityError(
@@ -348,7 +353,7 @@ class VisibilityResult:
     std_err: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.std_err < 0:
+        if not self.std_err >= 0:  # NaN fails too
             raise ValueError("std_err must be nonnegative")
 
 
@@ -364,6 +369,32 @@ def visibility(r_indist, r_dist, std_err: float = 0.0) -> VisibilityResult:
     return VisibilityResult((r_indist - r_dist) / r_dist, std_err)
 
 
+def check_grid(name: str, values) -> np.ndarray:
+    """A read-only copy of a scan grid, which must be a non-empty, finite, 1-d array: the one grid rule."""
+    grid = read_only_copy(values)
+    if grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all():
+        raise ValueError(f"{name}: expected a non-empty, finite, 1-d array, got {values!r}")
+    return grid
+
+
+def check_scan(record, grid: str, *columns: str, signed: tuple[str, ...] = (), stacked: bool = False) -> None:
+    """The one scan-record rule: give a frozen ``record`` read-only copies of its grid and columns.
+
+    The grid follows :func:`check_grid`.  Each column must be finite and
+    have the grid's shape, or end in it for a ``(..., grid)`` stack when
+    ``stacked``; columns not named in ``signed`` must be nonnegative.
+    """
+    object.__setattr__(record, grid, check_grid(grid, getattr(record, grid)))
+    shape = getattr(record, grid).shape
+    for name in columns:
+        column = read_only_copy(getattr(record, name))
+        object.__setattr__(record, name, column)
+        if (column.shape[-1:] if stacked else column.shape) != shape:
+            raise ValueError(f"{name} must match the {grid} grid of shape {shape}, got shape {column.shape}")
+        if not np.all(np.isfinite(column) & (column >= (-np.inf if name in signed else 0.0))):
+            raise ValueError(f"{name} must be finite" + ("" if name in signed else " and nonnegative"))
+
+
 @dataclass(frozen=True, eq=False)
 class CoincidenceScan:
     """Coincidence and singles rates versus relative delay, ``(..., delays)`` for a stack, as read-only copies."""
@@ -374,21 +405,7 @@ class CoincidenceScan:
     singles_n: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("delays", "coincidence_rate", "singles_m", "singles_n"):
-            value = np.array(getattr(self, name), dtype=float)  # own copies, which nothing outside can write
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
-        n = self.delays.shape[0]
-        if n == 0:
-            raise ValueError("scan must contain at least one delay")
-        if not np.all(np.isfinite(self.delays)):
-            raise ValueError("delays must be finite")
-        for name in ("coincidence_rate", "singles_m", "singles_n"):
-            arr = getattr(self, name)
-            if arr.shape[-1:] != (n,):
-                raise ValueError(f"{name} must have the same length as delays")
-            if not np.all((arr >= 0) & (arr < np.inf)):
-                raise ValueError(f"{name} must be finite and nonnegative")
+        check_scan(self, "delays", "coincidence_rate", "singles_m", "singles_n", stacked=True)
 
 
 def hom_scan(circuit: "ProgrammedCircuit", source: PhotonPairSource, delays) -> CoincidenceScan:
@@ -406,9 +423,7 @@ def hom_scan(circuit: "ProgrammedCircuit", source: PhotonPairSource, delays) -> 
     :func:`montecarlo_counts` samples Poisson multi-pair emission and shows the
     multi-pair loss of visibility.
     """
-    delays = np.asarray(delays, dtype=float)
-    if delays.ndim != 1 or delays.size == 0:
-        raise ValueError("delays must be a non-empty 1-d array")
+    delays = check_grid("delays", delays)
     ind, dist = pair_outcome_components(circuit.sub_matrix)
     x = overlap_from_delay(source, delays)[:, None]
     probs = x * ind[..., None, :] + (1.0 - x) * dist[..., None, :]
@@ -442,8 +457,7 @@ def montecarlo_counts(
     (its outcome, by inverse transform of the cumulative six-outcome
     mixture ``x*ind/ind.sum() + (1-x)*dist/dist.sum()`` at overlap ``x``).
     """
-    if int(n_pulses) != n_pulses or n_pulses < 1:
-        raise ValueError(f"n_pulses must be a positive integer, got {n_pulses}")
+    n_pulses = check_integer("n_pulses", n_pulses)
     circuit._check_one_block("circuit")
     mu = source.mean_pairs_per_pulse
     x = overlap_from_delay(source, delay_s)
@@ -451,7 +465,6 @@ def montecarlo_counts(
     cum = _cumulative(x * ind / ind.sum() + (1.0 - x) * dist / dist.sum())
 
     singles_m = singles_n = coincidences = 0
-    n_pulses = int(n_pulses)
     for chunk_index, start in enumerate(range(0, n_pulses, _MC_CHUNK)):
         size = min(_MC_CHUNK, n_pulses - start)
         rng = rng_for(seed, Stream.MONTECARLO, chunk_index)

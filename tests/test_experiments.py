@@ -80,6 +80,33 @@ def test_alpha_scan_result_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"v0_fit": math.nan},
+        {"v0_std_err": -0.1},
+        {"v0_std_err": math.nan},
+        {"v0_std_err": math.inf},
+        {"std_errs": [-0.1]},
+        {"std_errs": [math.nan]},
+        {"std_errs": [math.inf]},
+        {"visibilities": [math.nan]},
+        {"visibilities": [-math.inf]},
+        {"alphas": [math.nan]},
+        {"alphas": [math.inf]},
+        {"alphas": [], "visibilities": [], "std_errs": []},
+        {"alphas": 0.0, "visibilities": 0.5, "std_errs": 0.0},
+        {"alphas": [[0.0]], "visibilities": [[0.5]], "std_errs": [[0.0]]},
+        {"std_errs": [[0.0]]},
+    ],
+)
+def test_alpha_scan_result_rejects_non_finite_negative_or_misshapen_values(changes):
+    fields = {"alphas": [0.0], "visibilities": [0.5], "std_errs": [0.0], "v0_fit": 0.5, "v0_std_err": 0.0}
+    AlphaScanResult(**fields)
+    with pytest.raises(ValueError):
+        AlphaScanResult(**{**fields, **changes})
+
+
 def test_alpha_scan_result_holds_read_only_copies_of_its_arrays():
     alphas, visibilities = np.array([0.0, math.pi]), np.array([-0.5, 0.5])
     result = AlphaScanResult(alphas, visibilities, np.zeros(2), v0_fit=-0.5, v0_std_err=0.0)
@@ -509,8 +536,9 @@ def test_scenario_config_validation():
         ScenarioConfig(segments=0)
     with pytest.raises(ValueError):
         ScenarioConfig(n_in=100, segments=960)  # cannot host two modes
-    with pytest.raises(ValueError):
-        ScenarioConfig(alpha_grid=np.array([]))
+    for grid in (np.array([]), 0.5, [[0.0, 1.0]], [0.0, np.inf]):  # the scan records' grid rule
+        with pytest.raises(ValueError, match="^alpha_grid: expected a non-empty, finite, 1-d array"):
+            ScenarioConfig(alpha_grid=grid)
     with pytest.raises(ValueError):
         ScenarioConfig(output_m=1, output_n=1)
     with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from specklesim.medium import (
     save_matrix,
 )
 from specklesim.oracles import transmit
-from specklesim.rng import rng_for
+from specklesim.rng import child_seed, rng_for
 
 
 def test_gaussian_determinism_single_entry():
@@ -75,6 +75,38 @@ def test_integral_float_dims_build_integer_media():
     same_draw = gaussian_transmission_matrix(4.0, 3.0, 1).entries
     assert same_draw.tobytes() == gaussian_transmission_matrix(4, 3, 1).entries.tobytes()
     assert haar_unitary(3.0, 1).entries.tobytes() == haar_unitary(3, 1).entries.tobytes()
+
+
+_SEEDED = {
+    "gaussian": lambda seed: gaussian_transmission_matrix(4, 2, seed),
+    "haar": lambda seed: haar_unitary(2, seed),
+    "rng_for": rng_for,
+    "child_seed": child_seed,
+}
+
+
+@pytest.mark.parametrize("seed", [3.7, math.inf, math.nan, -1, 2**64])
+@pytest.mark.parametrize("name", sorted(_SEEDED))
+def test_seeds_must_be_unsigned_64_bit_integers(name, seed):
+    # 3.7 once built seed 3's medium and recorded seed = 3.7
+    with pytest.raises(ValueError, match="^seed: expected unsigned 64-bit integer"):
+        _SEEDED[name](seed)
+
+
+@pytest.mark.parametrize("tag", [2.5, -1, math.inf, math.nan])
+@pytest.mark.parametrize("derive", [rng_for, child_seed])
+def test_stream_paths_must_be_nonnegative_integers(derive, tag):
+    # 2.5 once gave tag 2's stream
+    with pytest.raises(ValueError, match="^path: expected nonnegative integer"):
+        derive(0, 1, tag)
+
+
+@pytest.mark.parametrize("seed", [3, 3.0, np.uint64(3), np.int64(3)])
+def test_a_medium_records_its_seed_as_an_int(seed):
+    for medium, reference in ((gaussian_transmission_matrix(4, 2, seed), gaussian_transmission_matrix(4, 2, 3)),
+                              (haar_unitary(2, seed), haar_unitary(2, 3))):
+        assert type(medium.seed) is int and medium.seed == 3
+        assert matrix_bytes(medium) == matrix_bytes(reference)
 
 
 def test_haar_dimension_one():

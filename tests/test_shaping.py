@@ -710,6 +710,25 @@ def test_classical_scan_rejects_empty_grid():
         classical_scan(effective_circuit(medium, pattern_k, pattern_l, 0, 1, 0.0), [])
 
 
+@pytest.mark.parametrize(
+    "name, bad, message",
+    [("delta_theta", bad, "^delta_theta: expected a non-empty, finite, 1-d array") for bad in (math.nan, math.inf)]
+    + [(name, bad, f"^{name} must be finite and nonnegative")
+       for name in ("intensity_m", "intensity_n") for bad in (math.nan, math.inf, -1.0)],
+)
+def test_classical_scan_requires_a_finite_grid_and_finite_nonnegative_intensities(name, bad, message):
+    columns = {"delta_theta": [0.0, 1.0], "intensity_m": [1.0, 2.0], "intensity_n": [3.0, 4.0]}
+    columns[name] = [0.0, bad]
+    with pytest.raises(ValueError, match=message):
+        shaping.ClassicalScan(**columns)
+
+
+@pytest.mark.parametrize("grid, intensity", [(0.0, 1.0), ([[0.0, 1.0]], [[1.0, 2.0]]), ([0.0, 1.0], [[1.0, 2.0]])])
+def test_classical_scan_keeps_exact_1d_shapes(grid, intensity):
+    with pytest.raises(ValueError, match="delta_theta"):
+        shaping.ClassicalScan(grid, intensity, intensity)
+
+
 def test_classical_scan_holds_read_only_copies_of_its_arrays():
     grid, intensity_m = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
     scan = shaping.ClassicalScan(grid, intensity_m, np.array([3.0, 2.0, 1.0]))

@@ -254,6 +254,20 @@ def test_outcomes_reject_nonembeddable():
         outcome_probabilities(-0.1, 0.0)
 
 
+@pytest.mark.parametrize("std_err", [-0.1, math.nan])
+def test_visibility_std_err_must_be_nonnegative(std_err):
+    with pytest.raises(ValueError, match="^std_err must be nonnegative"):
+        visibility(0.5, 1.0, std_err)
+
+
+@pytest.mark.parametrize("t", [-0.1, -math.inf, math.nan])
+def test_negative_or_nan_amplitudes_are_rejected_by_one_rule(t):
+    with pytest.raises(ValueError, match="^t must be nonnegative"):
+        outcome_probabilities(t, 0.0)
+    with pytest.raises(ValueError, match="^t must be nonnegative"):
+        ideal_circuit(t, 0.0)
+
+
 def test_outcome_distribution_validation():
     with pytest.raises(ValueError):
         OutcomeDistribution(0.5, 0.5, 0.5, 0.0, 0.0, 0.0)
@@ -435,7 +449,7 @@ def test_non_finite_delays_are_rejected(delay):
     source = source_preset("filtered")
     with pytest.raises(ValueError, match="^delay_s: expected finite delays"):
         overlap_from_delay(source, delay)
-    with pytest.raises(ValueError, match="^delay_s: expected finite delays"):
+    with pytest.raises(ValueError, match="^delays: expected a non-empty, finite, 1-d array"):
         hom_scan(ideal_circuit(0.5, math.pi), source, np.atleast_1d(delay))
     if np.ndim(delay) == 0:
         with pytest.raises(ValueError, match="^delay_s: expected finite delays"):
@@ -501,8 +515,22 @@ def test_coincidence_scan_requires_finite_nonnegative_rates(name, rate):
 
 @pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf])
 def test_coincidence_scan_requires_finite_delays(delay):
-    with pytest.raises(ValueError, match="^delays must be finite"):
+    with pytest.raises(ValueError, match="^delays: expected a non-empty, finite, 1-d array"):
         CoincidenceScan(delays=[0.0, delay], coincidence_rate=[1.0, 2.0], singles_m=[3.0, 4.0], singles_n=[5.0, 6.0])
+
+
+@pytest.mark.parametrize("delays, rate", [(0.0, 1.0), ([[0.0, 1e-12]], [[1.0, 2.0]]), ([], [])])
+def test_coincidence_scan_requires_non_empty_1d_delays(delays, rate):
+    with pytest.raises(ValueError, match="^delays: expected a non-empty, finite, 1-d array"):
+        CoincidenceScan(delays=delays, coincidence_rate=rate, singles_m=rate, singles_n=rate)
+
+
+def test_coincidence_scan_keeps_stacked_rates():
+    rate = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    scan = CoincidenceScan(delays=[0.0, 1e-12], coincidence_rate=rate, singles_m=rate, singles_n=rate)
+    assert scan.coincidence_rate.shape == (3, 2)
+    with pytest.raises(ValueError, match="^singles_n must match the delays grid"):
+        CoincidenceScan(delays=[0.0, 1e-12], coincidence_rate=rate, singles_m=rate, singles_n=[[1.0, 2.0, 3.0]])
 
 
 def test_coincidence_scan_holds_read_only_copies_of_its_arrays():
@@ -761,9 +789,9 @@ def test_montecarlo_validation():
         montecarlo_counts(bad_circuit, source, 100, seed=1)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("seed", [-1, 2**64, 3.7, math.inf, math.nan])
 def test_montecarlo_counts_rejects_seeds_outside_64_bits(seed):
-    with pytest.raises(ValueError, match="^seed must be a 64-bit unsigned integer"):
+    with pytest.raises(ValueError, match="^seed: expected unsigned 64-bit integer"):
         montecarlo_counts(ideal_circuit(0.5, math.pi), source_preset("filtered"), 100, seed=seed)
 
 
