@@ -34,6 +34,7 @@ from pathlib import Path
 from . import experiments
 from .config import ConfigError, ScenarioConfig, parse_angle, parse_config
 from .experiments import emit_scenario
+from .rng import check_seed
 from .twophoton import OUTCOME_LABELS
 
 # subcommand -> (runner in ``experiments``, summary line from (result, config)).
@@ -119,15 +120,16 @@ def _run(argv: list[str]) -> int:
         return 0 if run_selftest(quiet=args.quiet) else 1
     if args.threads < 1:
         raise _UsageError(f"--threads must be >= 1, got {args.threads}")
-    if not 0 <= args.seed < 2**64:
-        raise _UsageError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
+    try:
+        seed = check_seed(args.seed)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
     if args.config is not None:
-        config = parse_config(Path(args.config).read_text())
+        config = parse_config(Path(args.config).read_text(), args.subcommand)
     else:
         config = ScenarioConfig()
     out_dir = Path(args.out) if args.out is not None else Path(config.out_dir)
-    seed = args.seed
 
     if args.subcommand == "probabilities":
         try:

@@ -12,7 +12,9 @@ includes both endpoints, or a comma-separated list of angles;
 
 :func:`parse_config` only turns text into typed values; every range and
 choice rule lives in :class:`ScenarioConfig`, so library callers get the
-same checks as config files.  :func:`format_config` is the inverse of
+same checks as config files.  :func:`scenario_keys` says which keys each
+subcommand reads; a config file for a subcommand may set only those, and
+its manifest lists only those.  :func:`format_config` is the inverse of
 :func:`parse_config`: the text it writes parses back to the same
 settings.
 """
@@ -24,6 +26,7 @@ import numbers
 import os
 import re
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -31,7 +34,9 @@ import numpy as np
 from .rng import check_integer, check_seed
 from .twophoton import SOURCE_PRESETS, check_grid, rms_bandwidth_from_filter_fwhm
 
-__all__ = ["ConfigError", "ScenarioConfig", "parse_config", "format_config", "parse_angle", "parse_grid"]
+__all__ = [
+    "ConfigError", "ScenarioConfig", "scenario_keys", "parse_config", "format_config", "parse_angle", "parse_grid",
+]
 
 
 class ConfigError(ValueError):
@@ -73,12 +78,42 @@ _NUMBERS: dict[str, tuple[str, Callable[[float], bool]]] = {
     "mean_pairs_per_pulse": ("nonnegative number", lambda x: 0.0 <= x < math.inf),
 }
 _GRIDS = ("alpha_grid", "delta_theta_grid", "delay_grid")
-_OPTIONAL = ("n_in", "medium_seed", "overlap", "bandwidth_fwhm_nm", "mean_pairs_per_pulse")
+_OPTIONAL = ("n_in", "medium_seed", "output_n", "overlap", "bandwidth_fwhm_nm", "mean_pairs_per_pulse")
 
 
 def _require(ok: bool, name: str, expected: str, value) -> None:
     if not ok:
         raise ValueError(f"{name}: expected {expected}, got {value!r}")
+
+
+def _checked(name: str, value):
+    """``value`` of field ``name`` in its stored type, once the field's own rule holds.
+
+    Raises ``ValueError`` naming ``name``.  Rules between fields belong
+    to :class:`ScenarioConfig`.
+    """
+    if value is None and name in _OPTIONAL:
+        return None
+    if name in _INTEGERS:
+        return check_integer(name, value, *_INTEGERS[name])
+    if name in _NUMBERS:
+        expected, test = _NUMBERS[name]
+        _require(isinstance(value, numbers.Real) and test(float(value)), name, expected, value)
+        return float(value)
+    if name in _CHOICES:
+        _require(value in _CHOICES[name], name, f"one of {', '.join(_CHOICES[name])}", value)
+        return value
+    if name in _GRIDS:
+        return check_grid(name, value)
+    if name == "segment_counts":
+        counts = tuple(check_integer(name, count) for count in value)
+        _require(len(counts) > 0, name, "a non-empty list of positive integers", value)
+        return counts
+    out_dir = os.fspath(value)
+    # the text form strips the value, ends it at '#' and at a line break
+    _require("#" not in out_dir and out_dir == out_dir.strip() and len(out_dir.splitlines()) <= 1,
+             name, "a path without '#', line breaks or surrounding spaces", out_dir)
+    return out_dir
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +136,7 @@ class ScenarioConfig:
     medium_seed: int | None = None  # defaults to the master seed
     segments: int = 960
     output_m: int = 0
-    output_n: int = 1
+    output_n: int | None = None  # defaults to output 1, or output 0 when output_m is 1
     circuit: str = "ideal"
     t: float = 0.45
     alpha: float = math.pi
@@ -121,27 +156,10 @@ class ScenarioConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
-        for name, (low, high, expected) in _INTEGERS.items():
-            value = getattr(self, name)
-            if value is not None or name not in _OPTIONAL:
-                object.__setattr__(self, name, check_integer(name, value, low, high, expected))
-        for name, (expected, test) in _NUMBERS.items():
-            value = getattr(self, name)
-            if value is not None or name not in _OPTIONAL:
-                _require(isinstance(value, numbers.Real) and test(float(value)), name, expected, value)
-                object.__setattr__(self, name, float(value))
-        for name, choices in _CHOICES.items():
-            _require(getattr(self, name) in choices, name, f"one of {', '.join(choices)}", getattr(self, name))
-        for name in _GRIDS:
-            object.__setattr__(self, name, check_grid(name, getattr(self, name)))
-        counts = tuple(check_integer("segment_counts", count) for count in self.segment_counts)
-        _require(len(counts) > 0, "segment_counts", "a non-empty list of positive integers", self.segment_counts)
-        object.__setattr__(self, "segment_counts", counts)
-        out_dir = os.fspath(self.out_dir)
-        # the text form strips the value, ends it at '#' and at a line break
-        _require("#" not in out_dir and out_dir == out_dir.strip() and len(out_dir.splitlines()) <= 1,
-                 "out_dir", "a path without '#', line breaks or surrounding spaces", out_dir)
-        object.__setattr__(self, "out_dir", out_dir)
+        for f in fields(self):
+            object.__setattr__(self, f.name, _checked(f.name, getattr(self, f.name)))
+        if self.output_n is None:
+            object.__setattr__(self, "output_n", 0 if self.output_m == 1 else 1)
 
         if self.output_m == self.output_n:
             raise ValueError("output_m and output_n must differ")
@@ -163,6 +181,44 @@ class ScenarioConfig:
 
     def resolved_medium_seed(self, master_seed: int) -> int:
         return self.medium_seed if self.medium_seed is not None else check_seed(master_seed)
+
+
+_MEDIUM_KEYS = ("medium_kind", "n_out", "n_in", "segments", "medium_seed")
+_SOURCE_KEYS = ("source", "overlap", "bandwidth_fwhm_nm", "mean_pairs_per_pulse")
+_MODES = ("circuit", "method", "counting")  # the keys that change which keys a subcommand reads
+
+
+def scenario_keys(subcommand: str, config: ScenarioConfig) -> tuple[str, ...]:
+    """The keys that ``subcommand`` reads under ``config``'s modes, in field order.
+
+    A shaped ``circuit`` reads the medium, shaping and output keys where
+    an ideal one reads ``t``; ``steps`` is read only with ``method =
+    stepped`` and ``pulses_per_point`` only with ``counting =
+    montecarlo``.  Every subcommand of the CLI table also reads
+    ``out_dir``.  ``probabilities`` reads ``t`` and ``alpha``, which the
+    CLI takes from its flags, so its config file may set no key.  A
+    manifest lists exactly these keys.  Of ``config`` only the modes
+    ``circuit``, ``method`` and ``counting`` are read.
+    """
+    if subcommand == "probabilities":
+        return ("t", "alpha")
+    stepped = ("steps",) if config.method == "stepped" else ()
+    shaping = (*_MEDIUM_KEYS, "output_m", "method", *stepped)
+    circuit = ("circuit", *((*shaping, "output_n") if config.circuit == "shaped" else ("t",)))
+    table = {
+        "gen-medium": _MEDIUM_KEYS,
+        "optimize": shaping,
+        "program": (*shaping, "output_n", "alpha"),
+        "classical-scan": (*circuit, "alpha", "delta_theta_grid"),
+        "hom-scan": (*circuit, "alpha", "delay_grid", *_SOURCE_KEYS),
+        "alpha-scan": (*circuit, "alpha_grid", "counting", *_SOURCE_KEYS,
+                       *(("pulses_per_point",) if config.counting == "montecarlo" else ())),
+        "enhancement-study": ("n_out", "output_m", "method", *stepped, "seeds", "segment_counts"),
+    }
+    if subcommand not in table:
+        raise ValueError(f"unknown subcommand {subcommand!r}")
+    read = {*table[subcommand], "out_dir"}
+    return tuple(f.name for f in fields(ScenarioConfig) if f.name in read)
 
 
 _ANGLE_RE = re.compile(r"([+-]?)([0-9]*\.?[0-9]*(?:e[+-]?[0-9]+)?)?pi(?:/([0-9]+\.?[0-9]*))?")
@@ -233,15 +289,18 @@ _KNOWN_SECTIONS = {
 }
 
 
-def parse_config(text: str) -> ScenarioConfig:
+def parse_config(text: str, subcommand: str | None = None) -> ScenarioConfig:
     """Parse configuration text into a :class:`ScenarioConfig`.
 
     Omitted keys take their defaults; unknown keys, unknown sections,
-    duplicate keys and type errors raise :class:`ConfigError` with the
-    offending line number, and a value that breaks a rule of
-    :class:`ScenarioConfig` raises it naming the key.
+    duplicate keys, type errors and values that break their own key's
+    rule raise :class:`ConfigError` with the offending line number.
+    Given a ``subcommand``, a key outside its :func:`scenario_keys` raises
+    it next, naming the key and the subcommand.  A rule between keys of
+    :class:`ScenarioConfig` comes last, naming a key.
     """
     values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -263,19 +322,35 @@ def parse_config(text: str) -> ScenarioConfig:
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = _KEY_PARSERS[key](value)
+            parsed = _KEY_PARSERS[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: key {key!r}: {exc}") from exc
+        try:
+            values[key] = _checked(key, parsed)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from exc
+        lines[key] = lineno
+    if subcommand is not None:
+        # the modes alone pick the keys; every mode value has passed its rule
+        modes = SimpleNamespace(**{f.name: values.get(f.name, f.default)
+                                   for f in fields(ScenarioConfig) if f.name in _MODES})
+        readable = () if subcommand == "probabilities" else scenario_keys(subcommand, modes)
+        under = ", ".join(f"{mode} = {getattr(modes, mode)}" for mode in _MODES if mode in readable)
+        for key, lineno in lines.items():
+            if key not in readable:
+                raise ConfigError(f"line {lineno}: {subcommand} does not read key {key!r}"
+                                  + (f" with {under}" if under else ""))
     try:
         return ScenarioConfig(**values)
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
-def format_config(config: ScenarioConfig) -> str:
+def format_config(config: ScenarioConfig, keys=None) -> str:
     """Config text that :func:`parse_config` reads back to ``config``.
 
-    Every field that is not ``None`` is written in field order; floats
+    Every field that is not ``None`` is written in field order, or only
+    those among ``keys``, a subcommand's :func:`scenario_keys`; floats
     carry 17 significant digits, and a grid is written as
     ``start:stop:count`` when that text parses back to the same grid bit
     for bit, else as a comma list, so values survive the round trip
@@ -283,7 +358,7 @@ def format_config(config: ScenarioConfig) -> str:
     """
     lines = []
     for f in fields(config):
-        value = getattr(config, f.name)
+        value = getattr(config, f.name) if keys is None or f.name in keys else None
         if value is not None:
             lines.append(f"{f.name} = {_format_value(value)}\n")
     return "".join(lines)

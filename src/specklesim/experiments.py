@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .config import ScenarioConfig, format_config
+from .config import ScenarioConfig, format_config, scenario_keys
 from .medium import MatrixKind, TransmissionMatrix, gaussian_transmission_matrix, haar_unitary, matrix_bytes
 from .rng import STREAM_CONTRACT, ChildSeed, PointSeed, Stream, child_seed, rng_for
 from .shaping import (
@@ -163,7 +163,9 @@ def fit_visibility_cosine(alphas, visibilities) -> tuple[float, float]:
     """One-parameter least squares of ``V(alpha) = V0 * cos(alpha)``.
 
     Returns ``(v0, std_err)`` with the standard error taken from the
-    residual variance.  Degenerate when every ``cos(alpha)`` vanishes.
+    residual variance.  Degenerate when every ``cos(alpha)`` vanishes;
+    a non-finite fit (a NaN or an infinity in the inputs) raises
+    ``ValueError``.
     """
     alphas = np.asarray(alphas, dtype=float)
     values = np.asarray(visibilities, dtype=float)
@@ -180,6 +182,8 @@ def fit_visibility_cosine(alphas, visibilities) -> tuple[float, float]:
         std_err = math.sqrt(float(np.sum(residuals**2)) / (alphas.size - 1) / denom)
     else:
         std_err = 0.0
+    if not math.isfinite(v0 + std_err):
+        raise ValueError("alphas and visibilities must be finite")
     return v0, std_err
 
 
@@ -199,11 +203,16 @@ class AlphaScanResult:
             raise ValueError(f"v0_fit = {self.v0_fit} +- {self.v0_std_err} is not a physical visibility amplitude")
 
 
+def _shaping(config: ScenarioConfig) -> tuple:
+    """The configured shaping arguments ``(method, steps)``; ``steps`` is read only with ``method = stepped``."""
+    return (config.method, config.steps) if config.method == "stepped" else (config.method,)
+
+
 def _program(config: ScenarioConfig, master_seed: int, alpha):
     """:func:`program_circuit` on the configured medium, outputs and shaping."""
     medium = build_medium(config, master_seed)
     m, n = config.output_m, config.output_n
-    return program_circuit(medium, config.segments, m, n, alpha, config.method, config.steps)
+    return program_circuit(medium, config.segments, m, n, alpha, *_shaping(config))
 
 
 def _circuit(config: ScenarioConfig, master_seed: int, alpha) -> ProgrammedCircuit:
@@ -241,7 +250,7 @@ def run_optimize(config: ScenarioConfig, master_seed: int = 0) -> tuple[PhasePat
     """Focus input mode ``k`` onto output ``output_m`` of the configured medium."""
     medium = build_medium(config, master_seed)
     template = mode_templates(config.segments)[0]
-    pattern = optimize_pattern(medium, template, config.output_m, config.method, config.steps)
+    pattern = optimize_pattern(medium, template, config.output_m, *_shaping(config))
     return pattern, {"pattern_k.csv": _pattern_csv(pattern)}
 
 
@@ -265,11 +274,8 @@ class ClassicalScanResult(NamedTuple):
 
 
 def run_classical_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[ClassicalScanResult, dict]:
-    """Two-beam scan of the circuit shaped into the configured medium, with sine fits per output.
-
-    ``config.circuit`` is not read: even ``ideal`` gives the shaped circuit.
-    """
-    _, _, circuit = _program(config, master_seed, config.alpha)
+    """Two-beam scan of the configured circuit (ideal, or shaped at ``config.alpha``), with sine fits per output."""
+    circuit = _circuit(config, master_seed, config.alpha)
     scan = classical_scan(circuit, config.delta_theta_grid)
     fit_m = fit_sine(scan.delta_theta, scan.intensity_m)
     fit_n = fit_sine(scan.delta_theta, scan.intensity_n)
@@ -402,12 +408,13 @@ def run_enhancement_study(
     prediction for ``N`` phase-only segments is ``1 + (pi/4) (N - 1)``.
     """
     rows: list[EnhancementRow] = []
+    shaping = _shaping(config)
     for idx, n_seg in enumerate(config.segment_counts):
         ratios = []
         for replicate in range(config.seeds):
             seed = child_seed(master_seed, ChildSeed.STUDY, idx, replicate)
             medium = gaussian_transmission_matrix(config.n_out, n_seg, seed)
-            ratios.append(focusing_enhancement(medium, config.output_m, config.method, config.steps))
+            ratios.append(focusing_enhancement(medium, config.output_m, *shaping))
         rows.append(
             EnhancementRow(
                 n_segments=int(n_seg),
@@ -439,7 +446,8 @@ def emit_scenario(
     is written as text with LF line ends, a ``bytes`` value as is.  The
     manifest holds the scenario, artifact version, stream contract, numpy
     version and master seed as ``#`` comment lines, then
-    :func:`~specklesim.config.format_config` of the config.  An existing
+    :func:`~specklesim.config.format_config` of the keys that ``scenario``
+    reads (:func:`~specklesim.config.scenario_keys`).  An existing
     manifest is never overwritten unless ``force`` is set.  Each file is
     written under a temporary name and renamed into place, and the
     manifest comes last, so a failed write leaves no manifest behind.
@@ -458,7 +466,8 @@ def emit_scenario(
         "numpy": np.__version__,
         "master_seed": master_seed,
     }
-    text = "".join(f"# {key} = {value}\n" for key, value in provenance.items()) + format_config(config)
+    settings = format_config(config, scenario_keys(scenario, config))
+    text = "".join(f"# {key} = {value}\n" for key, value in provenance.items()) + settings
     # a manifest vouches for a complete run; the old one goes before any data changes
     manifest_path.unlink(missing_ok=True)
     for name, data in files.items():

@@ -396,12 +396,13 @@ def fit_sine(x, y) -> tuple[float, float, float]:
     once, and each call does only one product of its shifted ``y`` with
     the weights.
 
-    Raises ``ValueError`` for fewer than 3 samples and
-    :class:`DegenerateFitError` unless the determinant ``det`` of the
-    normal equations exceeds ``1e-12 * (ss + cc)**2``, where ``ss`` and
-    ``cc`` are their diagonal entries.  ``det / (ss + cc)**2`` is at most
-    1/4, and when small it is about the reciprocal condition number of
-    the normal equations.  The rule rejects every design whose
+    Raises ``ValueError`` for fewer than 3 samples or a non-finite fit
+    (a NaN or an infinity in ``y``), and :class:`DegenerateFitError`
+    unless the determinant ``det`` of the normal equations exceeds
+    ``1e-12 * (ss + cc)**2``, where ``ss`` and ``cc`` are their diagonal
+    entries.  ``det / (ss + cc)**2`` is at most 1/4, and when small it
+    is about the reciprocal condition number of the normal equations.
+    The rule rejects every design whose
     ``[1, sin x, cos x]`` columns are dependent, such as all ``x`` equal
     or all ``x`` on multiples of ``2*pi``, and any design so close to
     one that the fit would keep only a few digits.
@@ -414,7 +415,10 @@ def fit_sine(x, y) -> tuple[float, float, float]:
     # the weights are centred, so y's own centring would change a and b only by rounding
     a, b, total = (weights @ (y - y[0])).tolist()
     offset = (float(y[0]) + total / y.size) - a * mean_sin - b * mean_cos
-    return offset, math.hypot(a, b), math.atan2(b, a)
+    amplitude = math.hypot(a, b)
+    if not math.isfinite(offset + amplitude):  # one scalar test, not a pass over y
+        raise ValueError("y must be finite")
+    return offset, amplitude, math.atan2(b, a)
 
 
 # (bytes of x, weights, mean of sin x, mean of cos x) of the last design; a plain

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 import specklesim
 from specklesim import cli, experiments
 from specklesim.cli import _SCENARIOS, main
-from specklesim.config import ConfigError, ScenarioConfig, format_config, parse_angle, parse_config, parse_grid
+from specklesim.config import (
+    ConfigError, ScenarioConfig, format_config, parse_angle, parse_config, parse_grid, scenario_keys,
+)
 from specklesim.medium import gaussian_transmission_matrix, load_matrix
 from specklesim.twophoton import SOURCE_PRESETS
 
@@ -426,11 +428,9 @@ def test_alpha_scan_byte_identical_across_threads(tmp_path):
 
 
 def test_program_and_classical_scan(tmp_path, capsys):
+    # program always shapes, so only classical-scan reads circuit and delta_theta_grid
     cfg = tmp_path / "p.cfg"
-    cfg.write_text(
-        "[medium]\nn_out = 64\nsegments = 32\n[circuit]\nalpha = pi\ncircuit = shaped\n"
-        "delta_theta_grid = 0:2pi:17\n"
-    )
+    cfg.write_text("[medium]\nn_out = 64\nsegments = 32\n[circuit]\nalpha = pi\n")
     out = str(tmp_path / "out")
     rc = main(["program", "--config", str(cfg), "--seed", "3", "--out", out])
     assert rc == 0
@@ -438,6 +438,7 @@ def test_program_and_classical_scan(tmp_path, capsys):
     assert (tmp_path / "out" / "program_seed3.pattern_k.csv").exists()
     assert (tmp_path / "out" / "program_seed3.circuit.csv").exists()
     out2 = str(tmp_path / "out2")
+    cfg.write_text(cfg.read_text() + "circuit = shaped\ndelta_theta_grid = 0:2pi:17\n")
     rc = main(["classical-scan", "--config", str(cfg), "--seed", "3", "--out", out2])
     assert rc == 0
     scan_text = (tmp_path / "out2" / "classical-scan_seed3.scan.csv").read_text()
@@ -605,7 +606,7 @@ _TINY_CONFIGS = {
     "gen-medium": "medium_kind = unitary\nn_out = 8\nn_in = 8\nsegments = 4\n",
     "optimize": "n_out = 16\nsegments = 8\nmethod = stepped\n",
     "program": "n_out = 16\nsegments = 8\nalpha = pi/3\n",
-    "classical-scan": "n_out = 16\nsegments = 8\ndelta_theta_grid = 0:2pi:9\n",
+    "classical-scan": "circuit = shaped\nn_out = 16\nsegments = 8\ndelta_theta_grid = 0:2pi:9\n",
     "hom-scan": "circuit = shaped\nn_out = 16\nsegments = 8\ndelay_grid = -2e-12:2e-12:11\n",
     "alpha-scan": "circuit = ideal\nalpha_grid = 0:pi:5\ncounting = montecarlo\npulses_per_point = 5000\n",
     "enhancement-study": "n_out = 16\nsegment_counts = 2,4\nseeds = 2\n",
@@ -631,6 +632,154 @@ def test_every_runner_is_reachable_from_the_cli():
     # (probabilities has its own branch in cli._run) writes files nobody can ask for
     runners = {name for name in experiments.__all__ if name.startswith("run_")}
     assert runners - {"run_probabilities"} == {runner for runner, _ in _SCENARIOS.values()}
+
+
+# ---------------------------------------------------------------------------
+# each subcommand reads exactly its scenario_keys
+# ---------------------------------------------------------------------------
+
+_FIELDS = frozenset(f.name for f in fields(ScenarioConfig))
+
+
+class _RecordingConfig(ScenarioConfig):
+    """A config that records each field read after its construction."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "reads", set())
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").get("reads")
+        if reads is not None and name in _FIELDS:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+_SHAPED = "circuit = shaped\nn_out = 64\nsegments = 16\n"  # large enough to stay embeddable at seed 1
+_MONTECARLO = "counting = montecarlo\npulses_per_point = 20000\nmean_pairs_per_pulse = 0.05\nalpha_grid = 0:pi:3\n"
+_READ_CASES = [
+    ("gen-medium", "n_out = 8\nsegments = 3\n"),  # a set n_in leaves segments to the rule n_in >= 2 * segments
+    ("gen-medium", "medium_kind = unitary\nn_out = 8\nn_in = 8\nsegments = 4\n"),
+    ("optimize", "n_out = 8\nsegments = 4\n"),
+    ("optimize", "n_out = 8\nsegments = 4\nmethod = stepped\n"),
+    ("program", "n_out = 64\nsegments = 16\n"),
+    ("program", "n_out = 64\nsegments = 16\nmethod = stepped\n"),
+    ("classical-scan", "circuit = ideal\n"),
+    ("classical-scan", _SHAPED),
+    ("hom-scan", "circuit = ideal\ndelay_grid = 0:1e-12:3\n"),
+    ("hom-scan", _SHAPED + "method = stepped\ndelay_grid = 0:1e-12:3\n"),
+    ("alpha-scan", "circuit = ideal\n"),
+    ("alpha-scan", "circuit = ideal\n" + _MONTECARLO),
+    ("alpha-scan", _SHAPED),
+    ("alpha-scan", _SHAPED + "method = stepped\n"),
+    ("enhancement-study", "n_out = 8\nsegment_counts = 2\nseeds = 2\n"),
+    ("enhancement-study", "n_out = 8\nsegment_counts = 2\nseeds = 2\nmethod = stepped\n"),
+    ("probabilities", ""),
+]
+
+
+def test_read_cases_cover_every_subcommand_and_mode():
+    assert {sub for sub, _ in _READ_CASES} == {*_SCENARIOS, "probabilities"}
+    configs = [parse_config(text) for _, text in _READ_CASES]
+    for mode, values in (("circuit", {"ideal", "shaped"}), ("method", {"analytic", "stepped"}),
+                         ("counting", {"analytic", "montecarlo"}), ("medium_kind", {"gaussian", "unitary"})):
+        assert {getattr(c, mode) for (sub, _), c in zip(_READ_CASES, configs) if mode in scenario_keys(sub, c)} == values
+
+
+@pytest.mark.parametrize("subcommand,config_text", _READ_CASES)
+def test_runners_read_exactly_their_scenario_keys(subcommand, config_text):
+    parsed = parse_config(config_text, subcommand)
+    config = _RecordingConfig(**{name: getattr(parsed, name) for name in _FIELDS})
+    runner = "run_probabilities" if subcommand == "probabilities" else _SCENARIOS[subcommand][0]
+    getattr(experiments, runner)(config, 1)
+    expected = set(scenario_keys(subcommand, parsed)) - {"out_dir"}
+    if parsed.medium_kind == "unitary":  # only the square rule reads these
+        expected -= {"n_in", "segments"}
+    assert config.reads == expected
+
+
+@pytest.mark.parametrize(
+    "subcommand,config_text,key",
+    [
+        ("gen-medium", "n_out = 8\nalpha = pi\n", "alpha"),
+        ("optimize", "circuit = shaped\n", "circuit"),
+        ("optimize", "method = analytic\nsteps = 8\n", "steps"),
+        ("program", "delta_theta_grid = 0:pi:3\n", "delta_theta_grid"),
+        ("classical-scan", "circuit = ideal\nsegments = 8\n", "segments"),
+        ("hom-scan", "circuit = ideal\nn_out = 1\n", "n_out"),  # not output_n, which n_out = 1 breaks
+        ("alpha-scan", "pulses_per_point = 1000\n", "pulses_per_point"),
+        ("alpha-scan", format_config(ScenarioConfig()), "medium_kind"),  # a manifest from before 0.12.0
+        ("enhancement-study", "medium_kind = unitary\n", "medium_kind"),
+        ("enhancement-study", "medium_seed = 3\n", "medium_seed"),
+        ("probabilities --t 0.3 --alpha 0", "t = 0.3\n", "t"),  # t and alpha come from the flags
+    ],
+)
+def test_a_key_the_subcommand_does_not_read_is_a_config_error(tmp_path, capsys, subcommand, config_text, key):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config_text)
+    out = tmp_path / "out"
+    assert main([*subcommand.split(), "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{subcommand.split()[0]} does not read key {key!r}" in err and "output_n" not in err
+    assert not out.exists()
+
+
+def test_unread_key_message_names_the_line_and_the_modes():
+    with pytest.raises(ConfigError, match=r"^line 3: hom-scan does not read key 'segments' with circuit = ideal$"):
+        parse_config("circuit = ideal\n\nsegments = 8\n", "hom-scan")
+    with pytest.raises(ConfigError, match="with circuit = shaped, method = analytic, counting = analytic$"):
+        parse_config("circuit = shaped\npulses_per_point = 10\n", "alpha-scan")
+    with pytest.raises(ValueError, match="unknown subcommand 'selftest'"):
+        scenario_keys("selftest", ScenarioConfig())
+
+
+def test_a_key_rule_comes_before_the_scope_and_the_scope_before_rules_between_keys():
+    with pytest.raises(ConfigError, match="^line 2: alpha: expected finite angle"):
+        parse_config("circuit = shaped\nalpha = nan\n", "program")
+    with pytest.raises(ConfigError, match="does not read key 'n_out'"):
+        parse_config("circuit = ideal\nn_out = 1\n", "hom-scan")
+    with pytest.raises(ConfigError, match="output_n: expected a channel index below n_out = 1"):
+        parse_config("circuit = ideal\nn_out = 1\n")
+
+
+def test_format_config_writes_only_the_given_keys_in_field_order():
+    assert format_config(ScenarioConfig(), ("t", "n_out")) == "n_out = 4000\nt = 0.45000000000000001\n"
+
+
+def test_output_n_defaults_to_an_output_other_than_output_m():
+    assert ScenarioConfig().output_n == 1
+    assert ScenarioConfig(output_m=1).output_n == 0
+    assert ScenarioConfig(output_m=2).output_n == 1
+
+
+@pytest.mark.parametrize(
+    "subcommand,config_text",
+    [("optimize", "n_out = 16\nsegments = 4\noutput_m = 1\n"),
+     ("enhancement-study", "n_out = 16\noutput_m = 1\nsegment_counts = 2\nseeds = 2\n")],
+)
+def test_optimize_and_enhancement_study_can_target_output_1(tmp_path, capsys, subcommand, config_text):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config_text)
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    manifest = (tmp_path / "out" / f"{subcommand}_seed0.manifest.txt").read_text()
+    assert "output_m = 1\n" in manifest and "output_n" not in manifest
+
+
+def test_classical_scan_of_the_ideal_circuit_shows_alpha(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("circuit = ideal\nalpha = pi/2\n")
+    assert main(["classical-scan", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    fits = (tmp_path / "classical-scan_seed0.fits.csv").read_text().splitlines()
+    phase_m, phase_n = (float(line.split(",")[3]) for line in fits[1:])
+    assert abs(math.remainder(phase_n - phase_m - math.pi / 2, 2 * math.pi)) < 1e-9
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_seed_outside_64_bits_is_a_usage_error(tmp_path, monkeypatch, capsys, seed):
+    monkeypatch.chdir(tmp_path)
+    assert main(["alpha-scan", "--seed", seed]) == 1
+    assert "seed: expected unsigned 64-bit integer" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # sha256 of artifacts at artifact version 0.3.1, and of enhancement.csv at

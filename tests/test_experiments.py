@@ -69,6 +69,11 @@ def test_fit_cosine_degenerate():
         fit_visibility_cosine([math.pi / 2.0], [0.1])
 
 
+def test_fit_cosine_rejects_nan():
+    with pytest.raises(ValueError, match="finite"):
+        fit_visibility_cosine([0, 1], [math.nan, 0.5])
+
+
 def test_alpha_scan_result_validation():
     with pytest.raises(ValueError):
         AlphaScanResult(
@@ -528,7 +533,7 @@ def test_manifest_contents(tmp_path):
     assert "scenario = alpha-scan\n" in manifest
     assert "master_seed = 9\n" in manifest
     assert f"# stream_contract = 3\n# numpy = {np.__version__}\n" in manifest
-    assert "segments = 960\n" in manifest
+    assert "alpha_grid = " in manifest and "segments = " not in manifest  # an ideal alpha-scan reads no medium
 
 
 def test_scenario_config_validation():

@@ -758,7 +758,9 @@ def test_effective_circuit_rejects_shared_channels():
 def test_classical_scan_is_the_closed_form_of_the_programmed_circuit():
     # the scan reads the same circuit `program` reports, exactly; the
     # circuit file's 17 digits round-trip the block's entries
-    config = ScenarioConfig(n_out=16, segments=8, alpha=2.0, delta_theta_grid=np.linspace(0.0, TWO_PI, 9))
+    config = ScenarioConfig(
+        n_out=16, segments=8, circuit="shaped", alpha=2.0, delta_theta_grid=np.linspace(0.0, TWO_PI, 9)
+    )
     _, program_files = run_program(config, master_seed=3)
     values = [float(v) for v in program_files["circuit.csv"].splitlines()[1].split(",")[:8]]
     a, b, c, d = (complex(values[2 * i], values[2 * i + 1]) for i in range(4))
@@ -787,6 +789,11 @@ def test_fit_sine_constant_signal():
     offset, amplitude, _ = fit_sine(x, np.full_like(x, 5.0))
     assert abs(offset - 5.0) < 1e-10
     assert amplitude < 1e-10
+
+
+def test_fit_sine_rejects_nan():
+    with pytest.raises(ValueError, match="finite"):
+        fit_sine([0, 1, 2, 3], [math.nan, 1, 2, 0.5])
 
 
 def test_fit_sine_amplitude_under_noise():
