@@ -12,11 +12,13 @@ includes both endpoints, or a comma-separated list of angles;
 
 :func:`parse_config` only turns text into typed values; every range and
 choice rule lives in :class:`ScenarioConfig`, so library callers get the
-same checks as config files.  :func:`scenario_keys` says which keys each
-subcommand reads; a config file for a subcommand may set only those, and
-its manifest lists only those.  :func:`format_config` is the inverse of
-:func:`parse_config`: the text it writes parses back to the same
-settings.
+same checks as config files, but for the output-channel rules: they
+depend on the outputs a subcommand reads, so :func:`parse_config`
+applies them, and library callers meet them in the medium and shaping
+layers.  :func:`scenario_keys` says which keys each subcommand reads; a
+config file for a subcommand may set only those, and its manifest lists
+only those.  :func:`format_config` is the inverse of :func:`parse_config`:
+the text it writes parses back to the same settings.
 """
 
 from __future__ import annotations
@@ -126,8 +128,9 @@ class ScenarioConfig:
     ``counting`` selects noiseless analytic rates or Monte Carlo pulse
     counting with ``pulses_per_point`` pulses per measurement.
 
-    Construction checks every range and choice rule and raises
-    ``ValueError`` naming the offending field.
+    Construction checks every range and choice rule but the output-channel
+    ones (:func:`parse_config` applies those) and raises ``ValueError``
+    naming the offending field.
     """
 
     medium_kind: str = "gaussian"
@@ -160,12 +163,6 @@ class ScenarioConfig:
             object.__setattr__(self, f.name, _checked(f.name, getattr(self, f.name)))
         if self.output_n is None:
             object.__setattr__(self, "output_n", 0 if self.output_m == 1 else 1)
-
-        if self.output_m == self.output_n:
-            raise ValueError("output_m and output_n must differ")
-        for name in ("output_m", "output_n"):
-            value = getattr(self, name)
-            _require(value < self.n_out, name, f"a channel index below n_out = {self.n_out}", value)
         _require(self.method != "stepped" or self.steps >= 3, "steps", "an integer >= 3 with method = stepped",
                  self.steps)
         if self.medium_kind == "unitary" and self.n_out != self.resolved_n_in:
@@ -219,6 +216,16 @@ def scenario_keys(subcommand: str, config: ScenarioConfig) -> tuple[str, ...]:
         raise ValueError(f"unknown subcommand {subcommand!r}")
     read = {*table[subcommand], "out_dir"}
     return tuple(f.name for f in fields(ScenarioConfig) if f.name in read)
+
+
+def _check_outputs(config: ScenarioConfig, keys) -> None:
+    """Each output among ``keys`` must be a channel below ``n_out``, and the two must differ where both are."""
+    read = [name for name in ("output_m", "output_n") if name in keys]
+    if len(read) == 2 and config.output_m == config.output_n:
+        raise ValueError("output_m and output_n must differ")
+    for name in read:
+        value = getattr(config, name)
+        _require(value < config.n_out, name, f"a channel index below n_out = {config.n_out}", value)
 
 
 _ANGLE_RE = re.compile(r"([+-]?)([0-9]*\.?[0-9]*(?:e[+-]?[0-9]+)?)?pi(?:/([0-9]+\.?[0-9]*))?")
@@ -297,7 +304,9 @@ def parse_config(text: str, subcommand: str | None = None) -> ScenarioConfig:
     rule raise :class:`ConfigError` with the offending line number.
     Given a ``subcommand``, a key outside its :func:`scenario_keys` raises
     it next, naming the key and the subcommand.  A rule between keys of
-    :class:`ScenarioConfig` comes last, naming a key.
+    :class:`ScenarioConfig` comes last, naming a key, then the
+    output-channel rules for the outputs the subcommand reads (every
+    output without a subcommand).
     """
     values: dict[str, object] = {}
     lines: dict[str, int] = {}
@@ -330,6 +339,7 @@ def parse_config(text: str, subcommand: str | None = None) -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
         lines[key] = lineno
+    readable = tuple(f.name for f in fields(ScenarioConfig))  # no subcommand: a config for every reader
     if subcommand is not None:
         # the modes alone pick the keys; every mode value has passed its rule
         modes = SimpleNamespace(**{f.name: values.get(f.name, f.default)
@@ -341,9 +351,11 @@ def parse_config(text: str, subcommand: str | None = None) -> ScenarioConfig:
                 raise ConfigError(f"line {lineno}: {subcommand} does not read key {key!r}"
                                   + (f" with {under}" if under else ""))
     try:
-        return ScenarioConfig(**values)
+        config = ScenarioConfig(**values)
+        _check_outputs(config, readable)
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
+    return config
 
 
 def format_config(config: ScenarioConfig, keys=None) -> str:

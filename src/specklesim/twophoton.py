@@ -77,6 +77,15 @@ _CLICKS_M = np.array([True, False, True, True, False, False])
 _CLICKS_N = np.array([False, True, True, False, True, False])
 
 
+def _click_runs(clicks: np.ndarray) -> np.ndarray:
+    """Rows ``(start, stop)``: the runs of consecutive outcomes ``start..stop-1`` on which a detector clicks."""
+    return np.flatnonzero(np.diff(clicks, prepend=False, append=False)).reshape(-1, 2)
+
+
+_RUNS_M = _click_runs(_CLICKS_M)
+_RUNS_N = _click_runs(_CLICKS_N)
+
+
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Probabilities of the six two-photon detection outcomes."""
@@ -456,13 +465,20 @@ def montecarlo_counts(
     ``integers(size, size=n)`` (each pair's pulse) and then ``random(n)``
     (its outcome, by inverse transform of the cumulative six-outcome
     mixture ``x*ind/ind.sum() + (1-x)*dist/dist.sum()`` at overlap ``x``).
+
+    The inverse transform is read by threshold comparisons, not by a
+    search: outcome ``k`` holds the draws ``cum[k-1] <= u < cum[k]``, so a
+    detector clicks on a draw inside one of its runs of consecutive
+    clicking outcomes (m: ``u < cum[0]`` or ``cum[1] <= u < cum[3]``).
+    The flags equal ``np.searchsorted(cum, u, side="right")`` read through
+    the click tables, draw for draw.
     """
     n_pulses = check_integer("n_pulses", n_pulses)
     circuit._check_one_block("circuit")
     mu = source.mean_pairs_per_pulse
     x = overlap_from_delay(source, delay_s)
     ind, dist = pair_outcome_components(circuit.sub_matrix)
-    cum = _cumulative(x * ind / ind.sum() + (1.0 - x) * dist / dist.sum())
+    bounds = _outcome_bounds(x * ind / ind.sum() + (1.0 - x) * dist / dist.sum())
 
     singles_m = singles_n = coincidences = 0
     for chunk_index, start in enumerate(range(0, n_pulses, _MC_CHUNK)):
@@ -474,16 +490,25 @@ def montecarlo_counts(
         for done in range(0, pairs, _MC_CHUNK):
             count = min(_MC_CHUNK, pairs - done)
             pulse = rng.integers(size, size=count)
-            outcome = np.searchsorted(cum, rng.random(count), side="right")
-            click_m[pulse[_CLICKS_M[outcome]]] = True
-            click_n[pulse[_CLICKS_N[outcome]]] = True
+            u = rng.random(count)
+            click_m[pulse[_in_runs(u, bounds, _RUNS_M)]] = True
+            click_n[pulse[_in_runs(u, bounds, _RUNS_N)]] = True
         singles_m += int(np.count_nonzero(click_m))
         singles_n += int(np.count_nonzero(click_n))
         coincidences += int(np.count_nonzero(click_m & click_n))
     return singles_m, singles_n, coincidences
 
 
-def _cumulative(probs: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(probs / probs.sum())
-    cum[-1] = 1.0
-    return cum
+def _outcome_bounds(probs: np.ndarray) -> np.ndarray:
+    """``[0, cum[0], ..., cum[5]]``: outcome ``k`` of the inverse transform holds ``bounds[k] <= u < bounds[k+1]``."""
+    bounds = np.concatenate(([0.0], np.cumsum(probs / probs.sum())))
+    bounds[-1] = 1.0
+    return bounds
+
+
+def _in_runs(u: np.ndarray, bounds: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """Whether each draw ``u`` in [0, 1) falls in an outcome of ``runs``, by two comparisons per run."""
+    inside = np.zeros(u.shape, dtype=bool)
+    for start, stop in runs:
+        inside |= (bounds[start] <= u) & (u < bounds[stop])
+    return inside

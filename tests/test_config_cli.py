@@ -706,7 +706,7 @@ def test_runners_read_exactly_their_scenario_keys(subcommand, config_text):
         ("optimize", "method = analytic\nsteps = 8\n", "steps"),
         ("program", "delta_theta_grid = 0:pi:3\n", "delta_theta_grid"),
         ("classical-scan", "circuit = ideal\nsegments = 8\n", "segments"),
-        ("hom-scan", "circuit = ideal\nn_out = 1\n", "n_out"),  # not output_n, which n_out = 1 breaks
+        ("hom-scan", "circuit = ideal\nn_out = 1\n", "n_out"),  # the unread key, not the unread output_n
         ("alpha-scan", "pulses_per_point = 1000\n", "pulses_per_point"),
         ("alpha-scan", format_config(ScenarioConfig()), "medium_kind"),  # a manifest from before 0.12.0
         ("enhancement-study", "medium_kind = unitary\n", "medium_kind"),
@@ -744,6 +744,40 @@ def test_a_key_rule_comes_before_the_scope_and_the_scope_before_rules_between_ke
 
 def test_format_config_writes_only_the_given_keys_in_field_order():
     assert format_config(ScenarioConfig(), ("t", "n_out")) == "n_out = 4000\nt = 0.45000000000000001\n"
+
+
+@pytest.mark.parametrize(
+    "subcommand,config_text,code,message",
+    [
+        # neither reads output_n, so its default 1 beside n_out = 1 breaks no rule
+        ("gen-medium", "n_out = 1\nsegments = 1\n", 0, None),
+        ("enhancement-study", "n_out = 1\nsegment_counts = 2\nseeds = 1\n", 0, None),
+        ("optimize", "n_out = 1\nsegments = 1\n", 0, None),
+        # the runs that read output_n still meet both output rules
+        ("program", "n_out = 1\nsegments = 1\n", 1, "output_n: expected a channel index below n_out = 1, got 1"),
+        ("hom-scan", "circuit = shaped\nn_out = 1\nsegments = 1\n", 1, "output_n: expected a channel index below"),
+        ("program", "n_out = 4\nsegments = 1\noutput_m = 1\noutput_n = 1\n", 1, "output_m and output_n must differ"),
+        ("optimize", "n_out = 4\nsegments = 1\noutput_m = 4\n", 1, "output_m: expected a channel index below n_out = 4"),
+    ],
+)
+def test_output_rules_apply_only_to_the_outputs_a_subcommand_reads(tmp_path, capsys, subcommand, config_text, code,
+                                                                   message):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config_text)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out), "--quiet"]) == code
+    err = capsys.readouterr().err
+    if message is None:
+        assert err == "" and (out / f"{subcommand}_seed0.manifest.txt").exists()
+    else:
+        assert message in err and not out.exists()
+
+
+def test_without_a_subcommand_every_output_rule_applies():
+    # library callers build a ScenarioConfig freely; parse_config without a subcommand reads every output
+    assert ScenarioConfig(output_m=1, output_n=1).output_n == 1
+    with pytest.raises(ConfigError, match="output_m and output_n must differ"):
+        parse_config("output_m = 1\noutput_n = 1\n")
 
 
 def test_output_n_defaults_to_an_output_other_than_output_m():

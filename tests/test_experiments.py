@@ -545,8 +545,6 @@ def test_scenario_config_validation():
         with pytest.raises(ValueError, match="^alpha_grid: expected a non-empty, finite, 1-d array"):
             ScenarioConfig(alpha_grid=grid)
     with pytest.raises(ValueError):
-        ScenarioConfig(output_m=1, output_n=1)
-    with pytest.raises(ValueError):
         ScenarioConfig(circuit="magic")
 
 

@@ -12,6 +12,7 @@ from specklesim.oracles import outcome_distribution, two_photon_coincidence, uni
 from specklesim.rng import rng_for
 from specklesim.shaping import ProgrammedCircuit, ideal_circuit
 from specklesim.twophoton import (
+    OUTCOME_LABELS,
     CoincidenceScan,
     EmbeddabilityError,
     OutcomeDistribution,
@@ -28,6 +29,7 @@ from specklesim.twophoton import (
     source_preset,
     visibility,
 )
+from specklesim.twophoton import _CLICKS_M, _CLICKS_N, _RUNS_M, _RUNS_N, _click_runs, _in_runs, _outcome_bounds
 
 
 def permanent_by_definition(matrix):
@@ -758,6 +760,101 @@ def test_sparse_kernel_matches_the_dense_reference(mu, n_pulses):
         assert np.all(np.abs(residual[name]) <= _law_bound(variance)), (
             f"{name}: pooled z (singles m, singles n, coincidences) = {residual[name] / np.sqrt(variance)}"
         )
+
+
+def searchsorted_montecarlo_counts(circuit, source, n_pulses, seed, delay_s=0.0):
+    """Stream contract 3 with its first kernel: each pair's outcome by ``np.searchsorted``.
+
+    The same chunks, substreams and draw order as ``montecarlo_counts``
+    (``poisson``, then per piece ``integers`` and ``random``), but the
+    outcome index is searched on the cumulative mixture and the click
+    tables gather the pulses, so the counts must agree exactly.
+    """
+    x = overlap_from_delay(source, delay_s)
+    ind, dist = pair_outcome_components(circuit.sub_matrix)
+    probs = x * ind / ind.sum() + (1.0 - x) * dist / dist.sum()
+    cum = np.cumsum(probs / probs.sum())
+    cum[-1] = 1.0
+    singles_m = singles_n = coincidences = 0
+    for chunk_index, start in enumerate(range(0, n_pulses, 1 << 16)):
+        size = min(1 << 16, n_pulses - start)
+        rng = rng_for(seed, 2, chunk_index)
+        click_m = np.zeros(size, dtype=bool)
+        click_n = np.zeros(size, dtype=bool)
+        pairs = int(rng.poisson(source.mean_pairs_per_pulse * size))
+        for done in range(0, pairs, 1 << 16):
+            count = min(1 << 16, pairs - done)
+            pulse = rng.integers(size, size=count)
+            outcome = np.searchsorted(cum, rng.random(count), side="right")
+            click_m[pulse[_CLICKS_M[outcome]]] = True
+            click_n[pulse[_CLICKS_N[outcome]]] = True
+        singles_m += int(np.count_nonzero(click_m))
+        singles_n += int(np.count_nonzero(click_n))
+        coincidences += int(np.count_nonzero(click_m & click_n))
+    return singles_m, singles_n, coincidences
+
+
+@pytest.mark.parametrize("n_pulses", [1, 65535, 65536, 65537, 70001])
+@pytest.mark.parametrize("mu", [0.0, 1e-3, 0.5, 3.0])
+def test_threshold_kernel_counts_equal_the_searchsorted_kernel(mu, n_pulses):
+    # bytes, not law: the comparisons must reproduce the search draw for draw
+    rng = rng_for(2028, int(mu * 1000), n_pulses)
+    for rep in range(16 if n_pulses == 1 else 3):
+        circuit = ProgrammedCircuit(_random_contraction(rng), 0.0)
+        source = source_preset("broadband", overlap=rng.uniform(0.0, 1.0), mean_pairs_per_pulse=mu)
+        delay = 10.0 / source.rms_angular_bandwidth if rng.random() < 0.5 else 0.0
+        seed = 2**64 - 1 if rep == 0 else int(rng.integers(2**64, dtype=np.uint64))
+        expected = searchsorted_montecarlo_counts(circuit, source, n_pulses, seed, delay_s=delay)
+        assert montecarlo_counts(circuit, source, n_pulses, seed, delay_s=delay) == expected
+
+
+# which detectors an outcome fires, read from its label ("2m0n": two photons at m), not from the click tables
+_LABEL_CLICKS = {
+    detector: np.array([label[i] != "0" for label in OUTCOME_LABELS]) for detector, i in (("m", 0), ("n", 2))
+}
+
+
+def _boundary_cumulatives():
+    """Cumulative six-outcome mixtures, some with repeated entries (outcomes of probability zero)."""
+    rank_one = np.outer([0.6, 0.3j], [0.5, -0.4])
+    blocks = [splitter_block(0.45, math.pi / 4), splitter_block(1.0 / math.sqrt(2.0), math.pi), rank_one,
+              [[0.7, 0.0], [0.0, 0.0]], np.zeros((2, 2))]
+    for block in blocks:
+        for x in (0.0, 0.64, 1.0):
+            ind, dist = pair_outcome_components(np.asarray(block, dtype=complex))
+            yield _outcome_bounds(x * ind / ind.sum() + (1.0 - x) * dist / dist.sum())
+
+
+def _click_flag_mismatches(runs_m, runs_n):
+    """Draws, on and beside every threshold, where the run comparisons disagree with the searched outcome."""
+    mismatches = []
+    for bounds in _boundary_cumulatives():
+        cum = bounds[1:]
+        edges = cum[:-1]
+        u = np.unique(np.concatenate([[0.0, np.nextafter(1.0, 0.0)], edges, np.nextafter(edges, 0.0),
+                                      np.nextafter(edges, 1.0)]))
+        u = u[u < 1.0]
+        outcome = np.searchsorted(cum, u, side="right")
+        for detector, runs in (("m", runs_m), ("n", runs_n)):
+            flags = _in_runs(u, bounds, runs)
+            mismatches.extend((detector, float(v)) for v in u[flags != _LABEL_CLICKS[detector][outcome]])
+    return mismatches
+
+
+def test_click_runs_read_the_searched_outcome_on_every_threshold():
+    # u exactly on each cum[k], one ulp to either side, and repeated cum
+    # entries; the reference reads the outcome labels, so a permuted click
+    # table fails here as well as in the pinned counts
+    assert any(np.any(np.diff(bounds[1:]) == 0.0) for bounds in _boundary_cumulatives())
+    assert _click_flag_mismatches(_RUNS_M, _RUNS_N) == []
+    for detector, table in (("m", _CLICKS_M), ("n", _CLICKS_N)):
+        assert table.tolist() == _LABEL_CLICKS[detector].tolist()
+
+
+def test_a_permuted_click_table_breaks_the_threshold_check():
+    # mutation check: runs derived from any other order of m's click table disagree somewhere
+    for order in set(permutations(_CLICKS_M.tolist())) - {tuple(_CLICKS_M.tolist())}:
+        assert _click_flag_mismatches(_click_runs(np.array(order)), _RUNS_N) != [], order
 
 
 def test_montecarlo_memory_is_bounded_by_the_chunk_at_a_large_mean():
