@@ -8,7 +8,7 @@ delay scans and Monte Carlo counting, with unitary completion and
 permanents as its oracle) reproduce the interference laws of that circuit.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .medium import (
     MatrixKind,

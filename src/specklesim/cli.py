@@ -3,21 +3,20 @@
 One subcommand per invocation::
 
     specklesim <subcommand> [--config PATH] [--seed U64] [--out DIR]
-               [--force] [--threads N] [--quiet] [extras]
+               [--force] [--threads N] [--quiet]
     specklesim selftest [--quiet]
 
-All subcommands but two are rows of a table over the runners in
+Every subcommand but ``selftest`` is a row of a table over the runners in
 :mod:`specklesim.experiments`, which build the file contents (text or
-bytes) that ``emit_scenario`` writes.  The two special branches:
-``probabilities`` prints its data and writes files only with ``--out``,
-and ``selftest``, which takes only ``--quiet``, writes nothing.
+bytes) that ``emit_scenario`` writes to the output directory, and a
+summary that ``--quiet`` hides.  ``selftest``, which takes only
+``--quiet``, writes nothing.
 
 Exit codes: 0 success, 1 usage, configuration or I/O error, 2 domain error
 (for example a non-embeddable splitter setting).  Error text goes to
-stderr; data goes to files in the output directory or, for
-``probabilities``, to stdout.  Identical ``(argv, config, seed)`` always
-produce identical outputs.  ``--threads`` is accepted and checked, but
-all work runs on one thread today.
+stderr; data goes to files in the output directory.  Identical
+``(argv, config, seed)`` always produce identical outputs.  ``--threads``
+is accepted and checked, but all work runs on one thread today.
 
 The argument parser is built on the first :func:`main` call and reused by
 every later call in the process; each call parses into a fresh namespace,
@@ -27,17 +26,16 @@ so nothing carries over from one call to the next.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
 from . import experiments
-from .config import ConfigError, ScenarioConfig, parse_angle, parse_config
+from .config import ConfigError, parse_config
 from .experiments import emit_scenario
 from .rng import check_seed
 from .twophoton import OUTCOME_LABELS
 
-# subcommand -> (runner in ``experiments``, summary line from (result, config)).
+# subcommand -> (runner in ``experiments``, summary text from (result, config)).
 # Runners are looked up by name at call time, so wrappers installed on the
 # ``experiments`` module see every call.
 _SCENARIOS = {
@@ -53,9 +51,11 @@ _SCENARIOS = {
                    f"v0_fit = {r.v0_fit:.6f} +- {r.v0_std_err:.2g}"),
     "enhancement-study": ("run_enhancement_study", lambda r, c: "enhancement study done; " + ", ".join(
         f"N={x.n_segments}: {x.mean_enhancement:.1f} (law {x.predicted:.1f})" for x in r)),
+    "probabilities": ("run_probabilities", lambda r, c: "\n".join(
+        f"P({label[:2]},{label[2:]}) = {value:.17g}" for label, value in zip(OUTCOME_LABELS, r.as_array()))),
 }
 
-SUBCOMMANDS = (*_SCENARIOS, "probabilities", "selftest")
+SUBCOMMANDS = (*_SCENARIOS, "selftest")
 
 
 class _UsageError(Exception):
@@ -74,8 +74,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="specklesim", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
     for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--quiet", action="store_true", help="suppress the one-line summary (selftest: the PASS lines)")
+        p = sub.add_parser(name, allow_abbrev=False)  # no prefix matching: --t is not --threads
+        p.add_argument("--quiet", action="store_true", help="suppress the summary (selftest: the PASS lines)")
         if name == "selftest":
             continue
         p.add_argument("--config", type=str, default=None, help="path to a key = value config file")
@@ -85,9 +85,6 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--threads", type=int, default=1, help="worker count (>= 1); accepted, but all work runs on one thread"
         )
-        if name == "probabilities":
-            p.add_argument("--t", type=float, required=True, help="splitter amplitude")
-            p.add_argument("--alpha", type=str, required=True, help="programmed phase (radians or pi tokens)")
     return parser
 
 
@@ -125,39 +122,15 @@ def _run(argv: list[str]) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
-    if args.config is not None:
-        config = parse_config(Path(args.config).read_text(), args.subcommand)
-    else:
-        config = ScenarioConfig()
+    text = Path(args.config).read_text() if args.config is not None else ""
+    config = parse_config(text, args.subcommand)
     out_dir = Path(args.out) if args.out is not None else Path(config.out_dir)
-
-    if args.subcommand == "probabilities":
-        try:
-            alpha = parse_angle(args.alpha)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
-        try:
-            config = dataclasses.replace(config, t=args.t, alpha=alpha)
-        except ValueError as exc:
-            raise ConfigError(f"invalid configuration: {exc}") from exc
-        dist, files = experiments.run_probabilities(config, seed)
-        for label, value in zip(OUTCOME_LABELS, dist.as_array()):
-            print(f"P({label[:2]},{label[2:]}) = {value:.17g}")
-        if args.out is not None:
-            emit_scenario(out_dir, "probabilities", seed, files, config, args.force)
-        _summary(args, f"embeddable splitter t = {config.t:.17g}; probabilities sum to 1")
-        return 0
-
     runner, summary = _SCENARIOS[args.subcommand]
     result, files = getattr(experiments, runner)(config, seed)
     emit_scenario(out_dir, args.subcommand, seed, files, config, args.force)
-    _summary(args, summary(result, config))
-    return 0
-
-
-def _summary(args, text: str) -> None:
     if not args.quiet:
-        print(text)
+        print(summary(result, config))
+    return 0
 
 
 if __name__ == "__main__":

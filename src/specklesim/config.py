@@ -17,7 +17,8 @@ depend on the outputs a subcommand reads, so :func:`parse_config`
 applies them, and library callers meet them in the medium and shaping
 layers.  :func:`scenario_keys` says which keys each subcommand reads; a
 config file for a subcommand may set only those, and its manifest lists
-only those.  :func:`format_config` is the inverse of :func:`parse_config`:
+only those, so a manifest alone re-runs its subcommand.
+:func:`format_config` is the inverse of :func:`parse_config`:
 the text it writes parses back to the same settings.
 """
 
@@ -191,19 +192,16 @@ def scenario_keys(subcommand: str, config: ScenarioConfig) -> tuple[str, ...]:
     A shaped ``circuit`` reads the medium, shaping and output keys where
     an ideal one reads ``t``; ``steps`` is read only with ``method =
     stepped`` and ``pulses_per_point`` only with ``counting =
-    montecarlo``.  Every subcommand of the CLI table also reads
-    ``out_dir``.  ``probabilities`` reads ``t`` and ``alpha``, which the
-    CLI takes from its flags, so its config file may set no key.  A
-    manifest lists exactly these keys.  Of ``config`` only the modes
+    montecarlo``.  Every subcommand also reads ``out_dir``.  A manifest
+    lists exactly these keys.  Of ``config`` only the modes
     ``circuit``, ``method`` and ``counting`` are read.
     """
-    if subcommand == "probabilities":
-        return ("t", "alpha")
     stepped = ("steps",) if config.method == "stepped" else ()
     shaping = (*_MEDIUM_KEYS, "output_m", "method", *stepped)
     circuit = ("circuit", *((*shaping, "output_n") if config.circuit == "shaped" else ("t",)))
     table = {
         "gen-medium": _MEDIUM_KEYS,
+        "probabilities": ("t", "alpha"),
         "optimize": shaping,
         "program": (*shaping, "output_n", "alpha"),
         "classical-scan": (*circuit, "alpha", "delta_theta_grid"),
@@ -228,7 +226,7 @@ def _check_outputs(config: ScenarioConfig, keys) -> None:
         _require(value < config.n_out, name, f"a channel index below n_out = {config.n_out}", value)
 
 
-_ANGLE_RE = re.compile(r"([+-]?)([0-9]*\.?[0-9]*(?:e[+-]?[0-9]+)?)?pi(?:/([0-9]+\.?[0-9]*))?")
+_ANGLE_RE = re.compile(r"([+-]?)((?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?)?pi(?:/([0-9]+\.?[0-9]*))?")
 
 
 def parse_angle(text: str) -> float:
@@ -344,7 +342,7 @@ def parse_config(text: str, subcommand: str | None = None) -> ScenarioConfig:
         # the modes alone pick the keys; every mode value has passed its rule
         modes = SimpleNamespace(**{f.name: values.get(f.name, f.default)
                                    for f in fields(ScenarioConfig) if f.name in _MODES})
-        readable = () if subcommand == "probabilities" else scenario_keys(subcommand, modes)
+        readable = scenario_keys(subcommand, modes)
         under = ", ".join(f"{mode} = {getattr(modes, mode)}" for mode in _MODES if mode in readable)
         for key, lineno in lines.items():
             if key not in readable:

@@ -49,6 +49,9 @@ def test_parse_angle_rejects_garbage():
     for bad in ("two pi", "pi/0", "pie", ""):
         with pytest.raises(ValueError):
             parse_angle(bad)
+    for bad in (".pi", "e5pi"):  # a coefficient needs a digit
+        with pytest.raises(ValueError, match=r"^expected an angle \(radians or pi expression\), got "):
+            parse_angle(bad)
 
 
 def test_parse_grid_inclusive_endpoints():
@@ -274,8 +277,14 @@ def test_default_grids_are_written_compact_and_others_as_lists():
 # ---------------------------------------------------------------------------
 
 
-def test_probabilities_ideal_hom(capsys):
-    rc = main(["probabilities", "--t", "0.70710678", "--alpha", "pi"])
+def _probabilities(tmp_path, config_text, *extra):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(config_text)
+    return main(["probabilities", "--config", str(cfg), *extra])
+
+
+def test_probabilities_ideal_hom(tmp_path, capsys):
+    rc = _probabilities(tmp_path, "t = 0.70710678\nalpha = pi\n", "--out", str(tmp_path / "out"))
     out = capsys.readouterr().out
     assert rc == 0
     lines = dict(line.split(" = ") for line in out.strip().splitlines() if line.startswith("P("))
@@ -283,54 +292,61 @@ def test_probabilities_ideal_hom(capsys):
     assert float(lines["P(2m,0n)"]) == pytest.approx(0.5, abs=1e-7)
 
 
-def test_probabilities_writes_csv_when_out_given(tmp_path, capsys):
-    out = str(tmp_path / "out")
-    rc = main(["probabilities", "--t", "0.5", "--alpha", "0", "--out", out, "--quiet"])
-    assert rc == 0
-    csv = (tmp_path / "out" / "probabilities_seed0.outcomes.csv").read_text().splitlines()
+def test_probabilities_writes_csv_to_out_dir(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _probabilities(tmp_path, f"t = 0.5\nalpha = 0\nout_dir = {out}\n", "--quiet") == 0
+    assert capsys.readouterr().out == ""  # --quiet hides the P lines too
+    csv = (out / "probabilities_seed0.outcomes.csv").read_text().splitlines()
     assert csv[0] == "outcome,probability"
     assert csv[1] == "2m0n,0.125"
 
 
-def test_probabilities_rejects_nonembeddable(capsys):
-    rc = main(["probabilities", "--t", "0.6", "--alpha", "0"])
+def test_probabilities_rejects_nonembeddable(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = _probabilities(tmp_path, "t = 0.6\nalpha = 0\n", "--out", str(out))
     captured = capsys.readouterr()
     assert rc == 2
     assert "0.5" in captured.err
     assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
-    "argv,key",
+    "config_text,message",
     [
-        (["--t", "-0.3", "--alpha", "0"], "t"),
-        (["--t", "nan", "--alpha", "0"], "t"),
-        (["--t", "0.3", "--alpha", "nan"], "alpha"),
+        ("t = -0.3\nalpha = 0\n", "t: expected"),
+        ("t = nan\nalpha = 0\n", "t: expected"),
+        ("t = 0.3\nalpha = nan\n", "alpha: expected"),
+        ("t = 0.3\nalpha = .pi\n", "key 'alpha': expected an angle"),
     ],
 )
-def test_probabilities_flags_follow_the_config_rules(argv, key, capsys):
-    assert main(["probabilities", *argv]) == 1
+def test_probabilities_config_follows_the_key_rules(tmp_path, capsys, config_text, message):
+    out = tmp_path / "out"
+    assert _probabilities(tmp_path, config_text, "--out", str(out)) == 1
     captured = capsys.readouterr()
-    assert f"{key}: expected" in captured.err
+    assert message in captured.err
     assert captured.out == ""
+    assert not out.exists()
 
 
 def test_probabilities_manifest_records_the_values_used(tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["probabilities", "--t", "0.5", "--alpha", "0", "--out", str(out), "--quiet"]) == 0
-    config = parse_config((out / "probabilities_seed0.manifest.txt").read_text())
+    assert _probabilities(tmp_path, "t = 0.5\nalpha = 0\n", "--out", str(out), "--quiet") == 0
+    config = parse_config((out / "probabilities_seed0.manifest.txt").read_text(), "probabilities")
     assert (config.t, config.alpha) == (0.5, 0.0)
 
 
 @pytest.mark.parametrize("module", ["specklesim", "specklesim.cli"])
-def test_python_m_runs_the_cli(module):
+def test_python_m_runs_the_cli(tmp_path, module):
     src = str(Path(specklesim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
     def run(*argv):
         return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env)
 
-    done = run("probabilities", "--t", "0.5", "--alpha", "0")
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("t = 0.5\nalpha = 0\n")
+    done = run("probabilities", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert done.returncode == 0
     assert "P(1m,1n) = 0.25\n" in done.stdout
     assert run("nosuch").returncode == 1
@@ -341,12 +357,17 @@ def test_missing_subcommand(capsys):
     assert "subcommand" in capsys.readouterr().err
 
 
-def test_bad_flag(capsys):
-    assert main(["probabilities", "--nope"]) == 1
+@pytest.mark.parametrize("flags", ["--nope", "--t 0", "--alpha 0", "--conf c.cfg"])  # no flag is abbreviated
+def test_bad_flag(capsys, flags):
+    assert main(["probabilities", *flags.split()]) == 1
+    assert f"unrecognized arguments: {flags}" in capsys.readouterr().err
 
 
-def test_bad_threads(capsys):
-    assert main(["probabilities", "--t", "0.1", "--alpha", "0", "--threads", "0"]) == 1
+def test_bad_threads(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["probabilities", "--threads", "0"]) == 1
+    assert "--threads must be >= 1, got 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_one_parser_serves_every_call_and_keeps_no_state(tmp_path, monkeypatch, capsys):
@@ -366,13 +387,13 @@ def test_one_parser_serves_every_call_and_keeps_no_state(tmp_path, monkeypatch, 
     cfg.write_text("circuit = ideal\nalpha_grid = 0:pi:3\n")
     scan = ["alpha-scan", "--config", str(cfg), "--out", str(tmp_path), "--force"]
 
-    assert main(["probabilities", "--t", "0.3", "--alpha", "pi/2", "--quiet"]) == 0
+    assert main(["probabilities", "--seed", "3", "--out", str(tmp_path), "--quiet"]) == 0
     assert main(scan) == 0
     assert builds == [1]
-    assert vars(namespaces[0])["t"] == 0.3 and namespaces[0].quiet
-    assert "t" not in vars(namespaces[1]) and "alpha" not in vars(namespaces[1]) and not namespaces[1].quiet
+    assert namespaces[0].seed == 3 and namespaces[0].config is None and namespaces[0].quiet
+    assert namespaces[1].seed == 0 and namespaces[1].config == str(cfg) and not namespaces[1].quiet
     out = capsys.readouterr().out
-    assert "probabilities sum to 1" not in out and "alpha scan done" in out  # --quiet did not stick
+    assert "P(" not in out and "alpha scan done" in out  # --quiet did not stick
 
     assert main([*scan, "--nope"]) == 1
     assert "unrecognized arguments: --nope" in capsys.readouterr().err
@@ -610,6 +631,7 @@ _TINY_CONFIGS = {
     "hom-scan": "circuit = shaped\nn_out = 16\nsegments = 8\ndelay_grid = -2e-12:2e-12:11\n",
     "alpha-scan": "circuit = ideal\nalpha_grid = 0:pi:5\ncounting = montecarlo\npulses_per_point = 5000\n",
     "enhancement-study": "n_out = 16\nsegment_counts = 2,4\nseeds = 2\n",
+    "probabilities": "t = 0.3\nalpha = pi/2\n",
 }
 
 
@@ -617,21 +639,25 @@ _TINY_CONFIGS = {
 def test_table_subcommands_write_exactly_the_runner_files(tmp_path, capsys, subcommand):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(_TINY_CONFIGS[subcommand])
-    out = tmp_path / "out"
+    out, rerun = tmp_path / "out", tmp_path / "rerun"
     assert main([subcommand, "--config", str(cfg), "--seed", "5", "--out", str(out), "--quiet"]) == 0
     _, files = getattr(experiments, _SCENARIOS[subcommand][0])(parse_config(cfg.read_text()), 5)
     prefix = f"{subcommand}_seed5."
     expected = {prefix + name: data if isinstance(data, bytes) else data.encode() for name, data in files.items()}
     written = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert written.pop(prefix + "manifest.txt").startswith(f"# scenario = {subcommand}\n".encode())
+    manifest = prefix + "manifest.txt"
+    assert written[manifest].startswith(f"# scenario = {subcommand}\n".encode())
+    # the manifest alone re-runs the scenario to the same bytes
+    assert main([subcommand, "--config", str(out / manifest), "--seed", "5", "--out", str(rerun), "--quiet"]) == 0
+    assert {p.name: p.read_bytes() for p in rerun.iterdir()} == written
+    del written[manifest]
     assert written == expected
 
 
 def test_every_runner_is_reachable_from_the_cli():
-    # the CLI is a thin table over experiments: a runner outside the table
-    # (probabilities has its own branch in cli._run) writes files nobody can ask for
+    # the CLI is a thin table over experiments: a runner outside the table writes files nobody can ask for
     runners = {name for name in experiments.__all__ if name.startswith("run_")}
-    assert runners - {"run_probabilities"} == {runner for runner, _ in _SCENARIOS.values()}
+    assert runners == {runner for runner, _ in _SCENARIOS.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +705,7 @@ _READ_CASES = [
 
 
 def test_read_cases_cover_every_subcommand_and_mode():
-    assert {sub for sub, _ in _READ_CASES} == {*_SCENARIOS, "probabilities"}
+    assert {sub for sub, _ in _READ_CASES} == set(_SCENARIOS)
     configs = [parse_config(text) for _, text in _READ_CASES]
     for mode, values in (("circuit", {"ideal", "shaped"}), ("method", {"analytic", "stepped"}),
                          ("counting", {"analytic", "montecarlo"}), ("medium_kind", {"gaussian", "unitary"})):
@@ -690,8 +716,7 @@ def test_read_cases_cover_every_subcommand_and_mode():
 def test_runners_read_exactly_their_scenario_keys(subcommand, config_text):
     parsed = parse_config(config_text, subcommand)
     config = _RecordingConfig(**{name: getattr(parsed, name) for name in _FIELDS})
-    runner = "run_probabilities" if subcommand == "probabilities" else _SCENARIOS[subcommand][0]
-    getattr(experiments, runner)(config, 1)
+    getattr(experiments, _SCENARIOS[subcommand][0])(config, 1)
     expected = set(scenario_keys(subcommand, parsed)) - {"out_dir"}
     if parsed.medium_kind == "unitary":  # only the square rule reads these
         expected -= {"n_in", "segments"}
@@ -711,16 +736,16 @@ def test_runners_read_exactly_their_scenario_keys(subcommand, config_text):
         ("alpha-scan", format_config(ScenarioConfig()), "medium_kind"),  # a manifest from before 0.12.0
         ("enhancement-study", "medium_kind = unitary\n", "medium_kind"),
         ("enhancement-study", "medium_seed = 3\n", "medium_seed"),
-        ("probabilities --t 0.3 --alpha 0", "t = 0.3\n", "t"),  # t and alpha come from the flags
+        ("probabilities", "t = 0.3\ncircuit = ideal\n", "circuit"),
     ],
 )
 def test_a_key_the_subcommand_does_not_read_is_a_config_error(tmp_path, capsys, subcommand, config_text, key):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(config_text)
     out = tmp_path / "out"
-    assert main([*subcommand.split(), "--config", str(cfg), "--out", str(out)]) == 1
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"{subcommand.split()[0]} does not read key {key!r}" in err and "output_n" not in err
+    assert f"{subcommand} does not read key {key!r}" in err and "output_n" not in err
     assert not out.exists()
 
 
@@ -829,7 +854,7 @@ _PINNED_ARTIFACTS = [
         "e4bd50011d5c6ff7ef56b4116c8984161e39a4f2d0af6a95004eb7659905f029",
     ),
     (
-        ["probabilities", "--t", "0.3", "--alpha", "pi/2"], "", "outcomes.csv",
+        ["probabilities"], "t = 0.3\nalpha = pi/2\n", "outcomes.csv",
         "d94146cc867dbb64d2ca66dfbeb9f905ef99d909b20cf4e4b2a3c8f0d199a4cf",
     ),
     (
