@@ -467,11 +467,11 @@ def montecarlo_counts(
     mixture ``x*ind/ind.sum() + (1-x)*dist/dist.sum()`` at overlap ``x``).
 
     The inverse transform is read by threshold comparisons, not by a
-    search: outcome ``k`` holds the draws ``cum[k-1] <= u < cum[k]``, so a
-    detector clicks on a draw inside one of its runs of consecutive
-    clicking outcomes (m: ``u < cum[0]`` or ``cum[1] <= u < cum[3]``).
-    The flags equal ``np.searchsorted(cum, u, side="right")`` read through
-    the click tables, draw for draw.
+    search: outcome ``k`` holds ``cum[k-1] <= u < cum[k]``, so a detector
+    clicks on a draw in one of its runs of clicking outcomes (m:
+    ``u < cum[0]`` or ``cum[1] <= u < cum[3]``); ``np.compress`` gathers
+    the clicking pulses.  Both equal ``searchsorted(cum, u, "right")`` read
+    through the click tables, draw for draw: the counts kept their bytes.
     """
     n_pulses = check_integer("n_pulses", n_pulses)
     circuit._check_one_block("circuit")
@@ -491,8 +491,8 @@ def montecarlo_counts(
             count = min(_MC_CHUNK, pairs - done)
             pulse = rng.integers(size, size=count)
             u = rng.random(count)
-            click_m[pulse[_in_runs(u, bounds, _RUNS_M)]] = True
-            click_n[pulse[_in_runs(u, bounds, _RUNS_N)]] = True
+            click_m[np.compress(_in_runs(u, bounds, _RUNS_M), pulse)] = True
+            click_n[np.compress(_in_runs(u, bounds, _RUNS_N), pulse)] = True
         singles_m += int(np.count_nonzero(click_m))
         singles_n += int(np.count_nonzero(click_n))
         coincidences += int(np.count_nonzero(click_m & click_n))

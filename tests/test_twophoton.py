@@ -794,18 +794,34 @@ def searchsorted_montecarlo_counts(circuit, source, n_pulses, seed, delay_s=0.0)
     return singles_m, singles_n, coincidences
 
 
+# blocks whose mixtures repeat cumulative entries (outcomes of probability zero): rank one, n dark
+# (n's gather is always empty), the 50:50 splitter at alpha = pi, and all dark
+_DEGENERATE_BLOCKS = (np.outer([0.6, 0.3j], [0.5, -0.4]), [[0.7, 0.0], [0.0, 0.0]],
+                      splitter_block(1.0 / math.sqrt(2.0), math.pi), np.zeros((2, 2)))
+
+
 @pytest.mark.parametrize("n_pulses", [1, 65535, 65536, 65537, 70001])
-@pytest.mark.parametrize("mu", [0.0, 1e-3, 0.5, 3.0])
+@pytest.mark.parametrize("mu", [0.0, 1e-3, 0.01, 0.5, 3.0])
 def test_threshold_kernel_counts_equal_the_searchsorted_kernel(mu, n_pulses):
-    # bytes, not law: the comparisons must reproduce the search draw for draw
+    # bytes, not law: the comparisons and their compress gathers must reproduce
+    # the search and its table gathers draw for draw
     rng = rng_for(2028, int(mu * 1000), n_pulses)
+    cases = []
     for rep in range(16 if n_pulses == 1 else 3):
-        circuit = ProgrammedCircuit(_random_contraction(rng), 0.0)
+        block = _random_contraction(rng)
         source = source_preset("broadband", overlap=rng.uniform(0.0, 1.0), mean_pairs_per_pulse=mu)
         delay = 10.0 / source.rms_angular_bandwidth if rng.random() < 0.5 else 0.0
         seed = 2**64 - 1 if rep == 0 else int(rng.integers(2**64, dtype=np.uint64))
+        cases.append((block, source, delay, seed))
+    if n_pulses == 65537 and mu in (0.01, 0.5):
+        cases.extend((block, source_preset("broadband", overlap=x, mean_pairs_per_pulse=mu), 0.0, seed)
+                     for block in _DEGENERATE_BLOCKS for x in (0.0, 0.64, 1.0) for seed in (2**64 - 1, 29))
+    for block, source, delay, seed in cases:
+        circuit = ProgrammedCircuit(block, 0.0)
         expected = searchsorted_montecarlo_counts(circuit, source, n_pulses, seed, delay_s=delay)
         assert montecarlo_counts(circuit, source, n_pulses, seed, delay_s=delay) == expected
+        if not np.any(circuit.sub_matrix[1]):
+            assert expected[1:] == (0, 0)
 
 
 # which detectors an outcome fires, read from its label ("2m0n": two photons at m), not from the click tables
@@ -816,10 +832,7 @@ _LABEL_CLICKS = {
 
 def _boundary_cumulatives():
     """Cumulative six-outcome mixtures, some with repeated entries (outcomes of probability zero)."""
-    rank_one = np.outer([0.6, 0.3j], [0.5, -0.4])
-    blocks = [splitter_block(0.45, math.pi / 4), splitter_block(1.0 / math.sqrt(2.0), math.pi), rank_one,
-              [[0.7, 0.0], [0.0, 0.0]], np.zeros((2, 2))]
-    for block in blocks:
+    for block in (splitter_block(0.45, math.pi / 4), *_DEGENERATE_BLOCKS):
         for x in (0.0, 0.64, 1.0):
             ind, dist = pair_outcome_components(np.asarray(block, dtype=complex))
             yield _outcome_bounds(x * ind / ind.sum() + (1.0 - x) * dist / dist.sum())
