@@ -6,11 +6,11 @@ One subcommand per invocation::
                [--force] [--threads N] [--quiet]
     specklesim selftest [--quiet]
 
-Every subcommand but ``selftest`` is a row of a table over the runners in
-:mod:`specklesim.experiments`, which build the file contents (text or
-bytes) that ``emit_scenario`` writes to the output directory, and a
-summary that ``--quiet`` hides.  ``selftest``, which takes only
-``--quiet``, writes nothing.
+Every subcommand but ``selftest`` is a row of the one table of subcommands,
+:data:`specklesim.config.SCENARIOS`: its runner in ``experiments`` builds
+the file contents that ``emit_scenario`` writes to the output directory,
+and its summary is printed unless ``--quiet``.  ``selftest``, which takes
+only ``--quiet``, writes nothing.
 
 Exit codes: 0 success, 1 usage, configuration or I/O error, 2 domain error
 (for example a non-embeddable splitter setting).  Error text goes to
@@ -30,32 +30,11 @@ import sys
 from pathlib import Path
 
 from . import experiments
-from .config import ConfigError, parse_config
+from .config import SCENARIOS, ConfigError, parse_config
 from .experiments import emit_scenario
 from .rng import check_seed
-from .twophoton import OUTCOME_LABELS
 
-# subcommand -> (runner in ``experiments``, summary text from (result, config)).
-# Runners are looked up by name at call time, so wrappers installed on the
-# ``experiments`` module see every call.
-_SCENARIOS = {
-    "gen-medium": ("run_gen_medium", lambda r, c: f"generated {r.kind.value} medium {r.n_out}x{r.n_in}"),
-    "optimize": ("run_optimize", lambda r, c: f"optimized {c.segments} segments onto output {c.output_m}"),
-    "program": ("run_program", lambda r, c: f"programmed alpha = {c.alpha:.17g}: "
-                f"alpha_fit = {r.alpha_fit:.17g}, t_fit = {r.t_fit:.17g}"),
-    "classical-scan": ("run_classical_scan", lambda r, c: "classical scan done; "
-                       f"sine phases m = {r.fit_m[2]:.4f}, n = {r.fit_n[2]:.4f} rad"),
-    "hom-scan": ("run_hom_scan", lambda r, c: "hom scan done; "
-                 f"visibility at zero delay = {r.visibility.v:.6f}"),
-    "alpha-scan": ("run_alpha_scan", lambda r, c: "alpha scan done; "
-                   f"v0_fit = {r.v0_fit:.6f} +- {r.v0_std_err:.2g}"),
-    "enhancement-study": ("run_enhancement_study", lambda r, c: "enhancement study done; " + ", ".join(
-        f"N={x.n_segments}: {x.mean_enhancement:.1f} (law {x.predicted:.1f})" for x in r)),
-    "probabilities": ("run_probabilities", lambda r, c: "\n".join(
-        f"P({label[:2]},{label[2:]}) = {value:.17g}" for label, value in zip(OUTCOME_LABELS, r.as_array()))),
-}
-
-SUBCOMMANDS = (*_SCENARIOS, "selftest")
+SUBCOMMANDS = (*SCENARIOS, "selftest")
 
 
 class _UsageError(Exception):
@@ -122,10 +101,13 @@ def _run(argv: list[str]) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
-    text = Path(args.config).read_text() if args.config is not None else ""
+    try:
+        text = Path(args.config).read_text(encoding="utf-8") if args.config is not None else ""
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{args.config}: not UTF-8 text: {exc}") from None
     config = parse_config(text, args.subcommand)
     out_dir = Path(args.out) if args.out is not None else Path(config.out_dir)
-    runner, summary = _SCENARIOS[args.subcommand]
+    runner, _, summary = SCENARIOS[args.subcommand]
     result, files = getattr(experiments, runner)(config, seed)
     emit_scenario(out_dir, args.subcommand, seed, files, config, args.force)
     if not args.quiet:

@@ -15,11 +15,11 @@ choice rule lives in :class:`ScenarioConfig`, so library callers get the
 same checks as config files, but for the output-channel rules: they
 depend on the outputs a subcommand reads, so :func:`parse_config`
 applies them, and library callers meet them in the medium and shaping
-layers.  :func:`scenario_keys` says which keys each subcommand reads; a
-config file for a subcommand may set only those, and its manifest lists
-only those, so a manifest alone re-runs its subcommand.
-:func:`format_config` is the inverse of :func:`parse_config`:
-the text it writes parses back to the same settings.
+layers.  :data:`SCENARIOS` is the one table of subcommands, and
+:func:`scenario_keys` the keys each reads: a config file for a subcommand
+may set only those, and its manifest lists only those, so a manifest
+alone re-runs its subcommand.  :func:`format_config` is the inverse of
+:func:`parse_config`: the text it writes parses back to the same settings.
 """
 
 from __future__ import annotations
@@ -35,10 +35,11 @@ from typing import Callable
 import numpy as np
 
 from .rng import check_integer, check_seed
-from .twophoton import SOURCE_PRESETS, check_grid, rms_bandwidth_from_filter_fwhm
+from .twophoton import OUTCOME_LABELS, SOURCE_PRESETS, check_grid, rms_bandwidth_from_filter_fwhm
 
 __all__ = [
-    "ConfigError", "ScenarioConfig", "scenario_keys", "parse_config", "format_config", "parse_angle", "parse_grid",
+    "ConfigError", "ScenarioConfig", "SCENARIOS", "scenario_keys", "parse_config", "format_config", "parse_angle",
+    "parse_grid",
 ]
 
 
@@ -182,37 +183,53 @@ class ScenarioConfig:
 
 
 _MEDIUM_KEYS = ("medium_kind", "n_out", "n_in", "segments", "medium_seed")
+_SHAPING_KEYS = (*_MEDIUM_KEYS, "output_m", "method")
 _SOURCE_KEYS = ("source", "overlap", "bandwidth_fwhm_nm", "mean_pairs_per_pulse")
-_MODES = ("circuit", "method", "counting")  # the keys that change which keys a subcommand reads
+# mode -> {value: the keys it adds where a subcommand reads the mode}; circuit first, as shaped adds method
+_MODES = {
+    "circuit": {"shaped": (*_SHAPING_KEYS, "output_n"), "ideal": ("t",)},
+    "method": {"stepped": ("steps",)},
+    "counting": {"montecarlo": ("pulses_per_point",)},
+}
+
+# subcommand -> (runner in ``experiments``, named so that wrappers installed there see every call,
+# the keys it reads before its modes add any, summary text from (result, config))
+SCENARIOS = {
+    # segments is read only as the default n_in and through the rule n_in >= 2 * segments
+    "gen-medium": ("run_gen_medium", _MEDIUM_KEYS, lambda r, c: f"generated {r.kind.value} medium {r.n_out}x{r.n_in}"),
+    "optimize": ("run_optimize", _SHAPING_KEYS,
+                 lambda r, c: f"optimized {c.segments} segments onto output {c.output_m}"),
+    "program": ("run_program", (*_SHAPING_KEYS, "output_n", "alpha"), lambda r, c: "programmed alpha = "
+                f"{c.alpha:.17g}: alpha_fit = {r.alpha_fit:.17g}, t_fit = {r.t_fit:.17g}"),
+    "classical-scan": ("run_classical_scan", ("circuit", "alpha", "delta_theta_grid"),
+                       lambda r, c: f"classical scan done; sine phases m = {r.fit_m[2]:.4f}, n = {r.fit_n[2]:.4f} rad"),
+    "hom-scan": ("run_hom_scan", ("circuit", "alpha", "delay_grid", *_SOURCE_KEYS),
+                 lambda r, c: f"hom scan done; visibility at zero delay = {r.visibility.v:.6f}"),
+    "alpha-scan": ("run_alpha_scan", ("circuit", "alpha_grid", "counting", *_SOURCE_KEYS),
+                   lambda r, c: f"alpha scan done; v0_fit = {r.v0_fit:.6f} +- {r.v0_std_err:.2g}"),
+    "enhancement-study": ("run_enhancement_study", ("n_out", "output_m", "method", "seeds", "segment_counts"),
+                          lambda r, c: "enhancement study done; " + ", ".join(
+                              f"N={x.n_segments}: {x.mean_enhancement:.1f} (law {x.predicted:.1f})" for x in r)),
+    "probabilities": ("run_probabilities", ("t", "alpha"), lambda r, c: "\n".join(
+        f"P({label[:2]},{label[2:]}) = {value:.17g}" for label, value in zip(OUTCOME_LABELS, r.as_array()))),
+}
 
 
 def scenario_keys(subcommand: str, config: ScenarioConfig) -> tuple[str, ...]:
     """The keys that ``subcommand`` reads under ``config``'s modes, in field order.
 
-    A shaped ``circuit`` reads the medium, shaping and output keys where
-    an ideal one reads ``t``; ``steps`` is read only with ``method =
-    stepped`` and ``pulses_per_point`` only with ``counting =
-    montecarlo``.  Every subcommand also reads ``out_dir``.  A manifest
-    lists exactly these keys.  Of ``config`` only the modes
-    ``circuit``, ``method`` and ``counting`` are read.
+    These are the keys of its :data:`SCENARIOS` row, the keys that each
+    mode among them adds under ``config``'s value of it (a shaped
+    ``circuit`` the medium, shaping and output keys, an ideal one ``t``),
+    and ``out_dir``.  A manifest lists exactly these keys.  Of ``config``
+    only the modes are read.
     """
-    stepped = ("steps",) if config.method == "stepped" else ()
-    shaping = (*_MEDIUM_KEYS, "output_m", "method", *stepped)
-    circuit = ("circuit", *((*shaping, "output_n") if config.circuit == "shaped" else ("t",)))
-    table = {
-        "gen-medium": _MEDIUM_KEYS,
-        "probabilities": ("t", "alpha"),
-        "optimize": shaping,
-        "program": (*shaping, "output_n", "alpha"),
-        "classical-scan": (*circuit, "alpha", "delta_theta_grid"),
-        "hom-scan": (*circuit, "alpha", "delay_grid", *_SOURCE_KEYS),
-        "alpha-scan": (*circuit, "alpha_grid", "counting", *_SOURCE_KEYS,
-                       *(("pulses_per_point",) if config.counting == "montecarlo" else ())),
-        "enhancement-study": ("n_out", "output_m", "method", *stepped, "seeds", "segment_counts"),
-    }
-    if subcommand not in table:
+    if subcommand not in SCENARIOS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
-    read = {*table[subcommand], "out_dir"}
+    read = {*SCENARIOS[subcommand][1], "out_dir"}
+    for mode, added in _MODES.items():
+        if mode in read:
+            read.update(added.get(getattr(config, mode), ()))
     return tuple(f.name for f in fields(ScenarioConfig) if f.name in read)
 
 
@@ -340,8 +357,7 @@ def parse_config(text: str, subcommand: str | None = None) -> ScenarioConfig:
     readable = tuple(f.name for f in fields(ScenarioConfig))  # no subcommand: a config for every reader
     if subcommand is not None:
         # the modes alone pick the keys; every mode value has passed its rule
-        modes = SimpleNamespace(**{f.name: values.get(f.name, f.default)
-                                   for f in fields(ScenarioConfig) if f.name in _MODES})
+        modes = SimpleNamespace(**{mode: values.get(mode, getattr(ScenarioConfig, mode)) for mode in _MODES})
         readable = scenario_keys(subcommand, modes)
         under = ", ".join(f"{mode} = {getattr(modes, mode)}" for mode in _MODES if mode in readable)
         for key, lineno in lines.items():

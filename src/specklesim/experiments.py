@@ -483,7 +483,7 @@ def _write_replacing(path: Path, data: str | bytes) -> None:
         if isinstance(data, bytes):
             tmp.write_bytes(data)
         else:
-            tmp.write_text(data, newline="\n")
+            tmp.write_text(data, encoding="utf-8", newline="\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

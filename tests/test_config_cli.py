@@ -1,10 +1,12 @@
 import hashlib
+import itertools
 import math
 import os
 import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,9 +15,9 @@ from hypothesis import strategies as st
 
 import specklesim
 from specklesim import cli, experiments
-from specklesim.cli import _SCENARIOS, main
+from specklesim.cli import main
 from specklesim.config import (
-    ConfigError, ScenarioConfig, format_config, parse_angle, parse_config, parse_grid, scenario_keys,
+    SCENARIOS, ConfigError, ScenarioConfig, format_config, parse_angle, parse_config, parse_grid, scenario_keys,
 )
 from specklesim.medium import gaussian_transmission_matrix, load_matrix
 from specklesim.twophoton import SOURCE_PRESETS
@@ -357,6 +359,26 @@ def test_missing_subcommand(capsys):
     assert "subcommand" in capsys.readouterr().err
 
 
+def test_missing_subcommand_names_every_subcommand(capsys):
+    assert main([]) == 1
+    assert capsys.readouterr().err == (
+        "specklesim: error: missing subcommand; choose one of: gen-medium, optimize, program, classical-scan, "
+        "hom-scan, alpha-scan, enhancement-study, probabilities, selftest\n"
+    )
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("t = 0.3  # caf\u00e9\n".encode("latin-1"))
+    out = tmp_path / "out"
+    assert main(["probabilities", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"specklesim: error: {cfg}: not UTF-8 text: ") and captured.out == ""
+    assert not out.exists()
+    cfg.write_bytes("t = 0.3  # caf\u00e9\n".encode("utf-8"))
+    assert main(["probabilities", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+
+
 @pytest.mark.parametrize("flags", ["--nope", "--t 0", "--alpha 0", "--conf c.cfg"])  # no flag is abbreviated
 def test_bad_flag(capsys, flags):
     assert main(["probabilities", *flags.split()]) == 1
@@ -635,13 +657,13 @@ _TINY_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("subcommand", list(_SCENARIOS))
+@pytest.mark.parametrize("subcommand", list(SCENARIOS))
 def test_table_subcommands_write_exactly_the_runner_files(tmp_path, capsys, subcommand):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(_TINY_CONFIGS[subcommand])
     out, rerun = tmp_path / "out", tmp_path / "rerun"
     assert main([subcommand, "--config", str(cfg), "--seed", "5", "--out", str(out), "--quiet"]) == 0
-    _, files = getattr(experiments, _SCENARIOS[subcommand][0])(parse_config(cfg.read_text()), 5)
+    _, files = getattr(experiments, SCENARIOS[subcommand][0])(parse_config(cfg.read_text()), 5)
     prefix = f"{subcommand}_seed5."
     expected = {prefix + name: data if isinstance(data, bytes) else data.encode() for name, data in files.items()}
     written = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -654,10 +676,33 @@ def test_table_subcommands_write_exactly_the_runner_files(tmp_path, capsys, subc
     assert written == expected
 
 
+# each summary by its prefix: the part the config fixes, before the fitted numbers
+_SUMMARIES = {
+    "gen-medium": "generated unitary medium 8x8\n",
+    "optimize": "optimized 8 segments onto output 0\n",
+    "program": "programmed alpha = 1.0471975511965976: alpha_fit = ",
+    "classical-scan": "classical scan done; sine phases m = ",
+    "hom-scan": "hom scan done; visibility at zero delay = ",
+    "alpha-scan": "alpha scan done; v0_fit = ",
+    "enhancement-study": "enhancement study done; N=2: ",
+    "probabilities": "P(2m,0n) = 0.016199999999999999\nP(0m,2n) = ",
+}
+
+
+@pytest.mark.parametrize("subcommand", list(_TINY_CONFIGS))
+def test_each_subcommand_prints_its_summary(tmp_path, capsys, subcommand):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(_TINY_CONFIGS[subcommand])
+    assert main([subcommand, "--config", str(cfg), "--seed", "5", "--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(_SUMMARIES[subcommand])
+    assert out.count("\n") == (6 if subcommand == "probabilities" else 1) and out.endswith("\n")
+
+
 def test_every_runner_is_reachable_from_the_cli():
     # the CLI is a thin table over experiments: a runner outside the table writes files nobody can ask for
     runners = {name for name in experiments.__all__ if name.startswith("run_")}
-    assert runners == {runner for runner, _ in _SCENARIOS.values()}
+    assert runners == {row[0] for row in SCENARIOS.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -704,8 +749,127 @@ _READ_CASES = [
 ]
 
 
+# scenario_keys of every subcommand under every circuit, method and counting, as of version 0.13.0: a
+# manifest lists exactly these keys, so a change here moves manifest bytes
+_KEY_TABLE = {
+    ("gen-medium", "ideal analytic analytic"): "medium_kind n_out n_in medium_seed segments out_dir",
+    ("gen-medium", "ideal analytic montecarlo"): "medium_kind n_out n_in medium_seed segments out_dir",
+    ("gen-medium", "ideal stepped analytic"): "medium_kind n_out n_in medium_seed segments out_dir",
+    ("gen-medium", "ideal stepped montecarlo"): "medium_kind n_out n_in medium_seed segments out_dir",
+    ("gen-medium", "shaped analytic analytic"): "medium_kind n_out n_in medium_seed segments out_dir",
+    ("gen-medium", "shaped analytic montecarlo"): "medium_kind n_out n_in medium_seed segments out_dir",
+    ("gen-medium", "shaped stepped analytic"): "medium_kind n_out n_in medium_seed segments out_dir",
+    ("gen-medium", "shaped stepped montecarlo"): "medium_kind n_out n_in medium_seed segments out_dir",
+    ("optimize", "ideal analytic analytic"): "medium_kind n_out n_in medium_seed segments output_m method out_dir",
+    ("optimize", "ideal analytic montecarlo"): "medium_kind n_out n_in medium_seed segments output_m method out_dir",
+    ("optimize", "ideal stepped analytic"): "medium_kind n_out n_in medium_seed segments output_m method steps out_dir",
+    ("optimize", "ideal stepped montecarlo"):
+        "medium_kind n_out n_in medium_seed segments output_m method steps out_dir",
+    ("optimize", "shaped analytic analytic"): "medium_kind n_out n_in medium_seed segments output_m method out_dir",
+    ("optimize", "shaped analytic montecarlo"): "medium_kind n_out n_in medium_seed segments output_m method out_dir",
+    ("optimize", "shaped stepped analytic"):
+        "medium_kind n_out n_in medium_seed segments output_m method steps out_dir",
+    ("optimize", "shaped stepped montecarlo"):
+        "medium_kind n_out n_in medium_seed segments output_m method steps out_dir",
+    ("program", "ideal analytic analytic"):
+        "medium_kind n_out n_in medium_seed segments output_m output_n alpha method out_dir",
+    ("program", "ideal analytic montecarlo"):
+        "medium_kind n_out n_in medium_seed segments output_m output_n alpha method out_dir",
+    ("program", "ideal stepped analytic"):
+        "medium_kind n_out n_in medium_seed segments output_m output_n alpha method steps out_dir",
+    ("program", "ideal stepped montecarlo"):
+        "medium_kind n_out n_in medium_seed segments output_m output_n alpha method steps out_dir",
+    ("program", "shaped analytic analytic"):
+        "medium_kind n_out n_in medium_seed segments output_m output_n alpha method out_dir",
+    ("program", "shaped analytic montecarlo"):
+        "medium_kind n_out n_in medium_seed segments output_m output_n alpha method out_dir",
+    ("program", "shaped stepped analytic"):
+        "medium_kind n_out n_in medium_seed segments output_m output_n alpha method steps out_dir",
+    ("program", "shaped stepped montecarlo"):
+        "medium_kind n_out n_in medium_seed segments output_m output_n alpha method steps out_dir",
+    ("classical-scan", "ideal analytic analytic"): "circuit t alpha delta_theta_grid out_dir",
+    ("classical-scan", "ideal analytic montecarlo"): "circuit t alpha delta_theta_grid out_dir",
+    ("classical-scan", "ideal stepped analytic"): "circuit t alpha delta_theta_grid out_dir",
+    ("classical-scan", "ideal stepped montecarlo"): "circuit t alpha delta_theta_grid out_dir",
+    ("classical-scan", "shaped analytic analytic"):
+        "medium_kind n_out n_in medium_seed segments output_m output_n circuit alpha method delta_theta_grid out_dir",
+    ("classical-scan", "shaped analytic montecarlo"):
+        "medium_kind n_out n_in medium_seed segments output_m output_n circuit alpha method delta_theta_grid out_dir",
+    ("classical-scan", "shaped stepped analytic"):
+        "medium_kind n_out n_in medium_seed segments output_m output_n circuit alpha method steps delta_theta_grid "
+        "out_dir",
+    ("classical-scan", "shaped stepped montecarlo"):
+        "medium_kind n_out n_in medium_seed segments output_m output_n circuit alpha method steps delta_theta_grid "
+        "out_dir",
+    ("hom-scan", "ideal analytic analytic"):
+        "circuit t alpha delay_grid source overlap bandwidth_fwhm_nm mean_pairs_per_pulse out_dir",
+    ("hom-scan", "ideal analytic montecarlo"):
+        "circuit t alpha delay_grid source overlap bandwidth_fwhm_nm mean_pairs_per_pulse out_dir",
+    ("hom-scan", "ideal stepped analytic"):
+        "circuit t alpha delay_grid source overlap bandwidth_fwhm_nm mean_pairs_per_pulse out_dir",
+    ("hom-scan", "ideal stepped montecarlo"):
+        "circuit t alpha delay_grid source overlap bandwidth_fwhm_nm mean_pairs_per_pulse out_dir",
+    ("hom-scan", "shaped analytic analytic"):
+        "medium_kind n_out n_in medium_seed segments output_m output_n circuit alpha method delay_grid source overlap "
+        "bandwidth_fwhm_nm mean_pairs_per_pulse out_dir",
+    ("hom-scan", "shaped analytic montecarlo"):
+        "medium_kind n_out n_in medium_seed segments output_m output_n circuit alpha method delay_grid source overlap "
+        "bandwidth_fwhm_nm mean_pairs_per_pulse out_dir",
+    ("hom-scan", "shaped stepped analytic"):
+        "medium_kind n_out n_in medium_seed segments output_m output_n circuit alpha method steps delay_grid source "
+        "overlap bandwidth_fwhm_nm mean_pairs_per_pulse out_dir",
+    ("hom-scan", "shaped stepped montecarlo"):
+        "medium_kind n_out n_in medium_seed segments output_m output_n circuit alpha method steps delay_grid source "
+        "overlap bandwidth_fwhm_nm mean_pairs_per_pulse out_dir",
+    ("alpha-scan", "ideal analytic analytic"):
+        "circuit t alpha_grid source overlap bandwidth_fwhm_nm mean_pairs_per_pulse counting out_dir",
+    ("alpha-scan", "ideal analytic montecarlo"):
+        "circuit t alpha_grid source overlap bandwidth_fwhm_nm mean_pairs_per_pulse counting pulses_per_point out_dir",
+    ("alpha-scan", "ideal stepped analytic"):
+        "circuit t alpha_grid source overlap bandwidth_fwhm_nm mean_pairs_per_pulse counting out_dir",
+    ("alpha-scan", "ideal stepped montecarlo"):
+        "circuit t alpha_grid source overlap bandwidth_fwhm_nm mean_pairs_per_pulse counting pulses_per_point out_dir",
+    ("alpha-scan", "shaped analytic analytic"):
+        "medium_kind n_out n_in medium_seed segments output_m output_n circuit method alpha_grid source overlap "
+        "bandwidth_fwhm_nm mean_pairs_per_pulse counting out_dir",
+    ("alpha-scan", "shaped analytic montecarlo"):
+        "medium_kind n_out n_in medium_seed segments output_m output_n circuit method alpha_grid source overlap "
+        "bandwidth_fwhm_nm mean_pairs_per_pulse counting pulses_per_point out_dir",
+    ("alpha-scan", "shaped stepped analytic"):
+        "medium_kind n_out n_in medium_seed segments output_m output_n circuit method steps alpha_grid source overlap "
+        "bandwidth_fwhm_nm mean_pairs_per_pulse counting out_dir",
+    ("alpha-scan", "shaped stepped montecarlo"):
+        "medium_kind n_out n_in medium_seed segments output_m output_n circuit method steps alpha_grid source overlap "
+        "bandwidth_fwhm_nm mean_pairs_per_pulse counting pulses_per_point out_dir",
+    ("enhancement-study", "ideal analytic analytic"): "n_out output_m method seeds segment_counts out_dir",
+    ("enhancement-study", "ideal analytic montecarlo"): "n_out output_m method seeds segment_counts out_dir",
+    ("enhancement-study", "ideal stepped analytic"): "n_out output_m method steps seeds segment_counts out_dir",
+    ("enhancement-study", "ideal stepped montecarlo"): "n_out output_m method steps seeds segment_counts out_dir",
+    ("enhancement-study", "shaped analytic analytic"): "n_out output_m method seeds segment_counts out_dir",
+    ("enhancement-study", "shaped analytic montecarlo"): "n_out output_m method seeds segment_counts out_dir",
+    ("enhancement-study", "shaped stepped analytic"): "n_out output_m method steps seeds segment_counts out_dir",
+    ("enhancement-study", "shaped stepped montecarlo"): "n_out output_m method steps seeds segment_counts out_dir",
+    ("probabilities", "ideal analytic analytic"): "t alpha out_dir",
+    ("probabilities", "ideal analytic montecarlo"): "t alpha out_dir",
+    ("probabilities", "ideal stepped analytic"): "t alpha out_dir",
+    ("probabilities", "ideal stepped montecarlo"): "t alpha out_dir",
+    ("probabilities", "shaped analytic analytic"): "t alpha out_dir",
+    ("probabilities", "shaped analytic montecarlo"): "t alpha out_dir",
+    ("probabilities", "shaped stepped analytic"): "t alpha out_dir",
+    ("probabilities", "shaped stepped montecarlo"): "t alpha out_dir",
+}
+
+
+def test_scenario_keys_are_pinned_for_every_subcommand_and_mode():
+    modes = itertools.product(("ideal", "shaped"), ("analytic", "stepped"), ("analytic", "montecarlo"))
+    got = {}
+    for sub, (c, m, k) in itertools.product(SCENARIOS, list(modes)):
+        got[sub, f"{c} {m} {k}"] = " ".join(scenario_keys(sub, SimpleNamespace(circuit=c, method=m, counting=k)))
+    assert got == _KEY_TABLE
+
+
 def test_read_cases_cover_every_subcommand_and_mode():
-    assert {sub for sub, _ in _READ_CASES} == set(_SCENARIOS)
+    assert {sub for sub, _ in _READ_CASES} == set(SCENARIOS)
     configs = [parse_config(text) for _, text in _READ_CASES]
     for mode, values in (("circuit", {"ideal", "shaped"}), ("method", {"analytic", "stepped"}),
                          ("counting", {"analytic", "montecarlo"}), ("medium_kind", {"gaussian", "unitary"})):
@@ -716,7 +880,7 @@ def test_read_cases_cover_every_subcommand_and_mode():
 def test_runners_read_exactly_their_scenario_keys(subcommand, config_text):
     parsed = parse_config(config_text, subcommand)
     config = _RecordingConfig(**{name: getattr(parsed, name) for name in _FIELDS})
-    getattr(experiments, _SCENARIOS[subcommand][0])(config, 1)
+    getattr(experiments, SCENARIOS[subcommand][0])(config, 1)
     expected = set(scenario_keys(subcommand, parsed)) - {"out_dir"}
     if parsed.medium_kind == "unitary":  # only the square rule reads these
         expected -= {"n_in", "segments"}
