@@ -8,7 +8,7 @@ delay scans and Monte Carlo counting, with unitary completion and
 permanents as its oracle) reproduce the interference laws of that circuit.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .medium import (
     MatrixKind,
@@ -51,7 +51,7 @@ from .twophoton import (
     source_preset,
     visibility,
 )
-from .oracles import outcome_distribution, transmit, two_photon_coincidence, unitary_completion
+from .oracles import outcome_distribution, shaped_input, transmit, two_photon_coincidence, unitary_completion
 from .experiments import (
     AlphaScanResult,
     EnhancementRow,

@@ -102,7 +102,7 @@ def _run(argv: list[str]) -> int:
         raise _UsageError(str(exc)) from exc
 
     try:
-        text = Path(args.config).read_text(encoding="utf-8") if args.config is not None else ""
+        text = Path(args.config).read_text(encoding="utf-8-sig") if args.config is not None else ""
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{args.config}: not UTF-8 text: {exc}") from None
     config = parse_config(text, args.subcommand)

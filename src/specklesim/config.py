@@ -12,10 +12,10 @@ includes both endpoints, or a comma-separated list of angles;
 
 :func:`parse_config` only turns text into typed values; every range and
 choice rule lives in :class:`ScenarioConfig`, so library callers get the
-same checks as config files, but for the output-channel rules: they
-depend on the outputs a subcommand reads, so :func:`parse_config`
-applies them, and library callers meet them in the medium and shaping
-layers.  :data:`SCENARIOS` is the one table of subcommands, and
+same checks as config files, but for the output, pair-rate and fit-grid
+rules: they depend on what a subcommand reads, so :func:`parse_config`
+applies them, and library callers meet them in the layers below.
+:data:`SCENARIOS` is the one table of subcommands, and
 :func:`scenario_keys` the keys each reads: a config file for a subcommand
 may set only those, and its manifest lists only those, so a manifest
 alone re-runs its subcommand.  :func:`format_config` is the inverse of
@@ -35,7 +35,8 @@ from typing import Callable
 import numpy as np
 
 from .rng import check_integer, check_seed
-from .twophoton import OUTCOME_LABELS, SOURCE_PRESETS, check_grid, rms_bandwidth_from_filter_fwhm
+from .shaping import sine_design
+from .twophoton import OUTCOME_LABELS, SOURCE_PRESETS, check_grid, cosine_design, rms_bandwidth_from_filter_fwhm
 
 __all__ = [
     "ConfigError", "ScenarioConfig", "SCENARIOS", "scenario_keys", "parse_config", "format_config", "parse_angle",
@@ -45,18 +46,6 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Malformed or unknown configuration input."""
-
-
-def _default_alpha_grid() -> np.ndarray:
-    return np.linspace(0.0, math.pi, 9)
-
-
-def _default_delay_grid() -> np.ndarray:
-    return np.linspace(-3e-12, 3e-12, 241)
-
-
-def _default_theta_grid() -> np.ndarray:
-    return np.linspace(0.0, 2.0 * math.pi, 25)
 
 
 _CHOICES = {
@@ -147,9 +136,9 @@ class ScenarioConfig:
     alpha: float = math.pi
     method: str = "analytic"
     steps: int = 8
-    alpha_grid: np.ndarray = field(default_factory=_default_alpha_grid)
-    delta_theta_grid: np.ndarray = field(default_factory=_default_theta_grid)
-    delay_grid: np.ndarray = field(default_factory=_default_delay_grid)
+    alpha_grid: np.ndarray = field(default_factory=lambda: np.linspace(0.0, math.pi, 9))
+    delta_theta_grid: np.ndarray = field(default_factory=lambda: np.linspace(0.0, 2.0 * math.pi, 25))
+    delay_grid: np.ndarray = field(default_factory=lambda: np.linspace(-3e-12, 3e-12, 241))
     source: str = "filtered"
     overlap: float | None = None
     bandwidth_fwhm_nm: float | None = None
@@ -243,6 +232,21 @@ def _check_outputs(config: ScenarioConfig, keys) -> None:
         _require(value < config.n_out, name, f"a channel index below n_out = {config.n_out}", value)
 
 
+def _check_run(config: ScenarioConfig, keys) -> None:
+    """Among ``keys``: a pair rate above 0 where pairs are counted (``mean_pairs_per_pulse``, an ideal
+    ``t``), and the fit grids ``alpha_grid`` and ``delta_theta_grid`` must constrain their fits."""
+    if "mean_pairs_per_pulse" in keys:
+        rate = config.mean_pairs_per_pulse
+        _require(rate != 0.0, "mean_pairs_per_pulse", "a positive number where pairs are counted", rate)
+        _require("t" not in keys or config.t > 0.0, "t", "a positive amplitude where pairs are counted", config.t)
+    for name, design in (("alpha_grid", cosine_design), ("delta_theta_grid", sine_design)):
+        if name in keys:
+            try:
+                design(getattr(config, name))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+
+
 _ANGLE_RE = re.compile(r"([+-]?)((?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?)?pi(?:/([0-9]+\.?[0-9]*))?")
 
 
@@ -321,7 +325,8 @@ def parse_config(text: str, subcommand: str | None = None) -> ScenarioConfig:
     it next, naming the key and the subcommand.  A rule between keys of
     :class:`ScenarioConfig` comes last, naming a key, then the
     output-channel rules for the outputs the subcommand reads (every
-    output without a subcommand).
+    output without a subcommand), and a subcommand's pair-rate and
+    fit-grid rules.
     """
     values: dict[str, object] = {}
     lines: dict[str, int] = {}
@@ -367,6 +372,8 @@ def parse_config(text: str, subcommand: str | None = None) -> ScenarioConfig:
     try:
         config = ScenarioConfig(**values)
         _check_outputs(config, readable)
+        if subcommand is not None:
+            _check_run(config, readable)
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
     return config

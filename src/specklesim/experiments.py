@@ -47,6 +47,7 @@ from .twophoton import (
     PhotonPairSource,
     VisibilityResult,
     check_scan,
+    cosine_design,
     hom_scan,
     montecarlo_counts,
     outcome_probabilities,
@@ -171,11 +172,7 @@ def fit_visibility_cosine(alphas, visibilities) -> tuple[float, float]:
     values = np.asarray(visibilities, dtype=float)
     if alphas.shape != values.shape or alphas.ndim != 1 or alphas.size == 0:
         raise ValueError("alphas and visibilities must be matching non-empty 1-d arrays")
-    cos = np.cos(alphas)
-    denom = float(np.sum(cos * cos))
-    # cos(pi/2) is ~6e-17 in floats; treat anything at rounding scale as zero
-    if denom < 1e-20:
-        raise DegenerateFitError("all cos(alpha) vanish; V0 is unconstrained")
+    cos, denom = cosine_design(alphas)
     v0 = float(np.sum(values * cos) / denom)
     if alphas.size > 1:
         residuals = values - v0 * cos

@@ -6,7 +6,8 @@ check the closed forms and the medium against them:
 - embed the 2x2 block in a unitary completion, propagate the pair with
   matrix permanents, and aggregate the absorbing loss channels;
 - the two-photon coincidence of any pair of channels of a whole medium;
-- propagation of a field through a whole medium.
+- propagation of a field through a whole medium;
+- the dense input field of a phase pattern, for shaping's driven-channel products.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from .medium import TransmissionMatrix
+from .shaping import PhasePattern
 from .twophoton import EmbeddabilityError, OutcomeDistribution, check_embeddable, permanent
 
-__all__ = ["unitary_completion", "outcome_distribution", "two_photon_coincidence", "transmit"]
+__all__ = ["unitary_completion", "outcome_distribution", "two_photon_coincidence", "transmit", "shaped_input"]
 
 
 def unitary_completion(block: np.ndarray) -> np.ndarray:
@@ -46,10 +48,7 @@ def unitary_completion(block: np.ndarray) -> np.ndarray:
     check_embeddable(float(s.max(initial=0.0)))
     s = np.clip(s, 0.0, 1.0)
     r, c = m.shape
-    s_rows = np.zeros(r)
-    s_rows[: s.size] = s
-    s_cols = np.zeros(c)
-    s_cols[: s.size] = s
+    s_rows, s_cols = (np.pad(s, (0, size - s.size)) for size in (r, c))
     upper_right = (left * np.sqrt(1.0 - s_rows**2)) @ left.conj().T
     lower_left = (right_h.conj().T * np.sqrt(1.0 - s_cols**2)) @ right_h
     rebuilt = (left[:, : s.size] * s) @ right_h[: s.size, :]
@@ -90,18 +89,8 @@ def outcome_distribution(block: np.ndarray, overlap: float) -> OutcomeDistributi
 
 
 def _outcome_slot(i: int, j: int) -> int:
-    """Map an output pair of the completion onto the six detection bins."""
-    if i == 0 and j == 0:
-        return 0
-    if i == 1 and j == 1:
-        return 1
-    if i == 0 and j == 1:
-        return 2
-    if i == 0:
-        return 3
-    if i == 1:
-        return 4
-    return 5
+    """Map an output pair ``i <= j`` of the completion onto the six detection bins."""
+    return {(0, 0): 0, (1, 1): 1, (0, 1): 2}.get((i, j), min(i, 2) + 3)
 
 
 def two_photon_coincidence(matrix, inputs: tuple[int, int], outputs: tuple[int, int], overlap: float) -> float:
@@ -162,3 +151,10 @@ def transmit(matrix: TransmissionMatrix, field: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(field.view(np.float64))):
         raise ValueError("input field must be finite")
     return matrix.entries @ field
+
+
+def shaped_input(pattern: PhasePattern, n_in: int) -> np.ndarray:
+    """Unit-power input field realizing a pattern, ``(..., n_in)`` for a stack of rows, zero off its channels."""
+    field = np.zeros((*pattern.phases.shape[:-1], n_in), dtype=np.complex128)
+    field[..., pattern.segment_to_channel] = np.exp(1j * pattern.phases) / np.sqrt(pattern.n_segments)
+    return field

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import tempfile
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,9 @@ import numpy as np
 from .config import ScenarioConfig, format_config, parse_config, scenario_keys
 from .experiments import analytic_visibility, emit_scenario, focusing_enhancement, program_circuit, run_alpha_scan
 from .medium import gaussian_transmission_matrix, haar_unitary, load_matrix, save_matrix
-from .oracles import outcome_distribution, transmit, two_photon_coincidence
+from .oracles import outcome_distribution, shaped_input, transmit, two_photon_coincidence
 from .rng import Stream, rng_for
-from .shaping import ideal_circuit, mode_templates, optimize_pattern, phase_distance, shaped_input, target_intensity
+from .shaping import ideal_circuit, mode_templates, optimize_pattern, phase_distance, target_intensity
 from .twophoton import (
     EmbeddabilityError,
     embeddability_bound,
@@ -54,11 +55,9 @@ def run_selftest(quiet: bool = False) -> bool:
     for name, check in checks:
         try:
             check()
-            ok = True
-            detail = ""
+            ok, detail = True, ""
         except Exception as exc:  # report, never crash the suite
-            ok = False
-            detail = f" ({exc})"
+            ok, detail = False, f" ({exc})"
         all_ok &= ok
         if not quiet or not ok:
             print(f"{'PASS' if ok else 'FAIL'} selftest: {name}{detail}")
@@ -141,11 +140,7 @@ def _check_embeddability() -> None:
 
 def _check_permanent() -> None:
     mat = np.array([[1 + 2j, 3, 0], [2, 1j, 1], [4, 1, 1 - 1j]])
-    from itertools import permutations
-
-    reference = sum(
-        math.prod(mat[i, p[i]] for i in range(3)) for p in permutations(range(3))
-    )
+    reference = sum(math.prod(mat[i, p[i]] for i in range(3)) for p in permutations(range(3)))
     _require(permanent(mat) == reference, "permanent deviates from the definition")
 
 

@@ -12,8 +12,8 @@ capabilities, built on top of each other:
    a programmable phase ``alpha`` inserted on one path.  A grid of phases
    takes the same path: mode ``l``'s pattern stacks one row per phase.
 3. :func:`effective_circuit` reads back the resulting 2x2 field matrix,
-   one block per phase, between the shaped inputs and the target outputs;
-   the returned :class:`ProgrammedCircuit` fits the programmed-splitter form
+   one block per phase, from the two output rows over each mode's driven
+   channels only; the returned :class:`ProgrammedCircuit` fits the programmed-splitter form
    ``t * [[1, 1], [1, exp(i*alpha)]]``, and :func:`classical_scan` and the
    two-photon statistics read that circuit, never the medium again.
 
@@ -36,7 +36,7 @@ import numpy as np
 
 from .medium import MatrixKind, TransmissionMatrix
 from .rng import check_integer, read_only_copy
-from .twophoton import check_amplitude, check_embeddable, check_scan
+from .twophoton import DegenerateFitError, check_amplitude, check_embeddable, check_scan
 
 __all__ = [
     "DegenerateFitError",
@@ -50,7 +50,6 @@ __all__ = [
     "ideal_circuit",
     "classical_scan",
     "fit_sine",
-    "shaped_input",
     "target_intensity",
     "phase_distance",
 ]
@@ -63,10 +62,6 @@ REFERENCE_CHANNEL = 0
 # fit_sine needs det / trace**2 of its 2x2 normal equations (about their reciprocal
 # condition number) above this
 _FIT_RCOND = 1e-12
-
-
-class DegenerateFitError(ValueError):
-    """Least-squares fit has singular normal equations."""
 
 
 def _wrap_phase(values: np.ndarray) -> np.ndarray:
@@ -128,28 +123,25 @@ def mode_templates(n_segments: int) -> list[PhasePattern]:
     return out
 
 
-def shaped_input(pattern: PhasePattern, n_in: int) -> np.ndarray:
-    """Unit-power input field realizing a pattern, ``(..., n_in)`` for a stack of rows.
-
-    Total power 1 is spread evenly over the pattern's segments, so
-    programmed-circuit amplitudes are comparable across segment counts.
-    """
-    field = np.zeros((*pattern.phases.shape[:-1], n_in), dtype=np.complex128)
-    field[..., _check_channels(pattern, n_in)] = np.exp(1j * pattern.phases) / math.sqrt(pattern.n_segments)
-    return field
-
-
 def _check_channels(pattern: PhasePattern, n_in: int) -> np.ndarray:
     if int(pattern.segment_to_channel.max()) >= n_in:
         raise ValueError("pattern drives channels outside the medium")
     return pattern.segment_to_channel
 
 
+def _driven_field(rows: np.ndarray, pattern: PhasePattern) -> np.ndarray:
+    """Field a pattern's unit-power input, spread evenly over its segments, sends into output ``rows``.
+
+    Only its channels enter; each phase row is its own ``(r, S) @ (S, 1)`` product, so a stack keeps each row's bits."""
+    coupling = rows[..., _check_channels(pattern, rows.shape[-1])]
+    drive = np.exp(1j * pattern.phases) / math.sqrt(pattern.n_segments)
+    return (coupling @ drive[..., None])[..., 0]
+
+
 def target_intensity(matrix: TransmissionMatrix, pattern: PhasePattern, target_output: int) -> float:
     """Intensity at one output channel for a shaped unit-power input of one phase row."""
     pattern._check_one_row("pattern")
-    field = shaped_input(pattern, matrix.n_in)
-    return float(abs(matrix.rows(target_output) @ field) ** 2)
+    return float(abs(_driven_field(matrix.rows(target_output), pattern)) ** 2)
 
 
 def optimize_pattern(
@@ -327,20 +319,20 @@ def effective_circuit(
     its segments; the four complex couplings to outputs ``m`` and ``n``
     form the sub-matrix, from which :class:`ProgrammedCircuit` derives
     its fit.  ``alpha_set`` is one phase or a grid with one phase row of
-    ``pattern_l`` each; every block comes from one product of the two
-    output rows with the stacked input fields.  On a unitary medium the
-    circuit's largest singular value must pass
+    ``pattern_l`` each.  A mode's column is the two output rows over its
+    driven channels times its segment phasors, one product per phase
+    row.  On a unitary medium the circuit's largest singular value must pass
     :func:`~specklesim.twophoton.check_embeddable`.
     """
     if m == n:
         raise ValueError("output modes m and n must differ")
-    field_k, field_l = np.broadcast_arrays(shaped_input(pattern_k, matrix.n_in), shaped_input(pattern_l, matrix.n_in))
-    fields = np.stack([field_k, field_l], axis=-1)
     # each mapping is injective, so the overlap comes out sorted and unique without np.unique's pass
     shared = np.intersect1d(pattern_k.segment_to_channel, pattern_l.segment_to_channel, assume_unique=True)
     if shared.size:
         raise ValueError(f"input modes share medium channels {shared[:4].tolist()}")
-    circuit = ProgrammedCircuit(matrix.rows([m, n]) @ fields, alpha_set)
+    rows = matrix.rows([m, n])
+    columns = np.broadcast_arrays(_driven_field(rows, pattern_k), _driven_field(rows, pattern_l))
+    circuit = ProgrammedCircuit(np.stack(columns, axis=-1), alpha_set)
     if matrix.kind is MatrixKind.UNITARY:
         check_embeddable(float(np.max(circuit.largest_singular_value)))
     return circuit
@@ -411,7 +403,7 @@ def fit_sine(x, y) -> tuple[float, float, float]:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
-    _, weights, mean_sin, mean_cos = _sine_design(x)
+    _, weights, mean_sin, mean_cos = sine_design(x)
     # the weights are centred, so y's own centring would change a and b only by rounding
     a, b, total = (weights @ (y - y[0])).tolist()
     offset = (float(y[0]) + total / y.size) - a * mean_sin - b * mean_cos
@@ -426,7 +418,7 @@ def fit_sine(x, y) -> tuple[float, float, float]:
 _last_design: tuple | None = None
 
 
-def _sine_design(x: np.ndarray) -> tuple:
+def sine_design(x: np.ndarray) -> tuple:
     """The x-only part of :func:`fit_sine`, reused while ``x`` keeps its bytes.
 
     The weights' rows give ``a``, ``b`` and the sum of ``y`` from ``y - y[0]``.

@@ -70,6 +70,10 @@ class UndefinedVisibilityError(ValueError):
     """Visibility is undefined when the reference rate is zero."""
 
 
+class DegenerateFitError(ValueError):
+    """Least-squares fit has singular normal equations."""
+
+
 OUTCOME_LABELS = ("2m0n", "0m2n", "1m1n", "1m0n", "0m1n", "0m0n")
 
 # whether detector m, and detector n, clicks for each outcome label above
@@ -376,6 +380,15 @@ def visibility(r_indist, r_dist, std_err: float = 0.0) -> VisibilityResult:
     if np.any(r_dist <= 0):
         raise UndefinedVisibilityError(f"r_dist = {r_dist} must be positive")
     return VisibilityResult((r_indist - r_dist) / r_dist, std_err)
+
+
+def cosine_design(alphas: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(cos(alphas), sum(cos(alphas)**2))`` to fit ``V0 * cos(alpha)``; raises if every ``cos(alpha)`` vanishes."""
+    cos = np.cos(alphas)
+    norm = float(np.sum(cos * cos))
+    if norm < 1e-20:  # cos(pi/2) is ~6e-17 in floats: rounding, not signal
+        raise DegenerateFitError("all cos(alpha) vanish; V0 is unconstrained")
+    return cos, norm
 
 
 def check_grid(name: str, values) -> np.ndarray:

@@ -1,16 +1,19 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import specklesim
@@ -377,6 +380,24 @@ def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
     cfg.write_bytes("t = 0.3  # caf\u00e9\n".encode("utf-8"))
     assert main(["probabilities", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+
+
+def test_a_byte_order_mark_reads_like_the_same_text_without_one(tmp_path, capsys):
+    # some editors start a UTF-8 file with EF BB BF; it must not become part of the first key
+    text = "t = 0.3\nalpha = pi/2\n".encode()
+    written = {}
+    for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(data)
+        assert main(["probabilities", "--config", str(cfg), "--out", str(tmp_path / name), "--quiet"]) == 0
+        written[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    assert sorted(written["bom"]) == ["probabilities_seed0.manifest.txt", "probabilities_seed0.outcomes.csv"]
+    assert written["bom"] == written["plain"]
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbf" + "t = 0.3  # caf\u00e9\n".encode("latin-1"))
+    assert main(["probabilities", "--config", str(cfg), "--out", str(tmp_path / "latin1")]) == 1
+    assert capsys.readouterr().err.startswith(f"specklesim: error: {cfg}: not UTF-8 text: ")
+    assert not (tmp_path / "latin1").exists()
 
 
 @pytest.mark.parametrize("flags", ["--nope", "--t 0", "--alpha 0", "--conf c.cfg"])  # no flag is abbreviated
@@ -962,6 +983,43 @@ def test_output_rules_apply_only_to_the_outputs_a_subcommand_reads(tmp_path, cap
         assert message in err and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "subcommand,config_text,key",
+    [
+        ("hom-scan", "mean_pairs_per_pulse = 0\n", "mean_pairs_per_pulse"),
+        ("hom-scan", "circuit = shaped\nn_out = 8\nsegments = 2\nmean_pairs_per_pulse = 0\n", "mean_pairs_per_pulse"),
+        ("alpha-scan", "counting = montecarlo\npulses_per_point = 10\nmean_pairs_per_pulse = 0\n",
+         "mean_pairs_per_pulse"),
+        ("hom-scan", "t = 0\n", "t"),
+        ("alpha-scan", "circuit = ideal\nt = 0\n", "t"),
+        ("alpha-scan", "alpha_grid = pi/2\n", "alpha_grid"),
+        ("alpha-scan", "alpha_grid = pi/2, -pi/2\n", "alpha_grid"),
+        ("alpha-scan", "circuit = shaped\nn_out = 8\nsegments = 2\nalpha_grid = pi/2:3pi/2:2\n", "alpha_grid"),
+    ],
+)
+def test_a_run_with_no_pairs_or_no_fittable_phase_is_a_config_error(tmp_path, capsys, subcommand, config_text, key):
+    # these once ran the whole scan, then exited 2 naming no key
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config_text)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith(f"specklesim: error: invalid configuration: {key}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand,config_text",
+    [("probabilities", "t = 0\nalpha = pi/2\n"), ("alpha-scan", "alpha_grid = pi/2, 0\n"),
+     ("hom-scan", "circuit = shaped\nn_out = 8\nsegments = 2\n")],
+)
+def test_the_pair_rate_rules_leave_other_runs_alone(tmp_path, capsys, subcommand, config_text):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config_text)
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    # a shaped circuit reads no t, and library callers and a config without a subcommand keep every setting
+    assert parse_config("t = 0\nmean_pairs_per_pulse = 0\nalpha_grid = pi/2\n").t == 0.0
+
+
 def test_without_a_subcommand_every_output_rule_applies():
     # library callers build a ScenarioConfig freely; parse_config without a subcommand reads every output
     assert ScenarioConfig(output_m=1, output_n=1).output_n == 1
@@ -1048,3 +1106,77 @@ def test_selftest_takes_only_quiet(tmp_path, monkeypatch, capsys, extra):
     assert main(["selftest", "--quiet", *extra]) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# whole-CLI guard: an accepted config runs, or fails on its data alone
+# ---------------------------------------------------------------------------
+
+# exit-2 causes that depend on the drawn medium, the counts or the splitter setting, not on a key's text
+_DATA_DEPENDENT_CAUSES = (
+    "block is not embeddable",
+    "violates the embeddability bound",
+    "no reference coincidences",
+)
+
+
+@st.composite
+def small_scenario_texts(draw, subcommand):
+    """Config text for ``subcommand`` that sets every key it reads, at desk scale."""
+    modes = SimpleNamespace(circuit=draw(st.sampled_from(["ideal", "shaped"])),
+                            method=draw(st.sampled_from(["analytic", "stepped"])),
+                            counting=draw(st.sampled_from(["analytic", "montecarlo"])))
+    angles = st.floats(-7.0, 7.0)
+    segments = draw(st.integers(1, 4))
+    medium_kind = draw(st.sampled_from(["gaussian", "unitary"]))
+    n_out = draw(st.integers(2 * segments, 12)) if medium_kind == "unitary" else draw(st.integers(1, 12))
+    config = ScenarioConfig(
+        medium_kind=medium_kind,
+        n_out=n_out,
+        n_in=n_out if medium_kind == "unitary" else draw(st.none() | st.integers(2 * segments, 12)),
+        medium_seed=draw(st.none() | st.integers(0, 2**64 - 1)),
+        segments=segments,
+        output_m=draw(st.integers(0, n_out - 1)),
+        output_n=draw(st.none() | st.integers(0, n_out - 1)),
+        t=draw(st.floats(0.0, 1.0)),
+        alpha=draw(angles),
+        steps=draw(st.integers(3, 6)),
+        alpha_grid=np.array(draw(st.lists(angles, min_size=1, max_size=5))),
+        delta_theta_grid=np.array(draw(st.lists(angles, min_size=1, max_size=7))),
+        delay_grid=np.array(draw(st.lists(st.floats(-5e-12, 5e-12), min_size=1, max_size=5))),
+        source=draw(st.sampled_from(sorted(SOURCE_PRESETS))),
+        overlap=draw(st.none() | st.floats(0.0, 1.0)),
+        bandwidth_fwhm_nm=draw(st.none() | st.floats(0.1, 10.0)),
+        mean_pairs_per_pulse=draw(st.none() | st.floats(0.0, 1.0)),
+        pulses_per_point=draw(st.integers(1, 2000)),
+        seeds=draw(st.integers(1, 2)),
+        segment_counts=tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))),
+        **vars(modes),
+    )
+    return format_config(config, scenario_keys(subcommand, modes))
+
+
+@pytest.mark.parametrize("subcommand", list(SCENARIOS))
+@settings(derandomize=True, deadline=None, max_examples=6)
+@given(data=st.data())
+def test_an_accepted_config_runs_or_fails_only_on_its_data(subcommand, data):
+    text = data.draw(small_scenario_texts(subcommand))
+    try:
+        parse_config(text, subcommand)
+    except ConfigError:
+        assume(False)
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    with tempfile.TemporaryDirectory() as scratch:
+        cfg, first, second = (Path(scratch) / name for name in ("c.cfg", "first", "second"))
+        cfg.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([subcommand, "--config", str(cfg), "--seed", str(seed), "--out", str(first), "--quiet"])
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            assert not list(first.glob("*.manifest.txt"))
+            assert any(cause in err.getvalue() for cause in _DATA_DEPENDENT_CAUSES), err.getvalue()
+            return
+        manifest = first / f"{subcommand}_seed{seed}.manifest.txt"
+        assert main([subcommand, "--config", str(manifest), "--seed", str(seed), "--out", str(second), "--quiet"]) == 0
+        assert {p.name: p.read_bytes() for p in second.iterdir()} == {p.name: p.read_bytes() for p in first.iterdir()}

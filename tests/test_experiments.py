@@ -26,13 +26,13 @@ from specklesim.experiments import (
 )
 from specklesim.config import parse_config
 from specklesim.medium import gaussian_transmission_matrix, haar_unitary
+from specklesim.oracles import shaped_input
 from specklesim.rng import Stream, rng_for
 from specklesim.shaping import (
     DegenerateFitError,
     ideal_circuit,
     mode_templates,
     optimize_pattern,
-    shaped_input,
     target_intensity,
 )
 from specklesim.twophoton import hom_scan, overlap_from_delay, source_preset

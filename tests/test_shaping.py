@@ -10,6 +10,7 @@ from specklesim import experiments, shaping
 from specklesim.config import parse_grid
 from specklesim.experiments import ScenarioConfig, run_classical_scan, run_optimize, run_program
 from specklesim.medium import MatrixKind, TransmissionMatrix, gaussian_transmission_matrix, haar_unitary
+from specklesim.oracles import shaped_input
 from specklesim.rng import rng_for
 from specklesim.twophoton import EmbeddabilityError
 from specklesim.shaping import (
@@ -23,7 +24,6 @@ from specklesim.shaping import (
     mode_templates,
     optimize_pattern,
     phase_distance,
-    shaped_input,
     target_intensity,
 )
 
@@ -481,8 +481,9 @@ CIRCUIT_FITS = ("t_fit", "alpha_fit", "largest_singular_value")
 @pytest.mark.parametrize("kind", ["gaussian", "unitary"])
 def test_phase_grid_matches_per_phase_programming(kind, method, points):
     # one stacked grid call gives every phase row the bits of one call per
-    # phase, and the sub-matrix is the plain two-row product of the shaped
-    # input fields
+    # phase, and the sub-matrix is the product of the two output rows over
+    # each mode's driven channels with its segment phasors; the dense
+    # full-width fields give the same sub-matrix up to rounding
     medium = gaussian_transmission_matrix(48, 64, seed=61) if kind == "gaussian" else haar_unitary(64, seed=61)
     patterns = single_target_patterns(medium, 24, method)
     alphas = np.linspace(0.0, math.pi, points)
@@ -501,8 +502,12 @@ def test_phase_grid_matches_per_phase_programming(kind, method, points):
         for name in CIRCUIT_FITS:
             assert isinstance(getattr(single, name), float)
             assert getattr(circuit, name)[index].tobytes() == np.float64(getattr(single, name)).tobytes()
+        rows = medium.entries[[0, 1]]
+        driven = np.column_stack([rows[:, p.segment_to_channel] @ (np.exp(1j * p.phases) / math.sqrt(24))[:, None]
+                                  for p in (single_k, single_l)])
+        assert circuit.sub_matrix[index].tobytes() == driven.tobytes()
         fields = np.column_stack([shaped_input(single_k, 64), shaped_input(single_l, 64)])
-        assert circuit.sub_matrix[index].tobytes() == (medium.entries[[0, 1]] @ fields).tobytes()
+        np.testing.assert_allclose(circuit.sub_matrix[index], rows @ fields, rtol=1e-13, atol=0.0)
 
 
 def test_phase_grid_rejects_shared_channels_with_the_sorted_first_four():
@@ -662,6 +667,52 @@ def test_effective_circuit_validation():
         effective_circuit(medium, pattern_k, pattern_l_ok, 1, 1, 0.0)  # m == n
     with pytest.raises(ValueError):
         effective_circuit(medium, pattern_k, pattern_l_ok, 0, 9, 0.0)  # out of range
+
+
+def scattered_patterns(rng, n_in, segments, points):
+    """Modes ``k`` and ``l`` on random disjoint, non-contiguous channels; ``l`` stacks ``points`` phase rows."""
+    channels = rng.permutation(n_in)[: 2 * segments]
+    pattern_k = PhasePattern(rng.uniform(0.0, TWO_PI, segments), "k", channels[:segments])
+    pattern_l = PhasePattern(rng.uniform(0.0, TWO_PI, (points, segments)), "l", channels[segments:])
+    return pattern_k, pattern_l
+
+
+@pytest.mark.parametrize("points", [1, 9])
+@pytest.mark.parametrize("kind", ["gaussian", "unitary"])
+def test_read_back_matches_the_dense_field_oracle(kind, points):
+    # only the driven channels enter the read-back; the full-width fields,
+    # zero elsewhere, give the same blocks and intensities up to rounding
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        medium = gaussian_transmission_matrix(12, 40, seed) if kind == "gaussian" else haar_unitary(40, seed)
+        pattern_k, pattern_l = scattered_patterns(rng, 40, int(rng.integers(1, 21)), points)
+        m, n = rng.choice(medium.n_out, 2, replace=False)
+        alphas = np.linspace(0.0, math.pi, points)
+        circuit = effective_circuit(medium, pattern_k, pattern_l, int(m), int(n), alphas)
+        field_k, fields_l = shaped_input(pattern_k, 40), shaped_input(pattern_l, 40)
+        dense = np.stack([medium.entries[[m, n]] @ np.column_stack([field_k, f]) for f in fields_l])
+        np.testing.assert_allclose(circuit.sub_matrix, dense, rtol=1e-13, atol=0.0)
+        for phases, field in zip(pattern_l.phases, fields_l):
+            row = PhasePattern(phases, "l", pattern_l.segment_to_channel)
+            expected = abs(medium.entries[m] @ field) ** 2
+            np.testing.assert_allclose(target_intensity(medium, row, int(m)), expected, rtol=1e-13, atol=0.0)
+
+
+def test_read_back_memory_stays_below_the_dense_field_stack():
+    # at the reference scale a 361-point grid once stacked (points, n_in, 2)
+    # input fields, half zeros, and peaked at 33.4 MB
+    tracemalloc = pytest.importorskip("tracemalloc")
+    medium = gaussian_transmission_matrix(4000, 1920, seed=5)
+    medium.rows([0, 1])
+    pattern_k, pattern_l = scattered_patterns(np.random.default_rng(5), 1920, 960, 361)
+    alphas = np.linspace(0.0, math.pi, 361)
+    tracemalloc.start()
+    try:
+        effective_circuit(medium, pattern_k, pattern_l, 0, 1, alphas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15e6
 
 
 # ---------------------------------------------------------------------------
@@ -974,7 +1025,11 @@ def test_pattern_beyond_the_medium_inputs_is_rejected(method):
     medium = gaussian_transmission_matrix(4, 6, seed=2)
     pattern = PhasePattern(np.zeros(3), "k", [0, 2, 6])
     with pytest.raises(ValueError, match="outside the medium"):
-        shaped_input(pattern, medium.n_in)
+        target_intensity(medium, pattern, 0)
+    for pattern_k, pattern_l in ((pattern, PhasePattern(np.zeros(2), "l", [1, 3])),
+                                 (PhasePattern(np.zeros(2), "l", [1, 3]), pattern)):
+        with pytest.raises(ValueError, match="outside the medium"):
+            effective_circuit(medium, pattern_k, pattern_l, 0, 1, 0.0)
     with pytest.raises(ValueError, match="outside the medium"):
         optimize_pattern(medium, pattern, 0, method, 4)
     inside = PhasePattern(np.zeros(3), "k", [0, 2, 5])
