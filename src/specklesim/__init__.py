@@ -37,7 +37,6 @@ from .twophoton import (
     SOURCE_PRESETS,
     CoincidenceScan,
     EmbeddabilityError,
-    OutcomeDistribution,
     PhotonPairSource,
     UndefinedVisibilityError,
     VisibilityResult,

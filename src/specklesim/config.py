@@ -200,7 +200,7 @@ SCENARIOS = {
                           lambda r, c: "enhancement study done; " + ", ".join(
                               f"N={x.n_segments}: {x.mean_enhancement:.1f} (law {x.predicted:.1f})" for x in r)),
     "probabilities": ("run_probabilities", ("t", "alpha"), lambda r, c: "\n".join(
-        f"P({label[:2]},{label[2:]}) = {value:.17g}" for label, value in zip(OUTCOME_LABELS, r.as_array()))),
+        f"P({label[:2]},{label[2:]}) = {value:.17g}" for label, value in zip(OUTCOME_LABELS, r))),
 }
 
 
@@ -234,11 +234,15 @@ def _check_outputs(config: ScenarioConfig, keys) -> None:
 
 def _check_run(config: ScenarioConfig, keys) -> None:
     """Among ``keys``: a pair rate above 0 where pairs are counted (``mean_pairs_per_pulse``, an ideal
-    ``t``), and the fit grids ``alpha_grid`` and ``delta_theta_grid`` must constrain their fits."""
+    ``t``), and the fit grids ``alpha_grid`` and ``delta_theta_grid`` must constrain their fits; a counted
+    ``alpha_grid`` needs two points, as the V0 error comes from the residual scatter."""
     if "mean_pairs_per_pulse" in keys:
         rate = config.mean_pairs_per_pulse
         _require(rate != 0.0, "mean_pairs_per_pulse", "a positive number where pairs are counted", rate)
         _require("t" not in keys or config.t > 0.0, "t", "a positive amplitude where pairs are counted", config.t)
+    if "alpha_grid" in keys and "pulses_per_point" in keys:
+        _require(config.alpha_grid.size >= 2, "alpha_grid", "at least 2 points with counting = montecarlo",
+                 config.alpha_grid)
     for name, design in (("alpha_grid", cosine_design), ("delta_theta_grid", sine_design)):
         if name in keys:
             try:

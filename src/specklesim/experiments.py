@@ -43,7 +43,6 @@ from .shaping import (
 from .twophoton import (
     OUTCOME_LABELS,
     CoincidenceScan,
-    OutcomeDistribution,
     PhotonPairSource,
     VisibilityResult,
     check_scan,
@@ -237,10 +236,10 @@ def run_gen_medium(config: ScenarioConfig, master_seed: int = 0) -> tuple[Transm
     return medium, {"medium.tmat": matrix_bytes(medium)}
 
 
-def run_probabilities(config: ScenarioConfig, master_seed: int = 0) -> tuple[OutcomeDistribution, dict[str, str]]:
-    """Two-photon outcome probabilities of the ideal splitter at ``config.t``, ``config.alpha``."""
+def run_probabilities(config: ScenarioConfig, master_seed: int = 0) -> tuple[np.ndarray, dict[str, str]]:
+    """Two-photon outcome probabilities of the ideal splitter at ``config.t``, ``config.alpha``, by label."""
     dist = outcome_probabilities(config.t, config.alpha)
-    return dist, {"outcomes.csv": _csv("outcome,probability", zip(OUTCOME_LABELS, dist.as_array()))}
+    return dist, {"outcomes.csv": _csv("outcome,probability", zip(OUTCOME_LABELS, dist))}
 
 
 def run_optimize(config: ScenarioConfig, master_seed: int = 0) -> tuple[PhasePattern, dict[str, str]]:

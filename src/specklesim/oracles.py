@@ -16,7 +16,7 @@ import numpy as np
 
 from .medium import TransmissionMatrix
 from .shaping import PhasePattern
-from .twophoton import EmbeddabilityError, OutcomeDistribution, check_embeddable, permanent
+from .twophoton import EmbeddabilityError, check_embeddable, permanent
 
 __all__ = ["unitary_completion", "outcome_distribution", "two_photon_coincidence", "transmit", "shaped_input"]
 
@@ -59,12 +59,13 @@ def unitary_completion(block: np.ndarray) -> np.ndarray:
     return u
 
 
-def outcome_distribution(block: np.ndarray, overlap: float) -> OutcomeDistribution:
+def outcome_distribution(block: np.ndarray, overlap: float) -> np.ndarray:
     """Brute-force oracle for :func:`pair_outcome_components`, mixed at ``overlap``.
 
     Propagates the pair through the unitary completion of ``block`` with
     permanents (``|perm|^2`` over the bunching factorial) and classical path
-    counting, and aggregates the loss channels.
+    counting, and aggregates the loss channels into the six-vector ordered
+    as :data:`~specklesim.twophoton.OUTCOME_LABELS`.
     """
     if not 0.0 <= overlap <= 1.0:
         raise ValueError(f"overlap must be in [0, 1], got {overlap}")
@@ -84,8 +85,7 @@ def outcome_distribution(block: np.ndarray, overlap: float) -> OutcomeDistributi
             slot = _outcome_slot(i, j)
             ind[slot] += p_ind
             dist[slot] += p_dist
-    p = overlap * ind + (1.0 - overlap) * dist
-    return OutcomeDistribution(*p)
+    return overlap * ind + (1.0 - overlap) * dist
 
 
 def _outcome_slot(i: int, j: int) -> int:

@@ -104,10 +104,10 @@ def _check_normalization() -> None:
         for frac in (0.25, 0.75, 1.0):
             t = frac * embeddability_bound(alpha)
             dist = outcome_probabilities(t, alpha)
-            _require(abs(sum(dist.as_array()) - 1.0) <= 1e-12, "probabilities do not sum to 1")
+            _require(abs(sum(dist) - 1.0) <= 1e-12, "probabilities do not sum to 1")
             mirrored = outcome_probabilities(t, -alpha)
             _require(
-                np.allclose(dist.as_array(), mirrored.as_array(), atol=1e-12),
+                np.allclose(dist, mirrored, atol=1e-12),
                 "alpha -> -alpha symmetry broken",
             )
 
@@ -117,9 +117,9 @@ def _check_oracle() -> None:
     for _ in range(10):
         alpha = float(rng.uniform(0.0, 2.0 * math.pi))
         t = float(rng.uniform(0.0, 1.0)) * embeddability_bound(alpha)
-        closed = outcome_probabilities(t, alpha).as_array()
+        closed = outcome_probabilities(t, alpha)
         block = t * np.array([[1.0, 1.0], [1.0, np.exp(1j * alpha)]])
-        brute = outcome_distribution(block, 1.0).as_array()
+        brute = outcome_distribution(block, 1.0)
         _require(np.max(np.abs(closed - brute)) < 1e-12, "closed form disagrees with oracle")
 
 
@@ -134,7 +134,7 @@ def _check_embeddability() -> None:
                 raise AssertionError("non-embeddable pair accepted")
             except EmbeddabilityError:
                 continue
-        dist = outcome_probabilities(t, alpha).as_array()
+        dist = outcome_probabilities(t, alpha)
         _require(np.all(dist >= 0.0) and np.all(dist <= 1.0), "probability outside [0, 1]")
 
 

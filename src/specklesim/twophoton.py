@@ -9,9 +9,9 @@ its largest singular value stays at or below one.
 
 For one photon in each input, this module provides:
 
-- the closed-form six-outcome distribution over
-  ``(2m,0n), (0m,2n), (1m,1n), (1m,0n), (0m,1n), (0m,0n)``, which delay
-  scans and counting use;
+- the closed-form six-outcome distribution, a six-array in the order of
+  :data:`OUTCOME_LABELS` ``(2m0n, 0m2n, 1m1n, 1m0n, 0m1n, 0m0n)``, the one
+  form of the outcome law that delay scans and counting use;
 - partial distinguishability as a scalar overlap ``x`` in [0, 1] that
   weights the two-photon interference cross term (exact for pure photons
   with identical Gaussian envelopes and a relative delay);
@@ -22,7 +22,7 @@ For one photon in each input, this module provides:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -35,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "EmbeddabilityError",
     "UndefinedVisibilityError",
-    "OutcomeDistribution",
     "OUTCOME_LABELS",
     "PhotonPairSource",
     "SOURCE_PRESETS",
@@ -77,8 +76,8 @@ class DegenerateFitError(ValueError):
 OUTCOME_LABELS = ("2m0n", "0m2n", "1m1n", "1m0n", "0m1n", "0m0n")
 
 # whether detector m, and detector n, clicks for each outcome label above
-_CLICKS_M = np.array([True, False, True, True, False, False])
-_CLICKS_N = np.array([False, True, True, False, True, False])
+_CLICKS_M = np.array([label[0] != "0" for label in OUTCOME_LABELS])
+_CLICKS_N = np.array([label[2] != "0" for label in OUTCOME_LABELS])
 
 
 def _click_runs(clicks: np.ndarray) -> np.ndarray:
@@ -88,32 +87,6 @@ def _click_runs(clicks: np.ndarray) -> np.ndarray:
 
 _RUNS_M = _click_runs(_CLICKS_M)
 _RUNS_N = _click_runs(_CLICKS_N)
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Probabilities of the six two-photon detection outcomes."""
-
-    p20: float
-    p02: float
-    p11: float
-    p10: float
-    p01: float
-    p00: float
-
-    def __post_init__(self) -> None:
-        for name, value in asdict(self).items():
-            if not -1e-12 <= value <= 1 + 1e-12:
-                raise ValueError(f"{name} = {value} outside [0, 1]")
-            # IEEE residue at the embeddability boundary may dip a hair
-            # below zero; clamp it rather than reporting -2e-16.
-            object.__setattr__(self, name, min(max(float(value), 0.0), 1.0))
-        total = sum(self.as_array())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"outcome probabilities sum to {total}, expected 1")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p20, self.p02, self.p11, self.p10, self.p01, self.p00])
 
 
 def embeddability_bound(alpha: float) -> float:
@@ -144,7 +117,7 @@ def check_amplitude(t: float) -> None:
         raise ValueError(f"t must be nonnegative, got {t}")
 
 
-def outcome_probabilities(t: float, alpha: float) -> OutcomeDistribution:
+def outcome_probabilities(t: float, alpha: float) -> np.ndarray:
     """Closed-form outcome distribution for two indistinguishable photons.
 
     Parameters
@@ -156,15 +129,17 @@ def outcome_probabilities(t: float, alpha: float) -> OutcomeDistribution:
 
     Returns
     -------
-    OutcomeDistribution
-        With ``u = t**2``::
+    numpy.ndarray
+        A read-only float64 ``(6,)`` array ``[p20, p02, p11, p10, p01,
+        p00]`` in the order of :data:`OUTCOME_LABELS`, with ``u = t**2``::
 
             p20 = p02 = 2 u**2
             p11 = 2 u**2 (1 + cos alpha)
             p10 = p01 = 2 u - 2 u**2 (3 + cos alpha)
             p00 = 1 - 4 u + 2 u**2 (3 + cos alpha)
 
-        The six components always sum to one.
+        The six components always sum to one.  Each is clipped to
+        ``[0, 1]``: IEEE residue at the bound may dip a hair below zero.
 
     Raises
     ------
@@ -186,7 +161,7 @@ def outcome_probabilities(t: float, alpha: float) -> OutcomeDistribution:
     p11 = 2.0 * u * u * (1.0 + c)
     p10 = 2.0 * u - 2.0 * u * u * (3.0 + c)
     p00 = 1.0 - 4.0 * u + 2.0 * u * u * (3.0 + c)
-    return OutcomeDistribution(p20=p20, p02=p20, p11=p11, p10=p10, p01=p10, p00=p00)
+    return read_only_copy(np.clip([p20, p20, p11, p10, p10, p00], 0.0, 1.0))
 
 
 # An oracle like those of specklesim.oracles, kept here because the benchmark

@@ -58,8 +58,8 @@ def test_criterion_01_closed_form_matches_permanent_oracle():
     for _ in range(100):
         alpha = float(rng.uniform(0.0, 2.0 * math.pi))
         t = float(rng.uniform(0.0, 1.0)) * embeddability_bound(alpha)
-        closed = outcome_probabilities(t, alpha).as_array()
-        brute = outcome_distribution(_splitter_block(t, alpha), 1.0).as_array()
+        closed = outcome_probabilities(t, alpha)
+        brute = outcome_distribution(_splitter_block(t, alpha), 1.0)
         worst = max(worst, float(np.max(np.abs(closed - brute))))
     elapsed = time.perf_counter() - start
     _report(
@@ -75,7 +75,7 @@ def test_criterion_02_normalization_on_grid():
     for alpha in np.linspace(0.0, 2.0 * math.pi, 50):
         for fraction in np.linspace(0.0, 1.0, 50):
             dist = outcome_probabilities(fraction * embeddability_bound(alpha), alpha)
-            worst = max(worst, abs(float(dist.as_array().sum()) - 1.0))
+            worst = max(worst, abs(float(dist.sum()) - 1.0))
     _report(
         2,
         "six outcome probabilities sum to one over a 50x50 embeddable grid",
@@ -272,7 +272,7 @@ def test_criterion_10_embeddability_guard():
             except EmbeddabilityError:
                 pass
         else:
-            arr = outcome_probabilities(t, alpha).as_array()
+            arr = outcome_probabilities(t, alpha)
             ok = ok and bool(np.all(arr >= 0.0) and np.all(arr <= 1.0))
             checked += 1
     _report(

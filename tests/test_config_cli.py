@@ -983,6 +983,10 @@ def test_output_rules_apply_only_to_the_outputs_a_subcommand_reads(tmp_path, cap
         assert message in err and not out.exists()
 
 
+_ONE_POINT_SHAPED = ("circuit = shaped\nmedium_kind = unitary\nn_out = 3\nn_in = 3\nsegments = 1\nalpha_grid = 0\n"
+                     "source = broadband\nmean_pairs_per_pulse = 1\n")
+
+
 @pytest.mark.parametrize(
     "subcommand,config_text,key",
     [
@@ -995,6 +999,8 @@ def test_output_rules_apply_only_to_the_outputs_a_subcommand_reads(tmp_path, cap
         ("alpha-scan", "alpha_grid = pi/2\n", "alpha_grid"),
         ("alpha-scan", "alpha_grid = pi/2, -pi/2\n", "alpha_grid"),
         ("alpha-scan", "circuit = shaped\nn_out = 8\nsegments = 2\nalpha_grid = pi/2:3pi/2:2\n", "alpha_grid"),
+        # one counted point has no residual scatter for V0's error: at --seed 1 this exited 2 on its v0_fit
+        ("alpha-scan", f"{_ONE_POINT_SHAPED}counting = montecarlo\npulses_per_point = 82\n", "alpha_grid"),
     ],
 )
 def test_a_run_with_no_pairs_or_no_fittable_phase_is_a_config_error(tmp_path, capsys, subcommand, config_text, key):
@@ -1010,7 +1016,7 @@ def test_a_run_with_no_pairs_or_no_fittable_phase_is_a_config_error(tmp_path, ca
 @pytest.mark.parametrize(
     "subcommand,config_text",
     [("probabilities", "t = 0\nalpha = pi/2\n"), ("alpha-scan", "alpha_grid = pi/2, 0\n"),
-     ("hom-scan", "circuit = shaped\nn_out = 8\nsegments = 2\n")],
+     ("hom-scan", "circuit = shaped\nn_out = 8\nsegments = 2\n"), ("alpha-scan", _ONE_POINT_SHAPED)],
 )
 def test_the_pair_rate_rules_leave_other_runs_alone(tmp_path, capsys, subcommand, config_text):
     cfg = tmp_path / "c.cfg"

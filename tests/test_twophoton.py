@@ -15,7 +15,6 @@ from specklesim.twophoton import (
     OUTCOME_LABELS,
     CoincidenceScan,
     EmbeddabilityError,
-    OutcomeDistribution,
     PhotonPairSource,
     UndefinedVisibilityError,
     embeddability_bound,
@@ -122,29 +121,29 @@ def test_unitary_completion_rejects_expansion():
 
 
 def test_outcomes_ideal_fifty_fifty():
-    dist = outcome_probabilities(1.0 / math.sqrt(2.0), math.pi)
-    assert abs(dist.p20 - 0.5) < 1e-12
-    assert abs(dist.p02 - 0.5) < 1e-12
-    for value in (dist.p11, dist.p10, dist.p01, dist.p00):
+    dist = dict(zip(OUTCOME_LABELS, outcome_probabilities(1.0 / math.sqrt(2.0), math.pi)))
+    assert abs(dist["2m0n"] - 0.5) < 1e-12
+    assert abs(dist["0m2n"] - 0.5) < 1e-12
+    for value in (dist["1m1n"], dist["1m0n"], dist["0m1n"], dist["0m0n"]):
         assert abs(value) < 1e-12
 
 
 def test_outcomes_half_amplitude_zero_phase():
-    dist = outcome_probabilities(0.5, 0.0)
-    assert abs(dist.p20 - 0.125) < 1e-12
-    assert abs(dist.p02 - 0.125) < 1e-12
-    assert abs(dist.p11 - 0.25) < 1e-12
-    assert abs(dist.p10) < 1e-12
-    assert abs(dist.p01) < 1e-12
-    assert abs(dist.p00 - 0.5) < 1e-12
+    dist = dict(zip(OUTCOME_LABELS, outcome_probabilities(0.5, 0.0)))
+    assert abs(dist["2m0n"] - 0.125) < 1e-12
+    assert abs(dist["0m2n"] - 0.125) < 1e-12
+    assert abs(dist["1m1n"] - 0.25) < 1e-12
+    assert abs(dist["1m0n"]) < 1e-12
+    assert abs(dist["0m1n"]) < 1e-12
+    assert abs(dist["0m0n"] - 0.5) < 1e-12
 
 
 def test_outcomes_literal_example_point():
     dist = outcome_probabilities(0.3, math.pi / 2)
     assert np.allclose(
-        dist.as_array(), [0.0162, 0.0162, 0.0162, 0.1314, 0.1314, 0.6886], atol=1e-10
+        dist, [0.0162, 0.0162, 0.0162, 0.1314, 0.1314, 0.6886], atol=1e-10
     )
-    assert abs(sum(dist.as_array()) - 1.0) < 1e-12
+    assert abs(sum(dist) - 1.0) < 1e-12
 
 
 def test_outcomes_match_brute_force_oracle():
@@ -152,8 +151,8 @@ def test_outcomes_match_brute_force_oracle():
     for _ in range(50):
         alpha = rng.uniform(0.0, 2.0 * math.pi)
         t = rng.uniform(0.0, 1.0) * embeddability_bound(alpha)
-        closed = outcome_probabilities(t, alpha).as_array()
-        brute = outcome_distribution(splitter_block(t, alpha), 1.0).as_array()
+        closed = outcome_probabilities(t, alpha)
+        brute = outcome_distribution(splitter_block(t, alpha), 1.0)
         assert np.max(np.abs(closed - brute)) < 1e-12
 
 
@@ -173,7 +172,7 @@ def contractions(draw, sigma=st.one_of(st.just(1.0), st.floats(0.0, 1.0))):
 @given(contractions(), st.floats(0.0, 1.0))
 def test_closed_form_components_match_oracle_on_random_contractions(block, x):
     ind, dist = pair_outcome_components(block)
-    oracle = outcome_distribution(block, x).as_array()
+    oracle = outcome_distribution(block, x)
     assert np.max(np.abs(x * ind + (1.0 - x) * dist - oracle)) < 1e-12
 
 
@@ -226,25 +225,29 @@ def test_closed_form_components_require_a_2x2_block():
 def test_outcomes_normalization_grid():
     for alpha in np.linspace(0.0, 2.0 * math.pi, 25):
         for frac in np.linspace(0.0, 1.0, 11):
-            dist = outcome_probabilities(frac * embeddability_bound(alpha), alpha)
-            arr = dist.as_array()
+            t = frac * embeddability_bound(alpha)
+            arr = outcome_probabilities(t, alpha)
             assert abs(arr.sum() - 1.0) <= 1e-12
             assert np.all(arr >= 0.0) and np.all(arr <= 1.0)
+            # the array contract: read-only float64 (6,), in the order pair_outcome_components shares
+            assert not arr.flags.writeable and arr.dtype == np.float64 and arr.shape == (6,)
+            ind = pair_outcome_components(ideal_circuit(t, alpha).sub_matrix)[0]
+            assert np.allclose(arr, ind, rtol=0.0, atol=1e-15)
 
 
 def test_outcomes_phase_symmetry():
     for alpha in (0.3, 1.1, 2.9):
         t = 0.9 * embeddability_bound(alpha)
-        base = outcome_probabilities(t, alpha).as_array()
-        assert np.allclose(base, outcome_probabilities(t, -alpha).as_array(), atol=1e-12)
+        base = outcome_probabilities(t, alpha)
+        assert np.allclose(base, outcome_probabilities(t, -alpha), atol=1e-12)
         assert np.allclose(
-            base, outcome_probabilities(t, 2.0 * math.pi - alpha).as_array(), atol=1e-12
+            base, outcome_probabilities(t, 2.0 * math.pi - alpha), atol=1e-12
         )
 
 
 def test_bunched_outcomes_independent_of_phase():
     t = 0.4
-    values = [outcome_probabilities(t, a).p20 for a in (0.0, 0.7, math.pi / 2, math.pi)]
+    values = [outcome_probabilities(t, a)[OUTCOME_LABELS.index("2m0n")] for a in (0.0, 0.7, math.pi / 2, math.pi)]
     assert all(v == values[0] for v in values)
 
 
@@ -268,13 +271,6 @@ def test_negative_or_nan_amplitudes_are_rejected_by_one_rule(t):
         outcome_probabilities(t, 0.0)
     with pytest.raises(ValueError, match="^t must be nonnegative"):
         ideal_circuit(t, 0.0)
-
-
-def test_outcome_distribution_validation():
-    with pytest.raises(ValueError):
-        OutcomeDistribution(0.5, 0.5, 0.5, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        OutcomeDistribution(1.2, 0.0, 0.0, 0.0, 0.0, -0.2)
 
 
 def test_outcome_csv_format():
@@ -862,6 +858,9 @@ def test_click_runs_read_the_searched_outcome_on_every_threshold():
     assert _click_flag_mismatches(_RUNS_M, _RUNS_N) == []
     for detector, table in (("m", _CLICKS_M), ("n", _CLICKS_N)):
         assert table.tolist() == _LABEL_CLICKS[detector].tolist()
+    # the tables derived from the labels keep the literal tables they replaced
+    assert _CLICKS_M.tolist() == [True, False, True, True, False, False]
+    assert _CLICKS_N.tolist() == [False, True, True, False, True, False]
 
 
 def test_a_permuted_click_table_breaks_the_threshold_check():
