@@ -8,7 +8,7 @@ delay scans and Monte Carlo counting, with unitary completion and
 permanents as its oracle) reproduce the interference laws of that circuit.
 """
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 from .medium import (
     MatrixKind,

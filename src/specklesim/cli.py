@@ -2,15 +2,17 @@
 
 One subcommand per invocation::
 
-    specklesim <subcommand> [--config PATH] [--seed U64] [--out DIR]
+    specklesim <subcommand> [--config PATH] [--seed U64] [--out DIR=out]
                [--force] [--threads N] [--quiet]
     specklesim selftest [--quiet]
 
 Every subcommand but ``selftest`` is a row of the one table of subcommands,
 :data:`specklesim.config.SCENARIOS`: its runner in ``experiments`` builds
 the file contents that ``emit_scenario`` writes to the output directory,
-and its summary is printed unless ``--quiet``.  ``selftest``, which takes
-only ``--quiet``, writes nothing.
+and its summary is printed unless ``--quiet``.  ``--out`` alone names
+that directory (default ``out``): no config key does, so a manifest
+re-runs to the same bytes under any ``--out``.  ``selftest``, which
+takes only ``--quiet``, writes nothing.
 
 Exit codes: 0 success, 1 usage, configuration or I/O error, 2 domain error
 (for example a non-embeddable splitter setting).  Error text goes to
@@ -59,7 +61,7 @@ def _build_parser() -> _Parser:
             continue
         p.add_argument("--config", type=str, default=None, help="path to a key = value config file")
         p.add_argument("--seed", type=int, default=0, help="64-bit master seed (default 0)")
-        p.add_argument("--out", type=str, default=None, help="output directory (default: config out_dir)")
+        p.add_argument("--out", type=str, default="out", help="output directory (default out)")
         p.add_argument("--force", action="store_true", help="overwrite an existing manifest")
         p.add_argument(
             "--threads", type=int, default=1, help="worker count (>= 1); accepted, but all work runs on one thread"
@@ -106,10 +108,9 @@ def _run(argv: list[str]) -> int:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{args.config}: not UTF-8 text: {exc}") from None
     config = parse_config(text, args.subcommand)
-    out_dir = Path(args.out) if args.out is not None else Path(config.out_dir)
     runner, _, summary = SCENARIOS[args.subcommand]
     result, files = getattr(experiments, runner)(config, seed)
-    emit_scenario(out_dir, args.subcommand, seed, files, config, args.force)
+    emit_scenario(args.out, args.subcommand, seed, files, config, args.force)
     if not args.quiet:
         print(summary(result, config))
     return 0

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 import re
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
@@ -34,7 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import check_integer, check_seed
+from .medium import DIM_RULE, MatrixKind
+from .rng import SEED_RULE, check_integer, check_seed
 from .shaping import sine_design
 from .twophoton import OUTCOME_LABELS, SOURCE_PRESETS, check_grid, cosine_design, rms_bandwidth_from_filter_fwhm
 
@@ -49,7 +49,7 @@ class ConfigError(ValueError):
 
 
 _CHOICES = {
-    "medium_kind": ("gaussian", "unitary"),
+    "medium_kind": tuple(kind.value for kind in MatrixKind),
     "circuit": ("ideal", "shaped"),
     "method": ("analytic", "stepped"),
     "source": tuple(sorted(SOURCE_PRESETS)),
@@ -57,9 +57,10 @@ _CHOICES = {
 }
 # field -> (lowest, bound above, what the field must be)
 _INTEGERS = {
-    **dict.fromkeys(("n_out", "n_in", "segments", "steps", "pulses_per_point", "seeds"), (1, math.inf, "positive integer")),
+    **dict.fromkeys(("n_out", "n_in"), DIM_RULE),
+    **dict.fromkeys(("segments", "steps", "pulses_per_point", "seeds"), (1, math.inf, "positive integer")),
     **dict.fromkeys(("output_m", "output_n"), (0, math.inf, "nonnegative integer")),
-    "medium_seed": (0, 2**64, "unsigned 64-bit integer"),
+    "medium_seed": SEED_RULE,
 }
 # field -> (what the field must be, test of its float value)
 _NUMBERS: dict[str, tuple[str, Callable[[float], bool]]] = {
@@ -98,15 +99,9 @@ def _checked(name: str, value):
         return value
     if name in _GRIDS:
         return check_grid(name, value)
-    if name == "segment_counts":
-        counts = tuple(check_integer(name, count) for count in value)
-        _require(len(counts) > 0, name, "a non-empty list of positive integers", value)
-        return counts
-    out_dir = os.fspath(value)
-    # the text form strips the value, ends it at '#' and at a line break
-    _require("#" not in out_dir and out_dir == out_dir.strip() and len(out_dir.splitlines()) <= 1,
-             name, "a path without '#', line breaks or surrounding spaces", out_dir)
-    return out_dir
+    counts = tuple(check_integer(name, count, *DIM_RULE) for count in value)  # segment_counts: each an n_in
+    _require(len(counts) > 0, name, "a non-empty list of positive integers", value)
+    return counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +142,6 @@ class ScenarioConfig:
     pulses_per_point: int = 200_000
     seeds: int = 20
     segment_counts: tuple[int, ...] = (64, 256, 960)
-    out_dir: str = "out"
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -156,6 +150,8 @@ class ScenarioConfig:
             object.__setattr__(self, "output_n", 0 if self.output_m == 1 else 1)
         _require(self.method != "stepped" or self.steps >= 3, "steps", "an integer >= 3 with method = stepped",
                  self.steps)
+        _require(self.resolved_n_in < DIM_RULE[1], "segments", f"2 * segments, the default n_in, to be a {DIM_RULE[2]}",
+                 self.segments)
         if self.medium_kind == "unitary" and self.n_out != self.resolved_n_in:
             raise ValueError(f"unitary media must be square, got n_out = {self.n_out}, n_in = {self.resolved_n_in}")
         if self.resolved_n_in < 2 * self.segments:
@@ -209,13 +205,13 @@ def scenario_keys(subcommand: str, config: ScenarioConfig) -> tuple[str, ...]:
 
     These are the keys of its :data:`SCENARIOS` row, the keys that each
     mode among them adds under ``config``'s value of it (a shaped
-    ``circuit`` the medium, shaping and output keys, an ideal one ``t``),
-    and ``out_dir``.  A manifest lists exactly these keys.  Of ``config``
-    only the modes are read.
+    ``circuit`` the medium, shaping and output keys, an ideal one ``t``).
+    A manifest lists exactly these keys; the output directory is no key,
+    but the CLI's ``--out``.  Of ``config`` only the modes are read.
     """
     if subcommand not in SCENARIOS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
-    read = {*SCENARIOS[subcommand][1], "out_dir"}
+    read = set(SCENARIOS[subcommand][1])
     for mode, added in _MODES.items():
         if mode in read:
             read.update(added.get(getattr(config, mode), ()))
@@ -311,7 +307,6 @@ _KEY_PARSERS: dict[str, Callable[[str], object]] = {
     **dict.fromkeys(_CHOICES, str.lower),
     **dict.fromkeys(_GRIDS, parse_grid),
     "segment_counts": _parse_int_list,
-    "out_dir": str,
 }
 
 _KNOWN_SECTIONS = {

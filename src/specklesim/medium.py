@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 _UNITARITY_TOL = 1e-10
-_DIM_RULE = (1, 2**32, "positive integer below 2**32")  # check_integer's range and text for a channel count
+DIM_RULE = (1, 2**32, "positive integer below 2**32")  # check_integer's range and text for a channel count
 
 
 class MatrixKind(enum.Enum):
@@ -134,7 +134,7 @@ def gaussian_transmission_matrix(n_out: int, n_in: int, seed: int) -> Transmissi
     medium is not lossless on average: a unit-power input leaves with
     expected total power ``n_out / n_in``.
     """
-    n_out, n_in = check_integer("n_out", n_out, *_DIM_RULE), check_integer("n_in", n_in, *_DIM_RULE)
+    n_out, n_in = check_integer("n_out", n_out, *DIM_RULE), check_integer("n_in", n_in, *DIM_RULE)
     # standard normals times sqrt(0.5 / n_in), 1 <= n_in < 2**32: always finite
     fill = functools.partial(_fill_normal, rng_for(seed, Stream.GAUSSIAN), np.sqrt(0.5 / n_in))
     return TransmissionMatrix(np.empty((0, n_in)), MatrixKind.GAUSSIAN, seed, _n_out=n_out, _fill=fill)
@@ -149,7 +149,7 @@ def haar_unitary(n: int, seed: int) -> TransmissionMatrix:
     output is biased and entry statistics drift away from the uniform
     measure.
     """
-    n = check_integer("n", n, *_DIM_RULE)
+    n = check_integer("n", n, *DIM_RULE)
     rng = rng_for(seed, Stream.UNITARY)
     ginibre = _fill_normal(rng, np.sqrt(0.5), np.empty((n, n), dtype=np.complex128))
     q, r = np.linalg.qr(ginibre)

@@ -25,6 +25,7 @@ import numbers
 import numpy as np
 
 STREAM_CONTRACT = 3  # version of the seed-to-draw rules; 3 draws Monte Carlo pairs, not pulses
+SEED_RULE = (0, 2**64, "unsigned 64-bit integer")  # check_integer's range and text for a seed
 
 
 @enum.unique
@@ -60,7 +61,7 @@ def check_integer(name: str, value, low: int = 1, high: float = math.inf, expect
 
 def check_seed(seed: int) -> int:
     """A 64-bit unsigned seed as an ``int``, by :func:`check_integer`."""
-    return check_integer("seed", seed, 0, 2**64, "unsigned 64-bit integer")
+    return check_integer("seed", seed, *SEED_RULE)
 
 
 def read_only_copy(value, dtype=float) -> np.ndarray:

@@ -210,7 +210,6 @@ def scenario_configs(draw):
         pulses_per_point=draw(st.integers(1, 10**9)),
         seeds=draw(st.integers(1, 1000)),
         segment_counts=tuple(draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=5))),
-        out_dir=draw(st.text("ab/._- ", max_size=12).filter(lambda d: d == d.strip())),
     )
 
 
@@ -297,13 +296,82 @@ def test_probabilities_ideal_hom(tmp_path, capsys):
     assert float(lines["P(2m,0n)"]) == pytest.approx(0.5, abs=1e-7)
 
 
-def test_probabilities_writes_csv_to_out_dir(tmp_path, capsys):
+def test_probabilities_writes_csv_to_out(tmp_path, capsys):
     out = tmp_path / "out"
-    assert _probabilities(tmp_path, f"t = 0.5\nalpha = 0\nout_dir = {out}\n", "--quiet") == 0
+    assert _probabilities(tmp_path, "t = 0.5\nalpha = 0\n", "--out", str(out), "--quiet") == 0
     assert capsys.readouterr().out == ""  # --quiet hides the P lines too
     csv = (out / "probabilities_seed0.outcomes.csv").read_text().splitlines()
     assert csv[0] == "outcome,probability"
     assert csv[1] == "2m0n,0.125"
+
+
+def test_a_run_without_out_writes_under_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["probabilities", "--quiet"]) == 0
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "out", "out/probabilities_seed0.manifest.txt", "out/probabilities_seed0.outcomes.csv",
+    ]
+
+
+# a manifest as version 0.14.0 wrote it, with the output directory as a key
+_MANIFEST_0_14_0 = """\
+# scenario = alpha-scan
+# artifact_version = 0.14.0
+# stream_contract = 3
+# numpy = 2.4.6
+# master_seed = 3
+circuit = ideal
+t = 0.45000000000000001
+alpha_grid = 0:3.1415926535897931:9
+source = filtered
+counting = analytic
+out_dir = out
+"""
+
+
+@pytest.mark.parametrize(
+    "subcommand,config_text",
+    [
+        ("probabilities", "out_dir = runs\n"),
+        ("gen-medium", "n_out = 4\nsegments = 2\nout_dir = out\n"),
+        ("alpha-scan", _MANIFEST_0_14_0),
+    ],
+)
+def test_out_dir_is_an_unknown_key(tmp_path, monkeypatch, capsys, subcommand, config_text):
+    monkeypatch.chdir(tmp_path)
+    Path("c.cfg").write_text(config_text)
+    assert main([subcommand, "--config", "c.cfg", "--seed", "3"]) == 1
+    assert "unknown key 'out_dir'" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.cfg"]
+
+
+@pytest.mark.parametrize(
+    "subcommand,config_text,key",
+    [
+        ("gen-medium", "segments = 2147483648\n", "segments"),  # n_in defaults to 2 * segments
+        ("gen-medium", "n_in = 4294967296\n", "n_in"),
+        ("gen-medium", "medium_kind = unitary\nn_out = 4294967296\nn_in = 4294967296\n", "n_out"),
+        ("enhancement-study", "segment_counts = 4294967296\n", "segment_counts"),
+        ("enhancement-study", "n_out = 4294967296\n", "n_out"),
+    ],
+)
+def test_channel_counts_follow_the_medium_rule_when_parsed(tmp_path, capsys, subcommand, config_text, key):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config_text)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f" {key}: expected " in err and "below 2**32" in err
+    assert not out.exists()
+    # one below the bound parses, as parsing draws nothing
+    parse_config(config_text.replace("2147483648", "2147483647").replace("4294967296", "4294967295"), subcommand)
+
+
+def test_medium_seed_and_kind_keep_their_error_text():
+    with pytest.raises(ValueError, match=r"^medium_seed: expected unsigned 64-bit integer, got 18446744073709551616$"):
+        ScenarioConfig(medium_seed=2**64)
+    with pytest.raises(ValueError, match=r"^medium_kind: expected one of gaussian, unitary, got 'lossy'$"):
+        ScenarioConfig(medium_kind="lossy")
 
 
 def test_probabilities_rejects_nonembeddable(tmp_path, capsys):
@@ -770,114 +838,112 @@ _READ_CASES = [
 ]
 
 
-# scenario_keys of every subcommand under every circuit, method and counting, as of version 0.13.0: a
+# scenario_keys of every subcommand under every circuit, method and counting, as of version 0.15.0: a
 # manifest lists exactly these keys, so a change here moves manifest bytes
 _KEY_TABLE = {
-    ("gen-medium", "ideal analytic analytic"): "medium_kind n_out n_in medium_seed segments out_dir",
-    ("gen-medium", "ideal analytic montecarlo"): "medium_kind n_out n_in medium_seed segments out_dir",
-    ("gen-medium", "ideal stepped analytic"): "medium_kind n_out n_in medium_seed segments out_dir",
-    ("gen-medium", "ideal stepped montecarlo"): "medium_kind n_out n_in medium_seed segments out_dir",
-    ("gen-medium", "shaped analytic analytic"): "medium_kind n_out n_in medium_seed segments out_dir",
-    ("gen-medium", "shaped analytic montecarlo"): "medium_kind n_out n_in medium_seed segments out_dir",
-    ("gen-medium", "shaped stepped analytic"): "medium_kind n_out n_in medium_seed segments out_dir",
-    ("gen-medium", "shaped stepped montecarlo"): "medium_kind n_out n_in medium_seed segments out_dir",
-    ("optimize", "ideal analytic analytic"): "medium_kind n_out n_in medium_seed segments output_m method out_dir",
-    ("optimize", "ideal analytic montecarlo"): "medium_kind n_out n_in medium_seed segments output_m method out_dir",
-    ("optimize", "ideal stepped analytic"): "medium_kind n_out n_in medium_seed segments output_m method steps out_dir",
+    ("gen-medium", "ideal analytic analytic"): "medium_kind n_out n_in medium_seed segments",
+    ("gen-medium", "ideal analytic montecarlo"): "medium_kind n_out n_in medium_seed segments",
+    ("gen-medium", "ideal stepped analytic"): "medium_kind n_out n_in medium_seed segments",
+    ("gen-medium", "ideal stepped montecarlo"): "medium_kind n_out n_in medium_seed segments",
+    ("gen-medium", "shaped analytic analytic"): "medium_kind n_out n_in medium_seed segments",
+    ("gen-medium", "shaped analytic montecarlo"): "medium_kind n_out n_in medium_seed segments",
+    ("gen-medium", "shaped stepped analytic"): "medium_kind n_out n_in medium_seed segments",
+    ("gen-medium", "shaped stepped montecarlo"): "medium_kind n_out n_in medium_seed segments",
+    ("optimize", "ideal analytic analytic"): "medium_kind n_out n_in medium_seed segments output_m method",
+    ("optimize", "ideal analytic montecarlo"): "medium_kind n_out n_in medium_seed segments output_m method",
+    ("optimize", "ideal stepped analytic"): "medium_kind n_out n_in medium_seed segments output_m method steps",
     ("optimize", "ideal stepped montecarlo"):
-        "medium_kind n_out n_in medium_seed segments output_m method steps out_dir",
-    ("optimize", "shaped analytic analytic"): "medium_kind n_out n_in medium_seed segments output_m method out_dir",
-    ("optimize", "shaped analytic montecarlo"): "medium_kind n_out n_in medium_seed segments output_m method out_dir",
+        "medium_kind n_out n_in medium_seed segments output_m method steps",
+    ("optimize", "shaped analytic analytic"): "medium_kind n_out n_in medium_seed segments output_m method",
+    ("optimize", "shaped analytic montecarlo"): "medium_kind n_out n_in medium_seed segments output_m method",
     ("optimize", "shaped stepped analytic"):
-        "medium_kind n_out n_in medium_seed segments output_m method steps out_dir",
+        "medium_kind n_out n_in medium_seed segments output_m method steps",
     ("optimize", "shaped stepped montecarlo"):
-        "medium_kind n_out n_in medium_seed segments output_m method steps out_dir",
+        "medium_kind n_out n_in medium_seed segments output_m method steps",
     ("program", "ideal analytic analytic"):
-        "medium_kind n_out n_in medium_seed segments output_m output_n alpha method out_dir",
+        "medium_kind n_out n_in medium_seed segments output_m output_n alpha method",
     ("program", "ideal analytic montecarlo"):
-        "medium_kind n_out n_in medium_seed segments output_m output_n alpha method out_dir",
+        "medium_kind n_out n_in medium_seed segments output_m output_n alpha method",
     ("program", "ideal stepped analytic"):
-        "medium_kind n_out n_in medium_seed segments output_m output_n alpha method steps out_dir",
+        "medium_kind n_out n_in medium_seed segments output_m output_n alpha method steps",
     ("program", "ideal stepped montecarlo"):
-        "medium_kind n_out n_in medium_seed segments output_m output_n alpha method steps out_dir",
+        "medium_kind n_out n_in medium_seed segments output_m output_n alpha method steps",
     ("program", "shaped analytic analytic"):
-        "medium_kind n_out n_in medium_seed segments output_m output_n alpha method out_dir",
+        "medium_kind n_out n_in medium_seed segments output_m output_n alpha method",
     ("program", "shaped analytic montecarlo"):
-        "medium_kind n_out n_in medium_seed segments output_m output_n alpha method out_dir",
+        "medium_kind n_out n_in medium_seed segments output_m output_n alpha method",
     ("program", "shaped stepped analytic"):
-        "medium_kind n_out n_in medium_seed segments output_m output_n alpha method steps out_dir",
+        "medium_kind n_out n_in medium_seed segments output_m output_n alpha method steps",
     ("program", "shaped stepped montecarlo"):
-        "medium_kind n_out n_in medium_seed segments output_m output_n alpha method steps out_dir",
-    ("classical-scan", "ideal analytic analytic"): "circuit t alpha delta_theta_grid out_dir",
-    ("classical-scan", "ideal analytic montecarlo"): "circuit t alpha delta_theta_grid out_dir",
-    ("classical-scan", "ideal stepped analytic"): "circuit t alpha delta_theta_grid out_dir",
-    ("classical-scan", "ideal stepped montecarlo"): "circuit t alpha delta_theta_grid out_dir",
+        "medium_kind n_out n_in medium_seed segments output_m output_n alpha method steps",
+    ("classical-scan", "ideal analytic analytic"): "circuit t alpha delta_theta_grid",
+    ("classical-scan", "ideal analytic montecarlo"): "circuit t alpha delta_theta_grid",
+    ("classical-scan", "ideal stepped analytic"): "circuit t alpha delta_theta_grid",
+    ("classical-scan", "ideal stepped montecarlo"): "circuit t alpha delta_theta_grid",
     ("classical-scan", "shaped analytic analytic"):
-        "medium_kind n_out n_in medium_seed segments output_m output_n circuit alpha method delta_theta_grid out_dir",
+        "medium_kind n_out n_in medium_seed segments output_m output_n circuit alpha method delta_theta_grid",
     ("classical-scan", "shaped analytic montecarlo"):
-        "medium_kind n_out n_in medium_seed segments output_m output_n circuit alpha method delta_theta_grid out_dir",
+        "medium_kind n_out n_in medium_seed segments output_m output_n circuit alpha method delta_theta_grid",
     ("classical-scan", "shaped stepped analytic"):
-        "medium_kind n_out n_in medium_seed segments output_m output_n circuit alpha method steps delta_theta_grid "
-        "out_dir",
+        "medium_kind n_out n_in medium_seed segments output_m output_n circuit alpha method steps delta_theta_grid",
     ("classical-scan", "shaped stepped montecarlo"):
-        "medium_kind n_out n_in medium_seed segments output_m output_n circuit alpha method steps delta_theta_grid "
-        "out_dir",
+        "medium_kind n_out n_in medium_seed segments output_m output_n circuit alpha method steps delta_theta_grid",
     ("hom-scan", "ideal analytic analytic"):
-        "circuit t alpha delay_grid source overlap bandwidth_fwhm_nm mean_pairs_per_pulse out_dir",
+        "circuit t alpha delay_grid source overlap bandwidth_fwhm_nm mean_pairs_per_pulse",
     ("hom-scan", "ideal analytic montecarlo"):
-        "circuit t alpha delay_grid source overlap bandwidth_fwhm_nm mean_pairs_per_pulse out_dir",
+        "circuit t alpha delay_grid source overlap bandwidth_fwhm_nm mean_pairs_per_pulse",
     ("hom-scan", "ideal stepped analytic"):
-        "circuit t alpha delay_grid source overlap bandwidth_fwhm_nm mean_pairs_per_pulse out_dir",
+        "circuit t alpha delay_grid source overlap bandwidth_fwhm_nm mean_pairs_per_pulse",
     ("hom-scan", "ideal stepped montecarlo"):
-        "circuit t alpha delay_grid source overlap bandwidth_fwhm_nm mean_pairs_per_pulse out_dir",
+        "circuit t alpha delay_grid source overlap bandwidth_fwhm_nm mean_pairs_per_pulse",
     ("hom-scan", "shaped analytic analytic"):
         "medium_kind n_out n_in medium_seed segments output_m output_n circuit alpha method delay_grid source overlap "
-        "bandwidth_fwhm_nm mean_pairs_per_pulse out_dir",
+        "bandwidth_fwhm_nm mean_pairs_per_pulse",
     ("hom-scan", "shaped analytic montecarlo"):
         "medium_kind n_out n_in medium_seed segments output_m output_n circuit alpha method delay_grid source overlap "
-        "bandwidth_fwhm_nm mean_pairs_per_pulse out_dir",
+        "bandwidth_fwhm_nm mean_pairs_per_pulse",
     ("hom-scan", "shaped stepped analytic"):
         "medium_kind n_out n_in medium_seed segments output_m output_n circuit alpha method steps delay_grid source "
-        "overlap bandwidth_fwhm_nm mean_pairs_per_pulse out_dir",
+        "overlap bandwidth_fwhm_nm mean_pairs_per_pulse",
     ("hom-scan", "shaped stepped montecarlo"):
         "medium_kind n_out n_in medium_seed segments output_m output_n circuit alpha method steps delay_grid source "
-        "overlap bandwidth_fwhm_nm mean_pairs_per_pulse out_dir",
+        "overlap bandwidth_fwhm_nm mean_pairs_per_pulse",
     ("alpha-scan", "ideal analytic analytic"):
-        "circuit t alpha_grid source overlap bandwidth_fwhm_nm mean_pairs_per_pulse counting out_dir",
+        "circuit t alpha_grid source overlap bandwidth_fwhm_nm mean_pairs_per_pulse counting",
     ("alpha-scan", "ideal analytic montecarlo"):
-        "circuit t alpha_grid source overlap bandwidth_fwhm_nm mean_pairs_per_pulse counting pulses_per_point out_dir",
+        "circuit t alpha_grid source overlap bandwidth_fwhm_nm mean_pairs_per_pulse counting pulses_per_point",
     ("alpha-scan", "ideal stepped analytic"):
-        "circuit t alpha_grid source overlap bandwidth_fwhm_nm mean_pairs_per_pulse counting out_dir",
+        "circuit t alpha_grid source overlap bandwidth_fwhm_nm mean_pairs_per_pulse counting",
     ("alpha-scan", "ideal stepped montecarlo"):
-        "circuit t alpha_grid source overlap bandwidth_fwhm_nm mean_pairs_per_pulse counting pulses_per_point out_dir",
+        "circuit t alpha_grid source overlap bandwidth_fwhm_nm mean_pairs_per_pulse counting pulses_per_point",
     ("alpha-scan", "shaped analytic analytic"):
         "medium_kind n_out n_in medium_seed segments output_m output_n circuit method alpha_grid source overlap "
-        "bandwidth_fwhm_nm mean_pairs_per_pulse counting out_dir",
+        "bandwidth_fwhm_nm mean_pairs_per_pulse counting",
     ("alpha-scan", "shaped analytic montecarlo"):
         "medium_kind n_out n_in medium_seed segments output_m output_n circuit method alpha_grid source overlap "
-        "bandwidth_fwhm_nm mean_pairs_per_pulse counting pulses_per_point out_dir",
+        "bandwidth_fwhm_nm mean_pairs_per_pulse counting pulses_per_point",
     ("alpha-scan", "shaped stepped analytic"):
         "medium_kind n_out n_in medium_seed segments output_m output_n circuit method steps alpha_grid source overlap "
-        "bandwidth_fwhm_nm mean_pairs_per_pulse counting out_dir",
+        "bandwidth_fwhm_nm mean_pairs_per_pulse counting",
     ("alpha-scan", "shaped stepped montecarlo"):
         "medium_kind n_out n_in medium_seed segments output_m output_n circuit method steps alpha_grid source overlap "
-        "bandwidth_fwhm_nm mean_pairs_per_pulse counting pulses_per_point out_dir",
-    ("enhancement-study", "ideal analytic analytic"): "n_out output_m method seeds segment_counts out_dir",
-    ("enhancement-study", "ideal analytic montecarlo"): "n_out output_m method seeds segment_counts out_dir",
-    ("enhancement-study", "ideal stepped analytic"): "n_out output_m method steps seeds segment_counts out_dir",
-    ("enhancement-study", "ideal stepped montecarlo"): "n_out output_m method steps seeds segment_counts out_dir",
-    ("enhancement-study", "shaped analytic analytic"): "n_out output_m method seeds segment_counts out_dir",
-    ("enhancement-study", "shaped analytic montecarlo"): "n_out output_m method seeds segment_counts out_dir",
-    ("enhancement-study", "shaped stepped analytic"): "n_out output_m method steps seeds segment_counts out_dir",
-    ("enhancement-study", "shaped stepped montecarlo"): "n_out output_m method steps seeds segment_counts out_dir",
-    ("probabilities", "ideal analytic analytic"): "t alpha out_dir",
-    ("probabilities", "ideal analytic montecarlo"): "t alpha out_dir",
-    ("probabilities", "ideal stepped analytic"): "t alpha out_dir",
-    ("probabilities", "ideal stepped montecarlo"): "t alpha out_dir",
-    ("probabilities", "shaped analytic analytic"): "t alpha out_dir",
-    ("probabilities", "shaped analytic montecarlo"): "t alpha out_dir",
-    ("probabilities", "shaped stepped analytic"): "t alpha out_dir",
-    ("probabilities", "shaped stepped montecarlo"): "t alpha out_dir",
+        "bandwidth_fwhm_nm mean_pairs_per_pulse counting pulses_per_point",
+    ("enhancement-study", "ideal analytic analytic"): "n_out output_m method seeds segment_counts",
+    ("enhancement-study", "ideal analytic montecarlo"): "n_out output_m method seeds segment_counts",
+    ("enhancement-study", "ideal stepped analytic"): "n_out output_m method steps seeds segment_counts",
+    ("enhancement-study", "ideal stepped montecarlo"): "n_out output_m method steps seeds segment_counts",
+    ("enhancement-study", "shaped analytic analytic"): "n_out output_m method seeds segment_counts",
+    ("enhancement-study", "shaped analytic montecarlo"): "n_out output_m method seeds segment_counts",
+    ("enhancement-study", "shaped stepped analytic"): "n_out output_m method steps seeds segment_counts",
+    ("enhancement-study", "shaped stepped montecarlo"): "n_out output_m method steps seeds segment_counts",
+    ("probabilities", "ideal analytic analytic"): "t alpha",
+    ("probabilities", "ideal analytic montecarlo"): "t alpha",
+    ("probabilities", "ideal stepped analytic"): "t alpha",
+    ("probabilities", "ideal stepped montecarlo"): "t alpha",
+    ("probabilities", "shaped analytic analytic"): "t alpha",
+    ("probabilities", "shaped analytic montecarlo"): "t alpha",
+    ("probabilities", "shaped stepped analytic"): "t alpha",
+    ("probabilities", "shaped stepped montecarlo"): "t alpha",
 }
 
 
@@ -902,7 +968,7 @@ def test_runners_read_exactly_their_scenario_keys(subcommand, config_text):
     parsed = parse_config(config_text, subcommand)
     config = _RecordingConfig(**{name: getattr(parsed, name) for name in _FIELDS})
     getattr(experiments, SCENARIOS[subcommand][0])(config, 1)
-    expected = set(scenario_keys(subcommand, parsed)) - {"out_dir"}
+    expected = set(scenario_keys(subcommand, parsed))
     if parsed.medium_kind == "unitary":  # only the square rule reads these
         expected -= {"n_in", "segments"}
     assert config.reads == expected
