@@ -12,8 +12,9 @@ includes both endpoints, or a comma-separated list of angles;
 
 :func:`parse_config` only turns text into typed values; every range and
 choice rule lives in :class:`ScenarioConfig`, so library callers get the
-same checks as config files, but for the output, pair-rate and fit-grid
-rules: they depend on what a subcommand reads, so :func:`parse_config`
+same checks as config files, but for the output, pair-rate and
+``alpha_grid`` rules (the one fit grid; any non-empty ``delta_theta_grid``
+runs): they depend on what a subcommand reads, so :func:`parse_config`
 applies them, and library callers meet them in the layers below.
 :data:`SCENARIOS` is the one table of subcommands, and
 :func:`scenario_keys` the keys each reads: a config file for a subcommand
@@ -35,8 +36,8 @@ import numpy as np
 
 from .medium import DIM_RULE, MatrixKind
 from .rng import SEED_RULE, check_integer, check_seed
-from .shaping import sine_design
-from .twophoton import OUTCOME_LABELS, SOURCE_PRESETS, check_grid, cosine_design, rms_bandwidth_from_filter_fwhm
+from .twophoton import OUTCOME_LABELS, PAIR_RATE_RULE, SOURCE_PRESETS, check_grid, cosine_design
+from .twophoton import rms_bandwidth_from_filter_fwhm
 
 __all__ = [
     "ConfigError", "ScenarioConfig", "SCENARIOS", "scenario_keys", "parse_config", "format_config", "parse_angle",
@@ -69,7 +70,7 @@ _NUMBERS: dict[str, tuple[str, Callable[[float], bool]]] = {
     "overlap": ("number in [0, 1]", lambda x: 0.0 <= x <= 1.0),
     "bandwidth_fwhm_nm": ("positive number with a finite rms bandwidth",
                           lambda x: 0.0 < x < math.inf and 0.0 < rms_bandwidth_from_filter_fwhm(x) < math.inf),
-    "mean_pairs_per_pulse": ("nonnegative number", lambda x: 0.0 <= x < math.inf),
+    "mean_pairs_per_pulse": PAIR_RATE_RULE,
 }
 _GRIDS = ("alpha_grid", "delta_theta_grid", "delay_grid")
 _OPTIONAL = ("n_in", "medium_seed", "output_n", "overlap", "bandwidth_fwhm_nm", "mean_pairs_per_pulse")
@@ -230,21 +231,20 @@ def _check_outputs(config: ScenarioConfig, keys) -> None:
 
 def _check_run(config: ScenarioConfig, keys) -> None:
     """Among ``keys``: a pair rate above 0 where pairs are counted (``mean_pairs_per_pulse``, an ideal
-    ``t``), and the fit grids ``alpha_grid`` and ``delta_theta_grid`` must constrain their fits; a counted
-    ``alpha_grid`` needs two points, as the V0 error comes from the residual scatter."""
+    ``t``), and ``alpha_grid``, the one fit grid, must constrain the V0 fit; a counted ``alpha_grid``
+    needs two points, as the V0 error comes from the residual scatter."""
     if "mean_pairs_per_pulse" in keys:
         rate = config.mean_pairs_per_pulse
         _require(rate != 0.0, "mean_pairs_per_pulse", "a positive number where pairs are counted", rate)
         _require("t" not in keys or config.t > 0.0, "t", "a positive amplitude where pairs are counted", config.t)
-    if "alpha_grid" in keys and "pulses_per_point" in keys:
-        _require(config.alpha_grid.size >= 2, "alpha_grid", "at least 2 points with counting = montecarlo",
-                 config.alpha_grid)
-    for name, design in (("alpha_grid", cosine_design), ("delta_theta_grid", sine_design)):
-        if name in keys:
-            try:
-                design(getattr(config, name))
-            except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from None
+    if "alpha_grid" in keys:
+        if "pulses_per_point" in keys:
+            _require(config.alpha_grid.size >= 2, "alpha_grid", "at least 2 points with counting = montecarlo",
+                     config.alpha_grid)
+        try:
+            cosine_design(config.alpha_grid)
+        except ValueError as exc:
+            raise ValueError(f"alpha_grid: {exc}") from None
 
 
 _ANGLE_RE = re.compile(r"([+-]?)((?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?)?pi(?:/([0-9]+\.?[0-9]*))?")
@@ -325,7 +325,7 @@ def parse_config(text: str, subcommand: str | None = None) -> ScenarioConfig:
     :class:`ScenarioConfig` comes last, naming a key, then the
     output-channel rules for the outputs the subcommand reads (every
     output without a subcommand), and a subcommand's pair-rate and
-    fit-grid rules.
+    ``alpha_grid`` rules.
     """
     values: dict[str, object] = {}
     lines: dict[str, int] = {}

@@ -14,6 +14,7 @@ and emitted files are byte-identical across runs.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from dataclasses import dataclass
@@ -34,7 +35,6 @@ from .shaping import (
     classical_scan,
     effective_circuit,
     combine_patterns,
-    fit_sine,
     ideal_circuit,
     mode_templates,
     optimize_pattern,
@@ -265,16 +265,23 @@ def run_program(config: ScenarioConfig, master_seed: int = 0) -> tuple[Programme
 
 class ClassicalScanResult(NamedTuple):
     scan: ClassicalScan
-    fit_m: tuple[float, float, float]  # (offset, amplitude, phase) from fit_sine
+    fit_m: tuple[float, float, float]  # (offset, amplitude, phase) as fit_sine's, read off the block's row
     fit_n: tuple[float, float, float]
 
 
+def _sinusoid(near: complex, far: complex) -> tuple[float, float, float]:
+    """``|near + far exp(i*theta)|^2 = |near|^2 + |far|^2 + 2 Re(far conj(near) exp(i*theta))`` as ``fit_sine``'s
+    ``(offset, amplitude, phase)``: the phase is ``arg(far conj(near)) + pi/2``, and 0 for a flat response."""
+    product = far * near.conjugate()
+    amplitude = 2.0 * abs(product)
+    return abs(near) ** 2 + abs(far) ** 2, amplitude, cmath.phase(1j * product) if amplitude else 0.0
+
+
 def run_classical_scan(config: ScenarioConfig, master_seed: int = 0) -> tuple[ClassicalScanResult, dict]:
-    """Two-beam scan of the configured circuit (ideal, or shaped at ``config.alpha``), with sine fits per output."""
+    """Two-beam scan of the configured circuit (ideal, or shaped at ``config.alpha``), with its block's sinusoids."""
     circuit = _circuit(config, master_seed, config.alpha)
     scan = classical_scan(circuit, config.delta_theta_grid)
-    fit_m = fit_sine(scan.delta_theta, scan.intensity_m)
-    fit_n = fit_sine(scan.delta_theta, scan.intensity_n)
+    fit_m, fit_n = (_sinusoid(near, far) for near, far in circuit.sub_matrix.tolist())
     rows = zip(scan.delta_theta, scan.intensity_m, scan.intensity_n)
     return ClassicalScanResult(scan, fit_m, fit_n), {
         "scan.csv": _csv("delta_theta_rad,intensity_m,intensity_n", rows),

@@ -369,6 +369,11 @@ def classical_scan(circuit: ProgrammedCircuit, delta_theta) -> ClassicalScan:
     )
 
 
+# (bytes of x, weights, mean of sin x, mean of cos x) of fit_sine's last design; a plain
+# tuple, swapped whole and never mutated, so concurrent fits at worst recompute it
+_last_design: tuple | None = None
+
+
 def fit_sine(x, y) -> tuple[float, float, float]:
     """Least-squares fit of ``y = offset + amplitude * sin(x + phase)``.
 
@@ -384,9 +389,9 @@ def fit_sine(x, y) -> tuple[float, float, float]:
     Everything that depends on ``x`` alone (the centred columns, the
     normal equations and the determinant rule below) is folded into
     weights that are kept for the last ``x`` seen, keyed by its bytes.
-    A scan that fits many responses on one phase grid computes them
-    once, and each call does only one product of its shifted ``y`` with
-    the weights.
+    Stepped shaping, the one caller in the package, fits every segment
+    on one phase grid, so it computes them once, and each call does only
+    one product of its shifted ``y`` with the weights.
 
     Raises ``ValueError`` for fewer than 3 samples or a non-finite fit
     (a NaN or an infinity in ``y``), and :class:`DegenerateFitError`
@@ -399,11 +404,30 @@ def fit_sine(x, y) -> tuple[float, float, float]:
     or all ``x`` on multiples of ``2*pi``, and any design so close to
     one that the fit would keep only a few digits.
     """
+    global _last_design
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
-    _, weights, mean_sin, mean_cos = sine_design(x)
+    key = x.tobytes()
+    design = _last_design
+    if design is None or design[0] != key:
+        if x.size < 3:
+            raise ValueError(f"need at least 3 samples to fit a sinusoid, got {x.size}")
+        columns = np.array([np.sin(x), np.cos(x)])
+        shift = columns[:, :1].copy()
+        columns -= shift
+        means = np.add.reduce(columns, axis=1, keepdims=True) / x.size
+        columns -= means
+        (ss, sc), (_, cc) = (columns @ columns.T).tolist()
+        det = ss * cc - sc * sc
+        if not det > _FIT_RCOND * (ss + cc) ** 2:
+            raise DegenerateFitError("sinusoid fit is degenerate (singular normal equations)")
+        # Cramer's rule, applied to the columns once: the rows give a, b and the sum of y from y - y[0]
+        sin_c, cos_c = columns
+        weights = read_only_copy([(cc * sin_c - sc * cos_c) / det, (ss * cos_c - sc * sin_c) / det, np.ones(x.size)])
+        design = _last_design = (key, weights, *(shift + means).ravel().tolist())
+    _, weights, mean_sin, mean_cos = design
     # the weights are centred, so y's own centring would change a and b only by rounding
     a, b, total = (weights @ (y - y[0])).tolist()
     offset = (float(y[0]) + total / y.size) - a * mean_sin - b * mean_cos
@@ -411,40 +435,6 @@ def fit_sine(x, y) -> tuple[float, float, float]:
     if not math.isfinite(offset + amplitude):  # one scalar test, not a pass over y
         raise ValueError("y must be finite")
     return offset, amplitude, math.atan2(b, a)
-
-
-# (bytes of x, weights, mean of sin x, mean of cos x) of the last design; a plain
-# tuple, swapped whole and never mutated, so concurrent fits at worst recompute it
-_last_design: tuple | None = None
-
-
-def sine_design(x: np.ndarray) -> tuple:
-    """The x-only part of :func:`fit_sine`, reused while ``x`` keeps its bytes.
-
-    The weights' rows give ``a``, ``b`` and the sum of ``y`` from ``y - y[0]``.
-    """
-    global _last_design
-    key = x.tobytes()
-    design = _last_design
-    if design is not None and design[0] == key:
-        return design
-    if x.size < 3:
-        raise ValueError(f"need at least 3 samples to fit a sinusoid, got {x.size}")
-    columns = np.array([np.sin(x), np.cos(x)])
-    shift = columns[:, :1].copy()
-    columns -= shift
-    means = np.add.reduce(columns, axis=1, keepdims=True) / x.size
-    columns -= means
-    (ss, sc), (_, cc) = (columns @ columns.T).tolist()
-    det = ss * cc - sc * sc
-    if not det > _FIT_RCOND * (ss + cc) ** 2:
-        raise DegenerateFitError("sinusoid fit is degenerate (singular normal equations)")
-    # Cramer's rule for the 2x2 normal equations, applied to the columns once
-    sin_c, cos_c = columns
-    weights = read_only_copy([(cc * sin_c - sc * cos_c) / det, (ss * cos_c - sc * sin_c) / det, np.ones(x.size)])
-    design = (key, weights, *(shift + means).ravel().tolist())
-    _last_design = design
-    return design
 
 
 def phase_distance(a: float, b: float) -> float:

@@ -55,7 +55,9 @@ __all__ = [
 
 _SPEED_OF_LIGHT = 299_792_458.0
 _CENTER_WAVELENGTH_M = 790e-9  # signal and idler centre wavelength
-_PULSE_RATE_HZ = 76e6  # pump laser repetition rate
+PULSE_RATE_HZ = 76e6  # pump laser repetition rate
+# mean_pairs_per_pulse's (text, test); the 2 covers click probabilities above 1 in the embeddability band
+PAIR_RATE_RULE = ("nonnegative number with a finite pair rate", lambda x: 0.0 <= x and 2 * x * PULSE_RATE_HZ < math.inf)
 
 _PERMANENT_MAX_SIDE = 20
 _MC_CHUNK = 1 << 16  # pulses per substream, and most pairs per draw; fixed, part of the stream contract
@@ -258,7 +260,7 @@ class PhotonPairSource:
         for name, expected, ok in (
             ("rms_angular_bandwidth", "positive number", 0.0 < self.rms_angular_bandwidth < math.inf),
             ("intrinsic_overlap", "number in [0, 1]", 0.0 <= self.intrinsic_overlap <= 1.0),
-            ("mean_pairs_per_pulse", "nonnegative number", 0.0 <= self.mean_pairs_per_pulse < math.inf),
+            ("mean_pairs_per_pulse", PAIR_RATE_RULE[0], PAIR_RATE_RULE[1](self.mean_pairs_per_pulse)),
         ):
             if not ok:
                 raise ValueError(f"{name}: expected {expected}, got {getattr(self, name)!r}")
@@ -424,7 +426,7 @@ def hom_scan(circuit: "ProgrammedCircuit", source: PhotonPairSource, delays) -> 
     ind, dist = pair_outcome_components(circuit.sub_matrix)
     x = overlap_from_delay(source, delays)[:, None]
     probs = x * ind[..., None, :] + (1.0 - x) * dist[..., None, :]
-    scale = source.mean_pairs_per_pulse * _PULSE_RATE_HZ
+    scale = source.mean_pairs_per_pulse * PULSE_RATE_HZ
     click_m, click_n, both = (
         scale * probs[..., clicks].sum(axis=-1) for clicks in (_CLICKS_M, _CLICKS_N, _CLICKS_M & _CLICKS_N)
     )

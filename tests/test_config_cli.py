@@ -163,6 +163,7 @@ def test_config_inconsistent_dimensions_rejected():
         (dict(source="nosuch"), "source"),
         (dict(mean_pairs_per_pulse=-0.1), "mean_pairs_per_pulse"),
         (dict(mean_pairs_per_pulse=math.inf), "mean_pairs_per_pulse"),
+        (dict(mean_pairs_per_pulse=1e302), "mean_pairs_per_pulse"),  # its pair rate overflows
         (dict(medium_seed=-1), "medium_seed"),
         (dict(medium_seed=2**64), "medium_seed"),
     ],
@@ -1079,6 +1080,18 @@ def test_a_run_with_no_pairs_or_no_fittable_phase_is_a_config_error(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand", ["hom-scan", "alpha-scan"])
+def test_a_pair_rate_beyond_the_float_range_is_a_config_error(tmp_path, capsys, subcommand):
+    # 1e302 pairs per pulse at 76 MHz overflow the rates: this once exited 2 naming no key
+    cfg, out = tmp_path / "c.cfg", tmp_path / "out"
+    cfg.write_text("circuit = ideal\nmean_pairs_per_pulse = 1e302\n")
+    assert main([subcommand, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert "mean_pairs_per_pulse: expected nonnegative number with a finite pair rate" in capsys.readouterr().err
+    assert not out.exists()
+    cfg.write_text("circuit = ideal\nmean_pairs_per_pulse = 1e300\n")
+    assert main([subcommand, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+
+
 @pytest.mark.parametrize(
     "subcommand,config_text",
     [("probabilities", "t = 0\nalpha = pi/2\n"), ("alpha-scan", "alpha_grid = pi/2, 0\n"),
@@ -1125,6 +1138,25 @@ def test_classical_scan_of_the_ideal_circuit_shows_alpha(tmp_path, capsys):
     fits = (tmp_path / "classical-scan_seed0.fits.csv").read_text().splitlines()
     phase_m, phase_n = (float(line.split(",")[3]) for line in fits[1:])
     assert abs(math.remainder(phase_n - phase_m - math.pi / 2, 2 * math.pi)) < 1e-9
+
+
+@pytest.mark.parametrize("grid,points", [("0", 1), ("0:2pi:2", 2)])
+def test_classical_scan_runs_any_grid_and_writes_the_fits_of_the_default_grid(tmp_path, grid, points):
+    # these grids once exited 1 ("need at least 3 samples", a degenerate design): the sinusoids are
+    # read off the block, so they do not depend on the grid
+    shaped = "circuit = shaped\nn_out = 16\nsegments = 8\nalpha = 2\n"
+    runs = {}
+    for name, text in (("default", shaped), ("grid", f"{shaped}delta_theta_grid = {grid}\n")):
+        cfg, out = tmp_path / f"{name}.cfg", tmp_path / name
+        cfg.write_text(text)
+        assert main(["classical-scan", "--config", str(cfg), "--seed", "7", "--out", str(out), "--quiet"]) == 0
+        runs[name] = {p.name.split(".", 1)[1]: p.read_bytes() for p in out.iterdir()}
+    assert runs["grid"]["fits.csv"] == runs["default"]["fits.csv"]
+    assert len(runs["grid"]["scan.csv"].splitlines()) == 1 + points
+    manifest = tmp_path / "grid" / "classical-scan_seed7.manifest.txt"
+    again = tmp_path / "again"
+    assert main(["classical-scan", "--config", str(manifest), "--seed", "7", "--out", str(again), "--quiet"]) == 0
+    assert {p.name.split(".", 1)[1]: p.read_bytes() for p in again.iterdir()} == runs["grid"]
 
 
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])

@@ -16,6 +16,7 @@ from specklesim.twophoton import EmbeddabilityError
 from specklesim.shaping import (
     DegenerateFitError,
     PhasePattern,
+    ProgrammedCircuit,
     classical_scan,
     combine_patterns,
     effective_circuit,
@@ -819,6 +820,46 @@ def test_classical_scan_is_the_closed_form_of_the_programmed_circuit():
     rotation = np.exp(1j * result.scan.delta_theta)
     assert np.array_equal(result.scan.intensity_m, np.abs(a + b * rotation) ** 2)
     assert np.array_equal(result.scan.intensity_n, np.abs(c + d * rotation) ** 2)
+
+
+_SHAPED_SCAN = dict(n_out=16, segments=8, circuit="shaped")
+
+
+@pytest.mark.parametrize(
+    "settings,block",
+    [
+        (dict(_SHAPED_SCAN, alpha=2.0), None),
+        (dict(_SHAPED_SCAN, method="stepped", alpha=-1.0, delta_theta_grid=np.linspace(0.0, TWO_PI, 9)), None),
+        (dict(circuit="ideal", t=0.45, alpha=math.pi / 3), None),
+        (dict(circuit="ideal", t=0.3, alpha=-math.pi), None),
+        (dict(circuit="ideal", t=0.0), None),  # every row flat, and the scan exactly 0
+        # flat rows (a, 0), (0, 0) and (0, b) whose signed zeros put arg(i * far * conj(near)) at pi, and rows
+        # with signed zeros whose phase is 0 or pi
+        (dict(_SHAPED_SCAN, alpha=0.5), [[complex(0.3, -0.2), complex(0.0, -0.0)], [complex(-0.0, -0.0), 0j]]),
+        (dict(_SHAPED_SCAN, alpha=0.5), [[complex(-0.0, -0.0), 1.2], [complex(0.4, -0.0), complex(-0.0, -0.3)]]),
+        (dict(_SHAPED_SCAN, alpha=0.5), [[complex(0.4, -0.0), complex(-0.0, 0.3)], [-1.2, complex(0.0, -0.0)]]),
+    ],
+)
+def test_classical_scan_writes_the_sinusoids_that_fit_sine_finds_in_its_scan(monkeypatch, settings, block):
+    # fits.csv is read off the block in closed form; fit_sine on the written
+    # scan is the oracle, to 1e-14 of the response's peak offset + amplitude
+    if block is not None:
+        pattern = PhasePattern(np.zeros(1), "k", np.array([0]))
+        circuit = ProgrammedCircuit(np.array(block), settings["alpha"])
+        monkeypatch.setattr(experiments, "program_circuit", lambda *args: (pattern, pattern, circuit))
+    result, files = run_classical_scan(ScenarioConfig(**settings), master_seed=3)
+    written = [tuple(float(v) for v in line.split(",")[1:]) for line in files["fits.csv"].splitlines()[1:]]
+    assert written == [result.fit_m, result.fit_n]
+    for (offset, amplitude, phase), intensity in zip(written, (result.scan.intensity_m, result.scan.intensity_n)):
+        fit_offset, fit_amplitude, fit_phase = fit_sine(result.scan.delta_theta, intensity)
+        scale = offset + amplitude
+        assert abs(offset - fit_offset) <= 1e-14 * scale
+        assert abs(amplitude - fit_amplitude) <= 1e-14 * scale
+        # a phase is known to the share of the response its amplitude holds
+        assert phase_distance(phase, fit_phase) * amplitude <= 1e-14 * scale
+        assert -math.pi < phase <= math.pi
+        if amplitude == 0.0:
+            assert phase == 0.0 and math.copysign(1.0, phase) == 1.0
 
 
 # ---------------------------------------------------------------------------

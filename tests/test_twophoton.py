@@ -13,6 +13,8 @@ from specklesim.rng import rng_for
 from specklesim.shaping import ProgrammedCircuit, ideal_circuit
 from specklesim.twophoton import (
     OUTCOME_LABELS,
+    PAIR_RATE_RULE,
+    PULSE_RATE_HZ,
     CoincidenceScan,
     EmbeddabilityError,
     PhotonPairSource,
@@ -366,6 +368,20 @@ def test_overlap_matches_spectral_integral():
         kernel = spectrum * np.exp(1j * omega * tau)
         numeric = abs(np.sum(kernel) / np.sum(spectrum)) ** 2
         assert abs(overlap_from_delay(source, tau) - numeric) < 1e-9
+
+
+def test_the_largest_accepted_pair_rate_keeps_the_rates_finite():
+    # the rule keeps twice the pair rate finite, so a block at the top of the embeddability band, whose
+    # click probabilities may exceed 1 a little, still scans to finite rates (CoincidenceScan checks them)
+    mu = np.finfo(float).max / (2 * PULSE_RATE_HZ)
+    expected, accepts = PAIR_RATE_RULE
+    assert accepts(mu) and not accepts(math.nextafter(mu, math.inf)) and not accepts(math.nan)
+    circuit = ProgrammedCircuit(splitter_block(embeddability_bound(math.pi) * (1.0 + 0.9e-9), math.pi), math.pi)
+    scan = hom_scan(circuit, PhotonPairSource(2e12, 1.0, mu), [0.0, 1e-9])
+    assert np.all(np.isfinite(scan.singles_m)) and np.all(np.isfinite(scan.coincidence_rate))
+    for bad in (1e302, -0.0 - 1e-300, math.inf):
+        with pytest.raises(ValueError, match=f"^mean_pairs_per_pulse: expected {expected}, got"):
+            PhotonPairSource(2e12, 1.0, bad)
 
 
 def test_overlap_width_scales_inversely_with_bandwidth():
